@@ -26,12 +26,19 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, with_reps: bool) -> None:
     parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     parser.add_argument("--seed", type=int, default=42, help="base random seed (default 42)")
     parser.add_argument(
         "--horizon",
-        type=int,
+        type=positive_int,
         default=None,
         help="days to simulate (default: the scenario's horizon_days)",
     )
@@ -40,7 +47,7 @@ def _add_common(parser: argparse.ArgumentParser, with_reps: bool) -> None:
     )
     if with_reps:
         parser.add_argument(
-            "--reps", type=int, default=100, help="number of replications (default 100)"
+            "--reps", type=positive_int, default=100, help="number of replications (default 100)"
         )
 
 

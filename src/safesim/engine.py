@@ -14,134 +14,121 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import AreaState, DayEvents, step_events
+from .events import step_events, xi_of_theta
 from .intervention import step_theta
-from .metrics import DayMetrics, compute_day_metrics
-from .observation import DayObservations, step_observations
-from .policies import ObservableHistory, ObservedDay, Policy, PolicyDecision, RecordedIncident
+from .metrics import compute_day_metrics
+from .observation import step_observations
+from .policies import AHL, AREA, ObservableHistory, Policy
 from .scenario import N_HURT_LEVELS, Scenario
 
 
 @dataclass(frozen=True)
-class SimState:
-    """Cross-day simulation state: per-area safety states plus the shared history."""
-
-    theta: np.ndarray
-    day: int
-    history: ObservableHistory
-
-    @classmethod
-    def initial(cls, scenario: Scenario) -> "SimState":
-        return cls(
-            theta=np.array([a.theta0 for a in scenario.areas], dtype=float),
-            day=0,
-            history=ObservableHistory(scenario.n_areas, scenario.obs_type_ids),
-        )
-
-
-@dataclass(frozen=True)
-class DayRecord:
-    """Everything that happened on one simulated day."""
-
-    day: int
-    theta: np.ndarray  # start-of-day safety state per area (drives today's xi)
-    xi: np.ndarray
-    events: tuple[DayEvents, ...]
-    observations: DayObservations
-    metrics: DayMetrics
-    decision: PolicyDecision
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """One replication: an ordered run of DayRecords plus its provenance."""
+    """One replication as per-run arrays; row d of each array is day d + 1.
 
-    days: tuple[DayRecord, ...]
+    theta is the start-of-day safety state that drives the day's xi, both
+    shaped (days, areas), like the event counts n_e, n_neg and n_pos.
+    proportions is the policy's decision, shaped (days, obs_types, areas)
+    and NaN on days without observers. expected_loss and tail_prob are
+    per day. The recorded data (observation counts and the incident log)
+    live in history; obs_pos, obs_neg and incidents refer to its arrays.
+    """
+
     scenario: Scenario
     policy_name: str
     seed: int
+    history: ObservableHistory
+    theta: np.ndarray
+    xi: np.ndarray
+    n_e: np.ndarray
+    n_neg: np.ndarray
+    n_pos: np.ndarray
+    proportions: np.ndarray
+    expected_loss: np.ndarray
+    tail_prob: np.ndarray
+
+    @classmethod
+    def allocate(
+        cls, scenario: Scenario, policy_name: str, seed: int, horizon: int
+    ) -> "Trajectory":
+        shape = (horizon, scenario.n_areas)
+        n_types = len(scenario.obs_types)
+        return cls(
+            scenario=scenario,
+            policy_name=policy_name,
+            seed=seed,
+            history=ObservableHistory(scenario.n_areas, scenario.obs_type_ids, horizon),
+            theta=np.zeros(shape),
+            xi=np.zeros(shape),
+            n_e=np.zeros(shape, dtype=int),
+            n_neg=np.zeros(shape, dtype=int),
+            n_pos=np.zeros(shape, dtype=int),
+            proportions=np.full((horizon, n_types, scenario.n_areas), np.nan),
+            expected_loss=np.zeros(horizon),
+            tail_prob=np.zeros(horizon),
+        )
+
+    @property
+    def horizon(self) -> int:
+        return len(self.theta)
+
+    @property
+    def obs_pos(self) -> np.ndarray:
+        return self.history.obs_pos
+
+    @property
+    def obs_neg(self) -> np.ndarray:
+        return self.history.obs_neg
+
+    @property
+    def incidents(self) -> np.ndarray:
+        """Day-sorted incident log; columns DAY, AREA, AHL, PHL (see policies)."""
+        return self.history.incidents
 
     def expected_loss_series(self) -> np.ndarray:
-        return np.array([d.metrics.expected_loss for d in self.days])
+        return self.expected_loss
 
     def tail_prob_series(self) -> np.ndarray:
-        return np.array([d.metrics.tail_prob for d in self.days])
+        return self.tail_prob
 
     def incident_totals(self) -> np.ndarray:
         """Total incident counts over the run, indexed [area, ahl]."""
-        totals = np.zeros((self.scenario.n_areas, N_HURT_LEVELS), dtype=int)
-        for record in self.days:
-            for a_idx, events in enumerate(record.events):
-                for ahl, _phl in events.incidents:
-                    totals[a_idx, ahl] += 1
-        return totals
+        cells = self.incidents[:, AREA] * N_HURT_LEVELS + self.incidents[:, AHL]
+        size = self.scenario.n_areas * N_HURT_LEVELS
+        return np.bincount(cells, minlength=size).reshape(-1, N_HURT_LEVELS)
 
 
 def step_day(
-    state: SimState, scenario: Scenario, policy: Policy, rng: np.random.Generator
-) -> tuple[SimState, DayRecord]:
-    """Advance the simulation one day.
+    run: Trajectory, d: int, theta: list[float], policy: Policy, rng: np.random.Generator
+) -> list[float]:
+    """Simulate day d + 1 into row d of run; returns the next day's theta.
 
     Order of operations: derive xi from the carried-over theta, generate
     events, ask the policy (which sees history through yesterday only), run
-    the observation process, update theta, and evaluate metrics at the xi
-    used for today's events. The day's record is appended to the history
-    before returning.
+    the observation process, close the day in the history, update theta,
+    and evaluate metrics at the xi used for today's events.
     """
-    day = state.day + 1
-    theta = state.theta
-    area_states = [
-        AreaState.from_theta(float(theta[i]), area.xi_base)
+    scenario, history = run.scenario, run.history
+    xi = [xi_of_theta(t, area.xi_base) for t, area in zip(theta, scenario.areas)]
+    events = [step_events(rng, area, x) for area, x in zip(scenario.areas, xi)]
+    run.theta[d], run.xi[d] = theta, xi
+    run.n_e[d], run.n_neg[d], run.n_pos[d] = zip(*((e.n_e, e.n_neg, e.n_pos) for e in events))
+
+    decision = policy.decide(history, rng)
+    observed = None
+    if decision.proportions is not None:
+        observed = step_observations(rng, scenario, events, decision.proportions)
+        run.proportions[d] = [decision.proportions[t] for t in scenario.obs_type_ids]
+    incidents = [(i, ahl, phl) for i, e in enumerate(events) for ahl, phl in e.incidents]
+    history.append_day(incidents, observed)
+
+    next_theta = [
+        step_theta(theta[i], area, history.obs_neg[d, :, i], events[i].n_e, scenario)
         for i, area in enumerate(scenario.areas)
     ]
-    xi = np.array([s.xi for s in area_states])
-
-    events = tuple(
-        step_events(rng, area, area_states[i]) for i, area in enumerate(scenario.areas)
-    )
-
-    decision = policy.decide(state.history, rng)
-    if decision.proportions is None:
-        observations = DayObservations.empty(len(scenario.obs_types), scenario.n_areas)
-    else:
-        observations = step_observations(rng, scenario, list(events), decision.proportions)
-
-    new_theta = np.array(
-        [
-            step_theta(
-                float(theta[i]),
-                area,
-                observations.neg_by_type(i),
-                events[i].n_e,
-                scenario,
-            )
-            for i, area in enumerate(scenario.areas)
-        ]
-    )
-
-    metrics = compute_day_metrics(scenario, area_states)
-
-    record = DayRecord(
-        day=day,
-        theta=theta.copy(),
-        xi=xi,
-        events=events,
-        observations=observations,
-        metrics=metrics,
-        decision=decision,
-    )
-    state.history.append(
-        ObservedDay(
-            day=day,
-            incidents=tuple(
-                RecordedIncident(area_index=i, ahl=ahl, phl=phl)
-                for i, ev in enumerate(events)
-                for ahl, phl in ev.incidents
-            ),
-            observations=observations,
-        )
-    )
-    return SimState(theta=new_theta, day=day, history=state.history), record
+    metrics = compute_day_metrics(scenario, xi)
+    run.expected_loss[d], run.tail_prob[d] = metrics.expected_loss, metrics.tail_prob
+    return next_theta
 
 
 def run_simulation(
@@ -152,19 +139,17 @@ def run_simulation(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = np.random.default_rng(seed)
-    state = SimState.initial(scenario)
-    records = []
-    for _ in range(horizon):
-        state, record = step_day(state, scenario, policy, rng)
-        records.append(record)
-    return Trajectory(days=tuple(records), scenario=scenario, policy_name=policy.name, seed=seed)
+    run = Trajectory.allocate(scenario, policy.name, seed, horizon)
+    theta = [float(area.theta0) for area in scenario.areas]
+    for d in range(horizon):
+        theta = step_day(run, d, theta, policy, rng)
+    return run
 
 
-def nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sample."""
-    n = len(sorted_values)
-    rank = max(1, math.ceil(percentile / 100.0 * n))
-    return float(sorted_values[rank - 1])
+def nearest_rank(sorted_values: np.ndarray, percentile: float):
+    """Nearest-rank percentile of a sample sorted ascending along its first axis."""
+    rank = max(1, math.ceil(percentile / 100.0 * len(sorted_values)))
+    return sorted_values[rank - 1]
 
 
 @dataclass(frozen=True)
@@ -185,13 +170,6 @@ class EnsembleSummary:
     incident_p50: np.ndarray
     incident_p95: np.ndarray
 
-    def incident_percentile(self, percentile: float) -> np.ndarray:
-        """Nearest-rank percentile of per-(area, ahl) totals over replications."""
-        sorted_totals = np.sort(self.incident_totals, axis=0)
-        n = self.n_reps
-        rank = max(1, math.ceil(percentile / 100.0 * n))
-        return sorted_totals[rank - 1]
-
 
 def summarize_trajectories(trajectories: list[Trajectory], base_seed: int) -> EnsembleSummary:
     """Aggregate replications (in seed order) into an EnsembleSummary."""
@@ -203,14 +181,10 @@ def summarize_trajectories(trajectories: list[Trajectory], base_seed: int) -> En
     tail = np.stack([t.tail_prob_series() for t in trajectories])
     totals = np.stack([t.incident_totals() for t in trajectories])
     sorted_totals = np.sort(totals, axis=0)
-    n = len(trajectories)
-
-    def rank_slice(p: float) -> np.ndarray:
-        return sorted_totals[max(1, math.ceil(p / 100.0 * n)) - 1]
 
     return EnsembleSummary(
         policy_name=trajectories[0].policy_name,
-        n_reps=n,
+        n_reps=len(trajectories),
         base_seed=base_seed,
         horizon=loss.shape[1],
         area_ids=scenario.area_ids,
@@ -219,9 +193,9 @@ def summarize_trajectories(trajectories: list[Trajectory], base_seed: int) -> En
         mean_tail_prob=tail.mean(axis=0),
         std_tail_prob=tail.std(axis=0),
         incident_totals=totals,
-        incident_p05=rank_slice(5.0),
-        incident_p50=rank_slice(50.0),
-        incident_p95=rank_slice(95.0),
+        incident_p05=nearest_rank(sorted_totals, 5.0),
+        incident_p50=nearest_rank(sorted_totals, 50.0),
+        incident_p95=nearest_rank(sorted_totals, 95.0),
     )
 
 

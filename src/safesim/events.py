@@ -1,4 +1,4 @@
-"""Daily event generation and the latent unsafe-fraction dynamics.
+"""Daily event generation and the mapping from safety state to unsafe fraction.
 
 Each safety area runs three coupled Poisson streams per day: incidents,
 unsafe activities, and safe activities. The split is driven by the latent
@@ -21,18 +21,6 @@ class DegenerateHurtDistribution(ValueError):
 
 
 @dataclass(frozen=True)
-class AreaState:
-    """Latent per-area state at one timestep: theta and its derived xi."""
-
-    theta: float
-    xi: float
-
-    @classmethod
-    def from_theta(cls, theta: float, xi_base: float) -> "AreaState":
-        return cls(theta=theta, xi=xi_of_theta(theta, xi_base))
-
-
-@dataclass(frozen=True)
 class DayEvents:
     """Event counts for one area on one day, plus per-incident severities."""
 
@@ -50,11 +38,6 @@ class DayEvents:
 def xi_of_theta(theta: float, xi_base: float) -> float:
     """Unsafe-task fraction implied by safety state theta: (1 - theta) * xi_base."""
     return (1.0 - theta) * xi_base
-
-
-def decay_theta(theta: float, k_decay: float) -> float:
-    """One day of complacency decay: k_decay * theta."""
-    return k_decay * theta
 
 
 def sample_event_counts(
@@ -101,13 +84,13 @@ def sample_phl(rng: np.random.Generator, hl_probs, ahl: int) -> int:
     return N_HURT_LEVELS - 1
 
 
-def step_events(rng: np.random.Generator, area: SafetyAreaConfig, state: AreaState) -> DayEvents:
-    """Generate one day of events for one area.
+def step_events(rng: np.random.Generator, area: SafetyAreaConfig, xi: float) -> DayEvents:
+    """Generate one day of events for one area at unsafe fraction xi.
 
     Stream order: counts, then all AHLs, then all PHLs. Does not touch
     theta; the intervention step owns the dynamics.
     """
-    n_e, n_neg, n_pos = sample_event_counts(rng, area.lambda_star, state.xi, area.alpha)
+    n_e, n_neg, n_pos = sample_event_counts(rng, area.lambda_star, xi, area.alpha)
     ahls = [sample_ahl(rng, area.hl_probs) for _ in range(n_e)]
     phls = [sample_phl(rng, area.hl_probs, ahl) for ahl in ahls]
     return DayEvents(n_e=n_e, n_neg=n_neg, n_pos=n_pos, incidents=tuple(zip(ahls, phls)))

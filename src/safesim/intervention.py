@@ -8,23 +8,20 @@ timestep.
 
 from __future__ import annotations
 
-from .events import decay_theta
 from .scenario import SafetyAreaConfig, Scenario
 
 
-def apply_feedback(
-    theta: float,
-    n_neg_obs_by_type,
-    n_e: int,
-    deltas_neg,
-    delta_e: float,
-) -> float:
-    """theta + (1 - theta) * (sum_X n_obs_X * delta_X + n_e * delta_e), clamped to [0, 1].
+def decay_theta(theta: float, k_decay: float) -> float:
+    """One day of complacency decay: k_decay * theta."""
+    return k_decay * theta
 
-    The raw drive can exceed 1 for large count * delta products; clamping
-    keeps theta a valid fraction.
+
+def apply_feedback(theta: float, drive: float) -> float:
+    """theta + (1 - theta) * drive, clamped to [0, 1].
+
+    The drive can exceed 1 for large count * delta products; clamping keeps
+    theta a valid fraction.
     """
-    drive = float(sum(n * d for n, d in zip(n_neg_obs_by_type, deltas_neg))) + n_e * delta_e
     return min(1.0, max(0.0, theta + (1.0 - theta) * drive))
 
 
@@ -37,11 +34,14 @@ def step_theta(
 ) -> float:
     """Advance theta one day: feedback if the drive is positive, else decay.
 
-    The branch condition is the feedback drive, not the raw event count:
-    with delta_e = 0 an unobserved incident does not block decay.
+    The drive is sum_X n_obs_X * delta_X + n_e * delta_e. The branch
+    condition is the drive, not the raw event count: with delta_e = 0 an
+    unobserved incident does not block decay.
     """
-    deltas_neg = [t.delta_neg for t in scenario.obs_types]
-    drive = float(sum(n * d for n, d in zip(n_neg_obs_by_type, deltas_neg))) + n_e * scenario.delta_e
+    drive = (
+        float(sum(n * t.delta_neg for n, t in zip(n_neg_obs_by_type, scenario.obs_types)))
+        + n_e * scenario.delta_e
+    )
     if drive > 0.0:
-        return apply_feedback(theta, n_neg_obs_by_type, n_e, deltas_neg, scenario.delta_e)
+        return apply_feedback(theta, drive)
     return decay_theta(theta, area.k_decay)

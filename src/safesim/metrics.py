@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import AreaState
 from .scenario import SafetyAreaConfig, Scenario
 
 SEVERE_AHL = 4  # tail probability counts incidents with AHL >= this level
@@ -35,10 +34,10 @@ def expected_hl_count(lambda_star: float, xi: float, alpha: float, p_j: float) -
     return alpha * xi * lambda_star * p_j
 
 
-def expected_daily_loss(area: SafetyAreaConfig, state: AreaState, loss_vector) -> float:
-    """Loss-weighted sum of expected per-level incident counts for one area."""
+def expected_daily_loss(area: SafetyAreaConfig, xi: float, loss_vector) -> float:
+    """Loss-weighted sum of expected per-level incident counts for one area at xi."""
     return sum(
-        c_j * expected_hl_count(area.lambda_star, state.xi, area.alpha, p_j)
+        c_j * expected_hl_count(area.lambda_star, xi, area.alpha, p_j)
         for c_j, p_j in zip(loss_vector, area.hl_probs)
     )
 
@@ -55,9 +54,9 @@ def ahl_marginal(lambda_star: float, xi: float, alpha: float, hl_probs) -> np.nd
     return factor * np.asarray(hl_probs, dtype=float)
 
 
-def tail_probability(area: SafetyAreaConfig, state: AreaState) -> float:
-    """Daily probability of an incident with AHL >= 4 in one area."""
-    marginal = ahl_marginal(area.lambda_star, state.xi, area.alpha, area.hl_probs)
+def tail_probability(area: SafetyAreaConfig, xi: float) -> float:
+    """Daily probability of an incident with AHL >= 4 in one area at xi."""
+    marginal = ahl_marginal(area.lambda_star, xi, area.alpha, area.hl_probs)
     return float(marginal[SEVERE_AHL:].sum())
 
 
@@ -78,14 +77,12 @@ def aggregate_metrics(expected_losses, tail_probs) -> DayMetrics:
     )
 
 
-def compute_day_metrics(scenario: Scenario, states) -> DayMetrics:
-    """Evaluate both metrics for every area at the given latent states."""
-    losses = []
-    tails = []
-    for area, state in zip(scenario.areas, states):
-        losses.append(expected_daily_loss(area, state, scenario.loss_vector))
-        tails.append(tail_probability(area, state))
-    return aggregate_metrics(losses, tails)
+def compute_day_metrics(scenario: Scenario, xi) -> DayMetrics:
+    """Evaluate both metrics for every area at the given unsafe fractions."""
+    return aggregate_metrics(
+        [expected_daily_loss(a, x, scenario.loss_vector) for a, x in zip(scenario.areas, xi)],
+        [tail_probability(a, x) for a, x in zip(scenario.areas, xi)],
+    )
 
 
 def baseline_asymptote(scenario: Scenario) -> tuple[float, float]:
@@ -94,6 +91,5 @@ def baseline_asymptote(scenario: Scenario) -> tuple[float, float]:
     This is the limit the no-observation baseline converges to, drawn as the
     dotted line in comparison plots.
     """
-    worst = [AreaState.from_theta(0.0, area.xi_base) for area in scenario.areas]
-    limit = compute_day_metrics(scenario, worst)
+    limit = compute_day_metrics(scenario, [area.xi_base for area in scenario.areas])
     return limit.expected_loss, limit.tail_prob

@@ -28,6 +28,8 @@ def check_proportions(s: np.ndarray, n_areas: int) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (n_areas,):
         raise ProportionError(f"expected {n_areas} proportions, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ProportionError("proportions must be finite")
     if np.any(s < 0.0):
         raise ProportionError("proportions must be nonnegative")
     if abs(float(s.sum()) - 1.0) > PROB_TOL:
@@ -37,7 +39,7 @@ def check_proportions(s: np.ndarray, n_areas: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DayObservations:
-    """Recorded safe/unsafe event counts, indexed [obs_type, area]."""
+    """One day's recorded safe/unsafe event counts, indexed [obs_type, area]."""
 
     obs_pos: np.ndarray
     obs_neg: np.ndarray
@@ -46,14 +48,6 @@ class DayObservations:
     def empty(cls, n_types: int, n_areas: int) -> "DayObservations":
         shape = (n_types, n_areas)
         return cls(obs_pos=np.zeros(shape, dtype=int), obs_neg=np.zeros(shape, dtype=int))
-
-    @property
-    def total_recorded(self) -> int:
-        return int(self.obs_pos.sum() + self.obs_neg.sum())
-
-    def neg_by_type(self, area_index: int) -> np.ndarray:
-        """Observed unsafe-event counts for one area, one entry per obs type."""
-        return self.obs_neg[:, area_index]
 
 
 def allocate_observers(rng: np.random.Generator, m: int, s: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observation import DayObservations, check_proportions
+from .observation import check_proportions
 from .scenario import PROB_TOL
 
 DEFAULT_WINDOW_DAYS = 30
@@ -24,72 +24,86 @@ class PolicyError(ValueError):
     """Unknown policy name or invalid policy parameters."""
 
 
-@dataclass(frozen=True)
-class RecordedIncident:
-    """One incident report: which area, actual and potential Hurt level."""
-
-    area_index: int
-    ahl: int
-    phl: int
+# Columns of the incident log: one row per incident, rows sorted by day.
+DAY, AREA, AHL, PHL = range(4)
 
 
-@dataclass(frozen=True)
-class ObservedDay:
-    """Everything recorded on one day: incident reports and observation counts."""
-
-    day: int
-    incidents: tuple[RecordedIncident, ...]
-    observations: DayObservations
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 class ObservableHistory:
-    """Append-only record of everything a policy is allowed to see.
+    """Everything a policy is allowed to see: the run's recorded data.
 
-    Holds only recorded data; latent theta/xi never enter. The engine
-    appends one ObservedDay per completed day, so while deciding day t a
-    policy sees records for days 1..t-1.
+    Holds only recorded data; latent theta/xi never enter. obs_pos and
+    obs_neg are the observation counts, indexed [day - 1, obs_type, area].
+    The incident log is indexed like a CSR matrix: the rows of day t are
+    log[day_end[t - 1]:day_end[t]]. The engine closes each day with
+    append_day after the day's decision, so while deciding day t a policy
+    sees days 1..t-1, and a window query costs O(window), not O(days).
+    Every array handed out is a read-only view, so a policy cannot alter
+    the run's record.
     """
 
-    def __init__(self, n_areas: int, obs_type_ids: tuple[str, ...]):
+    def __init__(self, n_areas: int, obs_type_ids: tuple[str, ...], horizon: int):
         self.n_areas = n_areas
         self.obs_type_ids = tuple(obs_type_ids)
-        self._days: list[ObservedDay] = []
+        shape = (horizon, len(self.obs_type_ids), n_areas)
+        self._obs_pos = np.zeros(shape, dtype=int)
+        self._obs_neg = np.zeros(shape, dtype=int)
+        self.obs_pos = _read_only(self._obs_pos)
+        self.obs_neg = _read_only(self._obs_neg)
+        self._day_end = np.zeros(horizon + 1, dtype=np.intp)
+        self._log = np.zeros((64, 4), dtype=int)
+        self._n_days = 0
 
     def __len__(self) -> int:
-        return len(self._days)
-
-    @property
-    def days(self) -> tuple[ObservedDay, ...]:
-        return tuple(self._days)
+        return self._n_days
 
     @property
     def current_day(self) -> int:
         """Index of the day currently being decided."""
-        return len(self._days) + 1
+        return self._n_days + 1
 
-    def append(self, record: ObservedDay) -> None:
-        self._days.append(record)
+    @property
+    def incidents(self) -> np.ndarray:
+        """The incident log of all closed days; columns DAY, AREA, AHL, PHL."""
+        return _read_only(self._log[: self._day_end[self._n_days]])
 
-    def window(self, window_days: int) -> tuple[ObservedDay, ...]:
-        """Records from the trailing window: days current_day - window .. current_day - 1."""
-        first = self.current_day - window_days
-        return tuple(d for d in self._days if d.day >= first)
+    def append_day(self, incidents, observed=None) -> None:
+        """Close the current day: log its incidents as (area, ahl, phl) rows
+        and, if observers were deployed, its DayObservations."""
+        if observed is not None:
+            self._obs_pos[self._n_days] = observed.obs_pos
+            self._obs_neg[self._n_days] = observed.obs_neg
+        start = self._day_end[self._n_days]
+        end = start + len(incidents)
+        if end > len(self._log):
+            grown = np.zeros((max(end, 2 * len(self._log)), 4), dtype=int)
+            grown[:start] = self._log[:start]
+            self._log = grown
+        if incidents:
+            self._log[start:end, DAY] = self.current_day
+            self._log[start:end, AREA:] = incidents
+        self._n_days += 1
+        self._day_end[self._n_days] = end
+
+    def window(self, window_days: int) -> np.ndarray:
+        """Incident log rows of days current_day - window_days .. current_day - 1."""
+        first = min(max(self._n_days - window_days, 0), self._n_days)
+        return _read_only(self._log[self._day_end[first] : self._day_end[self._n_days]])
 
     def incident_counts(self, window_days: int) -> np.ndarray:
         """Recorded incidents per area over the trailing window (near-misses included)."""
-        counts = np.zeros(self.n_areas, dtype=int)
-        for day in self.window(window_days):
-            for incident in day.incidents:
-                counts[incident.area_index] += 1
-        return counts
+        return np.bincount(self.window(window_days)[:, AREA], minlength=self.n_areas)
 
     def max_ahl(self, window_days: int) -> np.ndarray:
         """Highest recorded AHL per area over the trailing window; 0 where none."""
+        rows = self.window(window_days)
         worst = np.zeros(self.n_areas, dtype=int)
-        for day in self.window(window_days):
-            for incident in day.incidents:
-                if incident.ahl > worst[incident.area_index]:
-                    worst[incident.area_index] = incident.ahl
+        np.maximum.at(worst, rows[:, AREA], rows[:, AHL])
         return worst
 
 
@@ -184,6 +198,8 @@ class FixedWeightsPolicy(Policy):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or len(weights) == 0:
             raise PolicyError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(weights)):
+            raise PolicyError("weights must be finite")
         if np.any(weights < 0.0):
             raise PolicyError("weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > PROB_TOL:

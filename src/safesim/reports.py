@@ -36,26 +36,21 @@ def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> None:
     header += [f"n_e_{a}" for a in areas]
     header += [f"n_neg_{a}" for a in areas]
     header += [f"n_pos_{a}" for a in areas]
-    for t in types:
-        header += [f"obs_pos_{t}_{a}" for a in areas]
-        header += [f"obs_neg_{t}_{a}" for a in areas]
+    for type_id in types:
+        header += [f"obs_pos_{type_id}_{a}" for a in areas]
+        header += [f"obs_neg_{type_id}_{a}" for a in areas]
     header += ["expected_loss", "tail_prob"]
 
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for record in trajectory.days:
-            row = [fmt(record.day)]
-            row += [fmt(v) for v in record.theta]
-            row += [fmt(v) for v in record.xi]
-            row += [fmt(ev.n_e) for ev in record.events]
-            row += [fmt(ev.n_neg) for ev in record.events]
-            row += [fmt(ev.n_pos) for ev in record.events]
-            for t_idx in range(len(types)):
-                row += [fmt(v) for v in record.observations.obs_pos[t_idx]]
-                row += [fmt(v) for v in record.observations.obs_neg[t_idx]]
-            row += [fmt(record.metrics.expected_loss), fmt(record.metrics.tail_prob)]
-            writer.writerow(row)
+        t = trajectory
+        obs = np.stack([t.obs_pos, t.obs_neg], axis=2).reshape(t.horizon, -1)  # header order
+        for d in range(t.horizon):
+            row = [d + 1]
+            for per_area in (t.theta, t.xi, t.n_e, t.n_neg, t.n_pos, obs):
+                row += list(per_area[d])
+            writer.writerow([fmt(v) for v in row + [t.expected_loss[d], t.tail_prob[d]]])
 
 
 def write_table2_csv(summary: EnsembleSummary, path: str | Path) -> None:

@@ -21,9 +21,6 @@ DEFAULT_HORIZON_DAYS = 365
 # Probability vectors must sum to 1 within this tolerance.
 PROB_TOL = 1e-9
 
-# The simulation clock advances one day per step; sub-daily steps are unsupported.
-TIMESTEP_DAYS = 1
-
 
 class ScenarioError(ValueError):
     """Base class for scenario loading problems."""

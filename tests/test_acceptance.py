@@ -14,7 +14,7 @@ from safesim.cli import main
 from safesim.engine import run_ensemble, run_simulation
 from safesim.events import sample_ahl, sample_event_counts
 from safesim.metrics import baseline_asymptote, expected_hl_count
-from safesim.policies import make_policy
+from safesim.policies import AHL, PHL, make_policy
 from safesim.reports import fmt
 from safesim.scenario import case_study_path
 from stat_utils import two_sample_chisquare
@@ -147,7 +147,7 @@ class TestCriterion4XiDynamicsCurve:
         area = make_area(xi_base=0.63, k_decay=0.95, theta0=0.55)
         scenario = make_scenario(areas=(area,))
         trajectory = run_simulation(scenario, make_policy("none"), seed=0, horizon=101)
-        xi = np.array([r.xi[0] for r in trajectory.days])  # xi[t] for t = 0..100
+        xi = trajectory.xi[:, 0]  # xi[t] for t = 0..100
         exact_start = xi[0] == (1 - 0.55) * 0.63 == 0.2835
         increasing = bool(np.all(np.diff(xi) > 0))
         near_base = abs(0.63 - xi[100]) < 0.005
@@ -216,15 +216,13 @@ class TestCriterion7HardInvariants:
         for spec in ("uniform", "counts", "severity", WEIGHTED_SPEC):
             for seed in (0, 1):
                 trajectory = run_simulation(case_study, make_policy(spec), seed=seed, horizon=150)
-                for record in trajectory.days:
-                    assert all(
-                        phl >= ahl for ev in record.events for ahl, phl in ev.incidents
-                    )
-                    assert np.all(record.theta >= 0.0) and np.all(record.theta <= 1.0)
-                    assert record.observations.total_recorded <= budget
-                    for s in record.decision.proportions.values():
-                        assert abs(s.sum() - 1.0) < 1e-9
-                    checked += 1
+                incidents = trajectory.incidents
+                assert np.all(incidents[:, PHL] >= incidents[:, AHL])
+                assert np.all(trajectory.theta >= 0.0) and np.all(trajectory.theta <= 1.0)
+                recorded = trajectory.obs_pos.sum(axis=(1, 2)) + trajectory.obs_neg.sum(axis=(1, 2))
+                assert np.all(recorded <= budget)
+                assert np.all(np.abs(trajectory.proportions.sum(axis=2) - 1.0) < 1e-9)
+                checked += trajectory.horizon
         report("criterion 7: hard invariants", True, f"{checked} day-records checked")
 
 

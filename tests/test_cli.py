@@ -76,6 +76,9 @@ class TestRunCommand:
 
     def test_usage_error_exits_2(self):
         assert main(["run"]) == 2  # --scenario is required
+        assert main(["run", "--scenario", SCENARIO, "--horizon", "0"]) == 2
+        assert main(["table2", "--scenario", SCENARIO, "--reps", "0"]) == 2
+        assert main(["run", "--scenario", SCENARIO, "--policy", "weighted:nan,1"]) == 2
 
     def test_unwritable_out_dir_exits_1(self, tmp_path):
         blocker = tmp_path / "file"

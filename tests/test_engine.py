@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_area, make_obs_type, make_scenario
 from safesim.engine import (
-    SimState,
+    Trajectory,
     nearest_rank,
     run_ensemble,
     run_simulation,
@@ -11,60 +11,48 @@ from safesim.engine import (
     summarize_trajectories,
 )
 from safesim.metrics import baseline_asymptote
-from safesim.policies import Policy, PolicyDecision, make_policy
+from safesim.policies import AHL, DAY, PHL, Policy, PolicyDecision, make_policy
+
+RUN_ARRAYS = (
+    "theta", "xi", "n_e", "n_neg", "n_pos", "obs_pos", "obs_neg",
+    "expected_loss", "tail_prob", "incidents",
+)
 
 
 def trajectories_equal(a, b) -> bool:
-    if len(a.days) != len(b.days):
-        return False
-    for ra, rb in zip(a.days, b.days):
-        if ra.events != rb.events:
-            return False
-        if not np.array_equal(ra.theta, rb.theta) or not np.array_equal(ra.xi, rb.xi):
-            return False
-        if not np.array_equal(ra.observations.obs_pos, rb.observations.obs_pos):
-            return False
-        if not np.array_equal(ra.observations.obs_neg, rb.observations.obs_neg):
-            return False
-        if ra.metrics.expected_loss != rb.metrics.expected_loss:
-            return False
-        if ra.metrics.tail_prob != rb.metrics.tail_prob:
-            return False
-    return True
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in RUN_ARRAYS)
 
 
 class TestStepDay:
     def test_baseline_day_decays_theta(self, case_study):
         rng = np.random.default_rng(0)
-        state = SimState.initial(case_study)
-        new_state, record = step_day(state, case_study, make_policy("none"), rng)
-        assert record.observations.total_recorded == 0
+        run = Trajectory.allocate(case_study, "none", seed=0, horizon=1)
+        theta0 = [a.theta0 for a in case_study.areas]
+        new_theta = step_day(run, 0, theta0, make_policy("none"), rng)
+        assert run.obs_pos.sum() + run.obs_neg.sum() == 0
         k = np.array([a.k_decay for a in case_study.areas])
-        assert np.allclose(new_state.theta, record.theta * k, rtol=1e-15)
+        assert np.allclose(new_theta, run.theta[0] * k, rtol=1e-15)
 
     def test_record_invariants(self, case_study):
-        rng = np.random.default_rng(3)
-        state = SimState.initial(case_study)
-        policy = make_policy("uniform")
-        for _ in range(60):
-            state, record = step_day(state, case_study, policy, rng)
-            for a_idx, events in enumerate(record.events):
-                assert all(phl >= ahl for ahl, phl in events.incidents)
-                assert np.all(record.observations.obs_pos[:, a_idx] <= events.n_pos)
-                assert np.all(record.observations.obs_neg[:, a_idx] <= events.n_neg)
-            for s in record.decision.proportions.values():
-                assert abs(s.sum() - 1.0) < 1e-9
-            assert np.all(record.theta >= 0.0) and np.all(record.theta <= 1.0)
+        run = run_simulation(case_study, make_policy("uniform"), seed=3, horizon=60)
+        assert np.all(run.incidents[:, PHL] >= run.incidents[:, AHL])
+        assert np.all(run.obs_pos <= run.n_pos[:, None, :])
+        assert np.all(run.obs_neg <= run.n_neg[:, None, :])
+        assert np.all(np.abs(run.proportions.sum(axis=2) - 1.0) < 1e-9)
+        assert np.all(run.theta >= 0.0) and np.all(run.theta <= 1.0)
 
     def test_day_indices_contiguous(self, case_study):
         trajectory = run_simulation(case_study, make_policy("none"), seed=0, horizon=10)
-        assert [r.day for r in trajectory.days] == list(range(1, 11))
+        assert trajectory.horizon == 10
+        days = trajectory.incidents[:, DAY]
+        assert np.all(np.diff(days) >= 0) and np.all((days >= 1) & (days <= 10))
+        assert np.array_equal(np.bincount(days, minlength=11)[1:], trajectory.n_e.sum(axis=1))
 
 
 class TestRunSimulation:
     def test_horizon_one(self, case_study):
         trajectory = run_simulation(case_study, make_policy("uniform"), seed=5, horizon=1)
-        assert len(trajectory.days) == 1
+        assert trajectory.horizon == 1
 
     def test_invalid_horizon(self, case_study):
         with pytest.raises(ValueError, match="horizon"):
@@ -72,7 +60,7 @@ class TestRunSimulation:
 
     def test_default_horizon_from_scenario(self, case_study):
         trajectory = run_simulation(case_study, make_policy("none"), seed=5)
-        assert len(trajectory.days) == case_study.horizon_days
+        assert trajectory.horizon == case_study.horizon_days
 
     @pytest.mark.parametrize("policy_name", ["none", "uniform", "counts", "severity"])
     def test_same_seed_reproduces_trajectory(self, case_study, policy_name):
@@ -87,14 +75,14 @@ class TestRunSimulation:
         area = make_area(xi_base=0.63, k_decay=0.95, theta0=0.55)
         scenario = make_scenario(areas=(area,), obs_types=(make_obs_type(),))
         trajectory = run_simulation(scenario, make_policy("none"), seed=9, horizon=120)
-        xi = np.array([r.xi[0] for r in trajectory.days])
+        xi = trajectory.xi[:, 0]
         t = np.arange(120)
         assert np.allclose(xi, (1 - 0.55 * 0.95**t) * 0.63, rtol=1e-12)
 
     def test_feedback_changes_theta_path(self, case_study):
         # with observers in the field theta cannot follow the pure-decay curve for long
         trajectory = run_simulation(case_study, make_policy("uniform"), seed=11, horizon=60)
-        theta = np.stack([r.theta for r in trajectory.days])
+        theta = trajectory.theta
         decay_only = np.stack(
             [
                 [a.theta0 * a.k_decay ** t for a in case_study.areas]
@@ -106,16 +94,16 @@ class TestRunSimulation:
 
 
 class HistoryProbePolicy(Policy):
-    """Records the newest day index visible at each decision."""
+    """Records, at each decision, the closed days and the incident days visible."""
 
     name = "probe"
 
     def __init__(self):
-        self.seen: list[tuple[int, int]] = []
+        self.seen: list[tuple[int, int, np.ndarray]] = []
 
     def decide(self, history, rng):
-        newest = max((d.day for d in history.days), default=0)
-        self.seen.append((history.current_day, newest))
+        visible = history.window(history.current_day + 1)[:, DAY].copy()
+        self.seen.append((history.current_day, len(history), visible))
         s = np.full(history.n_areas, 1.0 / history.n_areas)
         return PolicyDecision.same_for_all_types(s, history.obs_type_ids)
 
@@ -123,10 +111,13 @@ class HistoryProbePolicy(Policy):
 class TestHistoryIsolation:
     def test_policy_sees_only_past_days(self, case_study):
         probe = HistoryProbePolicy()
-        run_simulation(case_study, probe, seed=13, horizon=25)
+        trajectory = run_simulation(case_study, probe, seed=13, horizon=25)
         assert len(probe.seen) == 25
-        for deciding_day, newest_visible in probe.seen:
+        logged = trajectory.incidents[:, DAY]
+        for day, (deciding_day, newest_visible, visible) in enumerate(probe.seen, start=1):
+            assert deciding_day == day
             assert newest_visible == deciding_day - 1
+            assert np.array_equal(visible, logged[logged < deciding_day])
 
 
 class TestRunEnsemble:

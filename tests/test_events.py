@@ -3,15 +3,14 @@ import pytest
 
 from conftest import make_area
 from safesim.events import (
-    AreaState,
     DegenerateHurtDistribution,
-    decay_theta,
     sample_ahl,
     sample_event_counts,
     sample_phl,
     step_events,
     xi_of_theta,
 )
+from safesim.intervention import decay_theta
 from stat_utils import two_sample_chisquare
 
 AREA_A_HL = (0.50, 0.35, 0.13, 0.02, 0.0, 0.0)
@@ -138,44 +137,44 @@ class TestStepEvents:
     def test_safest_state_yields_no_unsafe_activity(self):
         rng = np.random.default_rng(0)
         area = make_area()
-        state = AreaState.from_theta(1.0, area.xi_base)
+        xi = xi_of_theta(1.0, area.xi_base)
         for _ in range(200):
-            events = step_events(rng, area, state)
+            events = step_events(rng, area, xi)
             assert events.n_e == 0
             assert events.n_neg == 0
 
     def test_phl_never_below_ahl(self):
         rng = np.random.default_rng(7)
         area = make_area(lambda_star=20.0, xi_base=0.9, alpha=0.5)
-        state = AreaState.from_theta(0.0, area.xi_base)
+        xi = xi_of_theta(0.0, area.xi_base)
         for _ in range(2_000):
-            for ahl, phl in step_events(rng, area, state).incidents:
+            for ahl, phl in step_events(rng, area, xi).incidents:
                 assert phl >= ahl
 
     def test_incident_count_matches_length(self):
         rng = np.random.default_rng(8)
         area = make_area(lambda_star=20.0, xi_base=0.9, alpha=0.5)
-        state = AreaState.from_theta(0.2, area.xi_base)
+        xi = xi_of_theta(0.2, area.xi_base)
         for _ in range(200):
-            events = step_events(rng, area, state)
+            events = step_events(rng, area, xi)
             assert len(events.incidents) == events.n_e
 
     def test_mean_incidents_match_analytic_at_fixed_theta(self):
         # oracle: analytic mean alpha * xi * lambda at theta = 0.3
         rng = np.random.default_rng(99)
         area = make_area(lambda_star=17.0, xi_base=0.55, alpha=0.04, theta0=0.3)
-        state = AreaState.from_theta(0.3, area.xi_base)
-        mean_analytic = area.alpha * state.xi * area.lambda_star
-        total = sum(step_events(rng, area, state).n_e for _ in range(100_000))
+        xi = xi_of_theta(0.3, area.xi_base)
+        mean_analytic = area.alpha * xi * area.lambda_star
+        total = sum(step_events(rng, area, xi).n_e for _ in range(100_000))
         assert total / 100_000 == pytest.approx(mean_analytic, rel=0.01)
 
     def test_bit_reproducible_under_fixed_seed(self):
         area = make_area()
-        state = AreaState.from_theta(0.4, area.xi_base)
+        xi = xi_of_theta(0.4, area.xi_base)
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(123)
-            runs.append([step_events(rng, area, state) for _ in range(50)])
+            runs.append([step_events(rng, area, xi) for _ in range(50)])
         assert runs[0] == runs[1]
 
 

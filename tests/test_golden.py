@@ -1,0 +1,48 @@
+"""Byte-for-byte regression test of the CLI's output files.
+
+Every file under tests/golden/<case>/ was written by the CLI for the case's
+arguments at seed 42. A change that keeps behaviour must reproduce each of
+them exactly. A change that moves the random stream on purpose rewrites them
+with ``PYTHONPATH=src python tests/test_golden.py`` and says so.
+"""
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from safesim.cli import main
+from safesim.scenario import case_study_path
+
+GOLDEN = Path(__file__).parent / "golden"
+WEIGHTED = "weighted:0.12,0.12,0.12,0.08,0.08,0.28,0.2"
+COMPARE_POLICIES = ("uniform", "counts", "severity", WEIGHTED)
+
+CASES = {
+    **{
+        f"run_{spec.partition(':')[0]}": ["run", "--policy", spec, "--horizon", "30"]
+        for spec in ("none", "uniform", "counts", "severity", WEIGHTED)
+    },
+    "table2": ["table2", "--reps", "5"],
+    "compare": ["compare", "--reps", "5"] + [a for p in COMPARE_POLICIES for a in ("--policy", p)],
+}
+
+
+def write_case(case: str, out_dir: Path) -> None:
+    args = CASES[case] + ["--scenario", str(case_study_path()), "--seed", "42"]
+    assert main(args + ["--out-dir", str(out_dir)]) == 0
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_bytes_match_golden(case, tmp_path):
+    write_case(case, tmp_path)
+    expected = sorted(p.name for p in (GOLDEN / case).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for name in expected:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        shutil.rmtree(GOLDEN / case, ignore_errors=True)
+        write_case(case, GOLDEN / case)

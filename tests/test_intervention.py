@@ -9,28 +9,28 @@ from safesim.intervention import apply_feedback, step_theta
 class TestApplyFeedback:
     def test_single_observation(self):
         # 0.5 + (1 - 0.5) * 0.03 = 0.515
-        assert apply_feedback(0.5, [1], 0, [0.03], 0.0) == pytest.approx(0.515, abs=1e-15)
+        assert apply_feedback(0.5, 1 * 0.03) == pytest.approx(0.515, abs=1e-15)
 
     def test_zero_counts_leave_theta_unchanged(self):
-        assert apply_feedback(0.42, [0, 0], 0, [0.03, 0.05], 0.1) == 0.42
+        assert apply_feedback(0.42, 0 * 0.03 + 0 * 0.05 + 0 * 0.1) == 0.42
 
     def test_saturation_clamped_to_one(self):
-        assert apply_feedback(0.9, [10], 30, [0.03], 0.05) == 1.0
+        assert apply_feedback(0.9, 10 * 0.03 + 30 * 0.05) == 1.0
 
     def test_multiple_types_sum(self):
         # drive = 2*0.03 + 1*0.02 = 0.08; 0.5 + 0.5*0.08 = 0.54
-        assert apply_feedback(0.5, [2, 1], 0, [0.03, 0.02], 0.0) == pytest.approx(0.54)
+        assert apply_feedback(0.5, 2 * 0.03 + 1 * 0.02) == pytest.approx(0.54)
 
     def test_incident_feedback_contributes(self):
         # drive = 3*0.05; 0.2 + 0.8*0.15 = 0.32
-        assert apply_feedback(0.2, [0], 3, [0.03], 0.05) == pytest.approx(0.32)
+        assert apply_feedback(0.2, 0 * 0.03 + 3 * 0.05) == pytest.approx(0.32)
 
     def test_monotone_in_counts_and_theta_headroom(self):
-        base = apply_feedback(0.5, [1], 0, [0.03], 0.0)
-        assert apply_feedback(0.5, [2], 0, [0.03], 0.0) > base
-        assert apply_feedback(0.5, [1], 1, [0.03], 0.01) > base
+        base = apply_feedback(0.5, 1 * 0.03)
+        assert apply_feedback(0.5, 2 * 0.03) > base
+        assert apply_feedback(0.5, 1 * 0.03 + 1 * 0.01) > base
         # lower theta has more headroom, so the same drive moves it further
-        assert apply_feedback(0.2, [1], 0, [0.03], 0.0) - 0.2 > base - 0.5
+        assert apply_feedback(0.2, 1 * 0.03) - 0.2 > base - 0.5
 
 
 class TestStepTheta:
@@ -63,6 +63,32 @@ class TestStepTheta:
         decayed = step_theta(0.6, self.area, [0], 0, self.scenario)
         fed = step_theta(0.6, self.area, [1], 0, self.scenario)
         assert decayed < 0.6 < fed
+
+    def scenario_with(self, deltas_neg, delta_e):
+        types = tuple(make_obs_type(f"T{i}", delta_neg=d) for i, d in enumerate(deltas_neg))
+        return make_scenario(areas=(self.area,), obs_types=types, delta_e=delta_e)
+
+    def test_drive_sums_over_types(self):
+        # drive = 2*0.03 + 1*0.02 = 0.08; 0.5 + 0.5*0.08 = 0.54
+        scenario = self.scenario_with([0.03, 0.02], 0.0)
+        assert step_theta(0.5, self.area, [2, 1], 0, scenario) == pytest.approx(0.54)
+        # each count pairs with its own type's delta
+        assert step_theta(0.5, self.area, [1, 2], 0, scenario) == pytest.approx(0.535)
+
+    def test_drive_adds_incident_term(self):
+        # drive = 3*0.05; 0.2 + 0.8*0.15 = 0.32
+        scenario = self.scenario_with([0.03], 0.05)
+        assert step_theta(0.2, self.area, [0], 3, scenario) == pytest.approx(0.32)
+
+    def test_large_drive_clamped_to_one(self):
+        scenario = self.scenario_with([0.03], 0.05)
+        assert step_theta(0.9, self.area, [10], 30, scenario) == 1.0
+
+    def test_monotone_in_counts_and_incidents(self):
+        base = step_theta(0.5, self.area, [1], 0, self.scenario)
+        assert step_theta(0.5, self.area, [2], 0, self.scenario) > base
+        with_incidents = self.scenario_with([0.03], 0.01)
+        assert step_theta(0.5, self.area, [1], 1, with_incidents) > base
 
     def test_theta_stays_in_unit_interval(self):
         rng = np.random.default_rng(5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_area
-from safesim.events import AreaState
+from safesim.events import xi_of_theta
 from safesim.metrics import (
     aggregate_metrics,
     ahl_marginal,
@@ -18,7 +18,7 @@ from safesim.scenario import DEFAULT_LOSS_VECTOR
 
 
 def area_state(area, theta):
-    return AreaState.from_theta(theta, area.xi_base)
+    return xi_of_theta(theta, area.xi_base)
 
 
 class TestExpectedHlCount:
@@ -66,8 +66,8 @@ class TestExpectedDailyLoss:
 
     def test_linear_in_xi(self):
         area = make_area()
-        low = expected_daily_loss(area, AreaState(theta=0.0, xi=0.2), DEFAULT_LOSS_VECTOR)
-        high = expected_daily_loss(area, AreaState(theta=0.0, xi=0.4), DEFAULT_LOSS_VECTOR)
+        low = expected_daily_loss(area, 0.2, DEFAULT_LOSS_VECTOR)
+        high = expected_daily_loss(area, 0.4, DEFAULT_LOSS_VECTOR)
         assert high == 2.0 * low  # doubling xi doubles the metric exactly
 
 
@@ -127,7 +127,7 @@ class TestAggregateMetrics:
         assert metrics.tail_prob == 0.0
 
     def test_loss_adds_across_areas(self, case_study):
-        states = [AreaState.from_theta(0.0, a.xi_base) for a in case_study.areas]
+        states = [xi_of_theta(0.0, a.xi_base) for a in case_study.areas]
         metrics = compute_day_metrics(case_study, states)
         assert metrics.expected_loss == pytest.approx(metrics.expected_loss_by_area.sum())
         assert metrics.tail_prob <= 1.0
@@ -147,7 +147,7 @@ class TestBaselineConvergence:
         losses = []
         for _ in range(365):
             states = [
-                AreaState.from_theta(float(theta[i]), a.xi_base)
+                xi_of_theta(float(theta[i]), a.xi_base)
                 for i, a in enumerate(case_study.areas)
             ]
             losses.append(compute_day_metrics(case_study, states).expected_loss)

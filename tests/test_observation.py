@@ -142,7 +142,7 @@ class TestStepObservations:
         out = step_observations(
             rng, scenario, [events(10, 10)], {"OBS": np.array([1.0])}
         )
-        assert out.total_recorded == 0
+        assert out.obs_pos.sum() + out.obs_neg.sum() == 0
 
     def test_daily_budget_respected(self, case_study):
         rng = np.random.default_rng(5)
@@ -152,7 +152,7 @@ class TestStepObservations:
         decision = {t.id: np.full(7, 1 / 7) for t in case_study.obs_types}
         for _ in range(300):
             out = step_observations(rng, case_study, evs, decision)
-            assert out.total_recorded <= budget
+            assert out.obs_pos.sum() + out.obs_neg.sum() <= budget
 
     def test_area_without_events_records_zero(self):
         scenario = self.scenario_3x2()
@@ -160,7 +160,7 @@ class TestStepObservations:
         evs = [events(0, 0), events(10, 10)]
         decision = {t.id: np.array([1.0, 0.0]) for t in scenario.obs_types}
         out = step_observations(rng, scenario, evs, decision)
-        assert out.total_recorded == 0
+        assert out.obs_pos.sum() + out.obs_neg.sum() == 0
 
     def test_per_cell_counts_bounded_by_events(self):
         scenario = self.scenario_3x2()
@@ -205,6 +205,11 @@ class TestCheckProportions:
         with pytest.raises(ProportionError, match="nonnegative"):
             check_proportions([-0.25, 1.25], 2)
 
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ProportionError, match="finite"):
+                check_proportions([bad, 0.5, 0.5], 3)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ProportionError, match="expected 3"):
             check_proportions([0.5, 0.5], 3)
@@ -213,5 +218,5 @@ class TestCheckProportions:
 def test_day_observations_empty_shape():
     obs = DayObservations.empty(3, 7)
     assert obs.obs_pos.shape == (3, 7)
-    assert obs.total_recorded == 0
-    assert obs.neg_by_type(2).tolist() == [0, 0, 0]
+    assert obs.obs_pos.sum() + obs.obs_neg.sum() == 0
+    assert obs.obs_neg[:, 2].tolist() == [0, 0, 0]

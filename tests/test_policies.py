@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from safesim.observation import DayObservations
 from safesim.policies import (
+    DAY,
     FixedWeightsPolicy,
     IncidentCountPolicy,
     IncidentSeverityPolicy,
     NoObservationPolicy,
     ObservableHistory,
-    ObservedDay,
     Policy,
     PolicyDecision,
     PolicyError,
-    RecordedIncident,
     UniformRandomPolicy,
     make_policy,
     policy_names,
@@ -25,16 +23,10 @@ PRIOR_WEIGHTS = [0.12, 0.12, 0.12, 0.08, 0.08, 0.28, 0.2]
 
 def history_with_incidents(n_areas, incident_days, current_day=None):
     """incident_days: {day: [(area, ahl), ...]}; fills the remaining days empty."""
-    history = ObservableHistory(n_areas, TYPE_IDS)
     last = current_day - 1 if current_day else max(incident_days, default=0)
+    history = ObservableHistory(n_areas, TYPE_IDS, horizon=last)
     for day in range(1, last + 1):
-        incidents = tuple(
-            RecordedIncident(area_index=a, ahl=ahl, phl=ahl)
-            for a, ahl in incident_days.get(day, [])
-        )
-        history.append(
-            ObservedDay(day=day, incidents=incidents, observations=DayObservations.empty(3, n_areas))
-        )
+        history.append_day([(a, ahl, ahl) for a, ahl in incident_days.get(day, [])])
     return history
 
 
@@ -154,6 +146,11 @@ class TestFixedWeightsPolicy:
         with pytest.raises(PolicyError, match="nonnegative"):
             FixedWeightsPolicy([1.5, -0.5])
 
+    def test_non_finite_weight_rejected(self):
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(PolicyError, match="finite"):
+                make_policy(f"weighted:{bad},0.12,0.12,0.08,0.08,0.28,0.2")
+
 
 class TestNoObservationPolicy:
     def test_returns_none_marker(self):
@@ -203,9 +200,8 @@ class TestPolicyContracts:
 
     def test_history_carries_no_latent_state(self):
         history = history_with_incidents(3, {1: [(0, 1)]})
-        for record in history.days:
-            assert not hasattr(record, "theta")
-            assert not hasattr(record, "xi")
+        assert not hasattr(history, "theta")
+        assert not hasattr(history, "xi")
 
 
 class TestMakePolicy:
@@ -257,15 +253,22 @@ class TestMakePolicy:
 
 class TestObservableHistory:
     def test_append_only_growth(self):
-        history = ObservableHistory(2, TYPE_IDS)
+        history = ObservableHistory(2, TYPE_IDS, horizon=1)
         assert history.current_day == 1
-        history.append(
-            ObservedDay(day=1, incidents=(), observations=DayObservations.empty(3, 2))
-        )
+        history.append_day([])
         assert len(history) == 1
         assert history.current_day == 2
 
     def test_window_selection(self):
         history = history_with_incidents(2, {1: [(0, 1)], 5: [(1, 2)]}, current_day=6)
-        days_in_window = [d.day for d in history.window(3)]
-        assert days_in_window == [3, 4, 5]
+        # days 3..5 are in the window; only day 5 logged an incident
+        assert history.window(3)[:, DAY].tolist() == [5]
+        assert history.window(5)[:, DAY].tolist() == [1, 5]
+
+    def test_policy_cannot_alter_the_record(self):
+        history = history_with_incidents(2, {1: [(0, 1)]}, current_day=2)
+        for rows in (history.window(5), history.incidents, history.obs_pos, history.obs_neg):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[..., 0] += 1
+        assert history.incidents.tolist() == [[1, 0, 1, 1]]
+        assert history.obs_pos.sum() == history.obs_neg.sum() == 0
