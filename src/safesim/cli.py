@@ -10,8 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import run_ensemble, run_simulation, summarize_trajectories
-from .policies import PolicyError, make_policy, policy_names
+from .engine import HorizonError, run_ensemble, run_simulation, summarize_trajectories
+from .policies import FixedWeightsPolicy, Policy, PolicyError, make_policy, policy_names
 from .reports import (
     write_compare_csv,
     write_metric_svgs,
@@ -92,6 +92,17 @@ def _safe_label(policy_spec: str) -> str:
     return policy_spec.replace(":", "_").replace(",", "-").replace("/", "-")
 
 
+def _make_policy(spec: str, scenario: Scenario) -> Policy:
+    """Build a policy from its spec; a weighted spec needs one weight per area."""
+    policy = make_policy(spec)
+    if isinstance(policy, FixedWeightsPolicy) and len(policy.weights) != scenario.n_areas:
+        raise PolicyError(
+            f"policy {spec!r} has {len(policy.weights)} weights; "
+            f"the scenario has {scenario.n_areas} areas"
+        )
+    return policy
+
+
 def _prepare_out_dir(path: str) -> Path:
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -100,7 +111,7 @@ def _prepare_out_dir(path: str) -> Path:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario_file(args.scenario)
-    policy = make_policy(args.policy)
+    policy = _make_policy(args.policy, scenario)
     out_dir = _prepare_out_dir(args.out_dir)
     trajectory = run_simulation(scenario, policy, seed=args.seed, horizon=args.horizon)
     write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
@@ -122,7 +133,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     scenario = load_scenario_file(args.scenario)
     specs = ["none"] + [s for s in args.policies if s != "none"]
-    policies = [(spec, make_policy(spec)) for spec in specs]
+    policies = [(spec, _make_policy(spec, scenario)) for spec in specs]
     out_dir = _prepare_out_dir(args.out_dir)
 
     compare_csvs: list[tuple[str, Path]] = []
@@ -159,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table2":
             return cmd_table2(args)
         return cmd_compare(args)
-    except (ScenarioError, PolicyError, FileNotFoundError) as exc:
+    except (ScenarioError, PolicyError, HorizonError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

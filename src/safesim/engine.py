@@ -5,6 +5,17 @@ One replication consumes a single numpy Generator in a fixed order, so a
 trajectory. Within a day the stream order is: per area in config order the
 event draws (counts, AHLs, PHLs), then the policy decision (which may draw),
 then per observation type the allocation and per-area selection draws.
+
+That order is the stream contract, and it fixes which draws stay one call
+per area or per cell: an area's counts come between the previous area's
+severities and its own, so the three Poisson draws stay scalar calls per
+area, and a cell's Dirichlet and race draws have a length that depends on
+the cell's counts, so selection stays one call per (type, area) cell. An
+area's severity uniforms are one draw of 2 * n_e, which the generator
+yields exactly as it would 2 * n_e single draws. Everything else in a day
+is deterministic and runs as array operations over areas (or over the
+day's incidents, for mapping uniforms to Hurt levels), with the same
+floating-point operations in the same order as a per-area loop.
 """
 
 from __future__ import annotations
@@ -14,12 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import step_events, xi_of_theta
-from .intervention import step_theta
+from .events import hurt_levels, step_events, xi_of_theta
+from .intervention import feedback_drive, step_theta
 from .metrics import compute_day_metrics
 from .observation import step_observations
 from .policies import AHL, AREA, ObservableHistory, Policy
-from .scenario import N_HURT_LEVELS, Scenario
+from .scenario import N_HURT_LEVELS, Scenario, ScenarioArrays
+
+
+class HorizonError(ValueError):
+    """The horizon is too long for the run's arrays to be preallocated."""
 
 
 @dataclass(frozen=True)
@@ -32,11 +47,13 @@ class Trajectory:
     and NaN on days without observers. expected_loss and tail_prob are
     per day. The recorded data (observation counts and the incident log)
     live in history; obs_pos, obs_neg and incidents refer to its arrays.
+    params holds the scenario's numbers as arrays, built once per run.
     """
 
     scenario: Scenario
     policy_name: str
     seed: int
+    params: ScenarioArrays
     history: ObservableHistory
     theta: np.ndarray
     xi: np.ndarray
@@ -57,6 +74,7 @@ class Trajectory:
             scenario=scenario,
             policy_name=policy_name,
             seed=seed,
+            params=ScenarioArrays.of(scenario),
             history=ObservableHistory(scenario.n_areas, scenario.obs_type_ids, horizon),
             theta=np.zeros(shape),
             xi=np.zeros(shape),
@@ -99,8 +117,8 @@ class Trajectory:
 
 
 def step_day(
-    run: Trajectory, d: int, theta: list[float], policy: Policy, rng: np.random.Generator
-) -> list[float]:
+    run: Trajectory, d: int, theta: np.ndarray, policy: Policy, rng: np.random.Generator
+) -> np.ndarray:
     """Simulate day d + 1 into row d of run; returns the next day's theta.
 
     Order of operations: derive xi from the carried-over theta, generate
@@ -108,27 +126,34 @@ def step_day(
     the observation process, close the day in the history, update theta,
     and evaluate metrics at the xi used for today's events.
     """
-    scenario, history = run.scenario, run.history
-    xi = [xi_of_theta(t, area.xi_base) for t, area in zip(theta, scenario.areas)]
-    events = [step_events(rng, area, x) for area, x in zip(scenario.areas, xi)]
+    scenario, history, params = run.scenario, run.history, run.params
+    xi = xi_of_theta(theta, params.xi_base)
+    events = [step_events(rng, area, x) for area, x in zip(scenario.areas, xi.tolist())]
+    n_e, n_neg, n_pos, uniforms = zip(*events)
     run.theta[d], run.xi[d] = theta, xi
-    run.n_e[d], run.n_neg[d], run.n_pos[d] = zip(*((e.n_e, e.n_neg, e.n_pos) for e in events))
+    run.n_e[d], run.n_neg[d], run.n_pos[d] = n_e, n_neg, n_pos
 
     decision = policy.decide(history, rng)
-    observed = None
+    observed, n_neg_obs = None, ()
     if decision.proportions is not None:
-        observed = step_observations(rng, scenario, events, decision.proportions)
+        observed = step_observations(rng, scenario, n_pos, n_neg, decision.proportions)
         run.proportions[d] = [decision.proportions[t] for t in scenario.obs_type_ids]
-    incidents = [(i, ahl, phl) for i, e in enumerate(events) for ahl, phl in e.incidents]
+        n_neg_obs = observed.obs_neg
+    incidents = ()
+    if any(n_e):
+        areas = np.repeat(np.arange(len(n_e)), n_e)
+        ahl, phl = hurt_levels(params.hl_sums, areas, np.concatenate(uniforms, axis=1))
+        incidents = np.column_stack((areas, ahl, phl))
     history.append_day(incidents, observed)
 
+    drive = feedback_drive(n_neg_obs, run.n_e[d], scenario)
     next_theta = [
-        step_theta(theta[i], area, history.obs_neg[d, :, i], events[i].n_e, scenario)
-        for i, area in enumerate(scenario.areas)
+        step_theta(t, dr, area.k_decay)
+        for t, dr, area in zip(theta.tolist(), drive.tolist(), scenario.areas)
     ]
-    metrics = compute_day_metrics(scenario, xi)
+    metrics = compute_day_metrics(params, xi)
     run.expected_loss[d], run.tail_prob[d] = metrics.expected_loss, metrics.tail_prob
-    return next_theta
+    return np.array(next_theta)
 
 
 def run_simulation(
@@ -139,8 +164,11 @@ def run_simulation(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = np.random.default_rng(seed)
-    run = Trajectory.allocate(scenario, policy.name, seed, horizon)
-    theta = [float(area.theta0) for area in scenario.areas]
+    try:
+        run = Trajectory.allocate(scenario, policy.name, seed, horizon)
+    except MemoryError as exc:
+        raise HorizonError(f"horizon of {horizon} days is too long to preallocate: {exc}") from None
+    theta = np.array([area.theta0 for area in scenario.areas], dtype=float)
     for d in range(horizon):
         theta = step_day(run, d, theta, policy, rng)
     return run

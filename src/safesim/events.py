@@ -9,33 +9,36 @@ streams can run concurrently and replay bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import N_HURT_LEVELS, SafetyAreaConfig
+from .scenario import SafetyAreaConfig
 
 
 class DegenerateHurtDistribution(ValueError):
     """No probability mass at or above the requested Hurt level."""
 
 
-@dataclass(frozen=True)
-class DayEvents:
-    """Event counts for one area on one day, plus per-incident severities."""
+class DayEvents(NamedTuple):
+    """Event counts for one area on one day, plus the incidents' severity draws.
+
+    uniforms has shape (2, n_e): row 0 holds the uniforms of the incidents'
+    actual Hurt levels, row 1 those of their potential Hurt levels, in the
+    order they were drawn. hurt_levels maps them to levels.
+    """
 
     n_e: int
     n_neg: int
     n_pos: int
-    incidents: tuple[tuple[int, int], ...]  # (ahl, phl) per incident, phl >= ahl
-
-    @property
-    def n_activities(self) -> int:
-        """Safe plus unsafe activities; the pool the observation process sees."""
-        return self.n_pos + self.n_neg
+    uniforms: np.ndarray
 
 
-def xi_of_theta(theta: float, xi_base: float) -> float:
+NO_DRAWS = np.zeros((2, 0))
+NO_DRAWS.flags.writeable = False
+
+
+def xi_of_theta(theta, xi_base):
     """Unsafe-task fraction implied by safety state theta: (1 - theta) * xi_base."""
     return (1.0 - theta) * xi_base
 
@@ -55,42 +58,51 @@ def sample_event_counts(
     return int(n_e), int(n_neg), int(n_pos)
 
 
-def sample_ahl(rng: np.random.Generator, hl_probs) -> int:
-    """Draw an actual Hurt level 0-5 with the area's severity probabilities."""
-    u = rng.random()
-    acc = 0.0
-    for level in range(N_HURT_LEVELS - 1):
-        acc += hl_probs[level]
-        if u < acc:
-            return level
-    return N_HURT_LEVELS - 1
+def hurt_level(u: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The level a sequential severity draw returns for each uniform in u.
 
-
-def sample_phl(rng: np.random.Generator, hl_probs, ahl: int) -> int:
-    """Draw a potential Hurt level >= ahl.
-
-    The severity distribution is truncated below ahl and renormalized over
-    the remaining levels.
+    Such a draw adds the probabilities one level at a time and returns the
+    first level whose running sum exceeds u, or the top level if no level
+    below it does. sums holds those running sums (rows of
+    ScenarioArrays.hl_sums), one row per uniform or one row for all of u.
     """
-    tail = sum(hl_probs[ahl:])
-    if tail <= 0.0:
-        raise DegenerateHurtDistribution(f"no probability mass at Hurt level >= {ahl}")
-    u = rng.random() * tail
-    acc = 0.0
-    for level in range(ahl, N_HURT_LEVELS - 1):
-        acc += hl_probs[level]
-        if u < acc:
-            return level
-    return N_HURT_LEVELS - 1
+    below = u[:, None] < sums
+    below[:, -1] = True
+    return below.argmax(axis=1)
+
+
+def hurt_levels(
+    hl_sums: np.ndarray, areas: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map incidents' severity uniforms to actual and potential Hurt levels.
+
+    hl_sums is ScenarioArrays.hl_sums, areas the incidents' area indices and
+    uniforms their draws, shaped (2, incidents) as in DayEvents. The AHL
+    follows the area's severity probabilities; the PHL follows them
+    truncated below the AHL and renormalized. Each level is the one a
+    sequential draw from the same uniform returns.
+    """
+    u_ahl, u_phl = uniforms
+    ahl = hurt_level(u_ahl, hl_sums[areas, 0])
+    rows = hl_sums[areas, ahl]
+    tail = rows[:, -1]
+    empty = tail <= 0.0
+    if empty.any():
+        raise DegenerateHurtDistribution(
+            f"no probability mass at Hurt level >= {ahl[empty.argmax()]}"
+        )
+    return ahl, hurt_level(u_phl * tail, rows)
 
 
 def step_events(rng: np.random.Generator, area: SafetyAreaConfig, xi: float) -> DayEvents:
     """Generate one day of events for one area at unsafe fraction xi.
 
-    Stream order: counts, then all AHLs, then all PHLs. Does not touch
-    theta; the intervention step owns the dynamics.
+    Stream order: counts, then all AHL uniforms, then all PHL uniforms, as
+    one draw of 2 * n_e, which the generator yields exactly as it would
+    2 * n_e single draws. Does not touch theta; the intervention step owns
+    the dynamics.
     """
     n_e, n_neg, n_pos = sample_event_counts(rng, area.lambda_star, xi, area.alpha)
-    ahls = [sample_ahl(rng, area.hl_probs) for _ in range(n_e)]
-    phls = [sample_phl(rng, area.hl_probs, ahl) for ahl in ahls]
-    return DayEvents(n_e=n_e, n_neg=n_neg, n_pos=n_pos, incidents=tuple(zip(ahls, phls)))
+    if n_e == 0:
+        return DayEvents(0, n_neg, n_pos, NO_DRAWS)
+    return DayEvents(n_e, n_neg, n_pos, rng.random(2 * n_e).reshape(2, n_e))

@@ -8,7 +8,7 @@ timestep.
 
 from __future__ import annotations
 
-from .scenario import SafetyAreaConfig, Scenario
+from .scenario import Scenario
 
 
 def decay_theta(theta: float, k_decay: float) -> float:
@@ -25,23 +25,26 @@ def apply_feedback(theta: float, drive: float) -> float:
     return min(1.0, max(0.0, theta + (1.0 - theta) * drive))
 
 
-def step_theta(
-    theta: float,
-    area: SafetyAreaConfig,
-    n_neg_obs_by_type,
-    n_e: int,
-    scenario: Scenario,
-) -> float:
-    """Advance theta one day: feedback if the drive is positive, else decay.
+def feedback_drive(n_neg_obs_by_type, n_e, scenario: Scenario):
+    """The drive sum_X n_obs_X * delta_X + n_e * delta_e, per area.
 
-    The drive is sum_X n_obs_X * delta_X + n_e * delta_e. The branch
-    condition is the drive, not the raw event count: with delta_e = 0 an
-    unobserved incident does not block decay.
+    n_neg_obs_by_type holds one entry per observation type, in config order:
+    a count for one area, or an array over areas; it is empty on a day
+    without observers. The types are added left to right from 0.0, then the
+    incident term.
     """
-    drive = (
-        float(sum(n * t.delta_neg for n, t in zip(n_neg_obs_by_type, scenario.obs_types)))
-        + n_e * scenario.delta_e
-    )
+    drive = 0.0
+    for n_obs, obs_type in zip(n_neg_obs_by_type, scenario.obs_types):
+        drive = drive + n_obs * obs_type.delta_neg
+    return drive + n_e * scenario.delta_e
+
+
+def step_theta(theta: float, drive: float, k_decay: float) -> float:
+    """Advance one area's theta one day: feedback if the drive is positive, else decay.
+
+    The branch condition is the drive, not the raw event count: with
+    delta_e = 0 an unobserved incident does not block decay.
+    """
     if drive > 0.0:
         return apply_feedback(theta, drive)
-    return decay_theta(theta, area.k_decay)
+    return decay_theta(theta, k_decay)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import SafetyAreaConfig, Scenario
+from .scenario import N_HURT_LEVELS, Scenario, ScenarioArrays
 
 SEVERE_AHL = 4  # tail probability counts incidents with AHL >= this level
 
@@ -29,35 +29,47 @@ class DayMetrics:
     tail_prob: float
 
 
-def expected_hl_count(lambda_star: float, xi: float, alpha: float, p_j: float) -> float:
+def expected_hl_count(lambda_star, xi, alpha, p_j):
     """Expected daily count of incidents at one Hurt level: alpha * xi * lambda * p_j."""
     return alpha * xi * lambda_star * p_j
 
 
-def expected_daily_loss(area: SafetyAreaConfig, xi: float, loss_vector) -> float:
-    """Loss-weighted sum of expected per-level incident counts for one area at xi."""
-    return sum(
-        c_j * expected_hl_count(area.lambda_star, xi, area.alpha, p_j)
-        for c_j, p_j in zip(loss_vector, area.hl_probs)
-    )
+def expected_daily_loss(area, xi, loss_vector):
+    """Loss-weighted sum of expected per-level incident counts at xi.
+
+    area is one SafetyAreaConfig with a scalar xi, or a ScenarioArrays with
+    one xi per area. The levels are added left to right from 0, as a Python
+    sum over them would be.
+    """
+    hl_by_level = np.asarray(area.hl_probs, dtype=float).T
+    counts = expected_hl_count(area.lambda_star, xi, area.alpha, hl_by_level).T
+    # accumulate adds in order from the first term; + 0.0 gives the sum from 0
+    # also when every term is -0.0.
+    return np.add.accumulate(counts * loss_vector, axis=-1)[..., -1] + 0.0
 
 
-def ahl_marginal(lambda_star: float, xi: float, alpha: float, hl_probs) -> np.ndarray:
-    """P(an incident with AHL=j occurs today) for each level j.
+def ahl_marginal(lambda_star, xi, alpha, hl_probs) -> np.ndarray:
+    """P(an incident with AHL=j occurs today) for each level j (last axis).
 
     Each entry is (1 - exp(-lambda * alpha * xi)) * p_j. For j >= 1 this is
     exact under the generative model. The j=0 entry uses the same factor and
     should be read as the probability that at least one incident occurs and
     a single incident would land at level 0; neither shipped metric uses it.
+    The arguments are one area's scalars, or arrays over areas.
     """
-    factor = 1.0 - math.exp(-lambda_star * alpha * xi)
-    return factor * np.asarray(hl_probs, dtype=float)
+    exponent = np.asarray(-lambda_star * alpha * xi, dtype=float)
+    # math.exp, not np.exp: the two differ in the last place on some inputs.
+    factor = 1.0 - np.array([math.exp(x) for x in exponent.ravel().tolist()])
+    return (factor * np.asarray(hl_probs, dtype=float).T).T
 
 
-def tail_probability(area: SafetyAreaConfig, xi: float) -> float:
-    """Daily probability of an incident with AHL >= 4 in one area at xi."""
+def tail_probability(area, xi):
+    """Daily probability of an incident with AHL >= 4, for one area or per area."""
     marginal = ahl_marginal(area.lambda_star, xi, area.alpha, area.hl_probs)
-    return float(marginal[SEVERE_AHL:].sum())
+    tail = marginal[..., SEVERE_AHL]
+    for j in range(SEVERE_AHL + 1, N_HURT_LEVELS):
+        tail = tail + marginal[..., j]
+    return tail
 
 
 def aggregate_metrics(expected_losses, tail_probs) -> DayMetrics:
@@ -73,15 +85,14 @@ def aggregate_metrics(expected_losses, tail_probs) -> DayMetrics:
         expected_loss_by_area=losses,
         tail_prob_by_area=tails,
         expected_loss=float(losses.sum()),
-        tail_prob=float(1.0 - np.prod(1.0 - tails)),
+        tail_prob=float(1.0 - (1.0 - tails).prod()),
     )
 
 
-def compute_day_metrics(scenario: Scenario, xi) -> DayMetrics:
+def compute_day_metrics(params: ScenarioArrays, xi) -> DayMetrics:
     """Evaluate both metrics for every area at the given unsafe fractions."""
     return aggregate_metrics(
-        [expected_daily_loss(a, x, scenario.loss_vector) for a, x in zip(scenario.areas, xi)],
-        [tail_probability(a, x) for a, x in zip(scenario.areas, xi)],
+        expected_daily_loss(params, xi, params.loss_vector), tail_probability(params, xi)
     )
 
 
@@ -91,5 +102,6 @@ def baseline_asymptote(scenario: Scenario) -> tuple[float, float]:
     This is the limit the no-observation baseline converges to, drawn as the
     dotted line in comparison plots.
     """
-    limit = compute_day_metrics(scenario, [area.xi_base for area in scenario.areas])
+    params = ScenarioArrays.of(scenario)
+    limit = compute_day_metrics(params, params.xi_base)
     return limit.expected_loss, limit.tail_prob

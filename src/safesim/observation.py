@@ -11,12 +11,14 @@ they are always recorded.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import DayEvents
 from .scenario import PROB_TOL, Scenario
+
+TINY = np.finfo(float).tiny  # floor on Dirichlet weights, which can underflow to 0
 
 
 class ProportionError(ValueError):
@@ -79,8 +81,8 @@ def select_observed(
         return 0, 0
     if capacity >= total:
         return n_pos, n_neg
-    conc = np.concatenate([np.full(n_pos, eta_pos), np.full(n_neg, eta_neg)])
-    weights = np.maximum(rng.dirichlet(conc), np.finfo(float).tiny)
+    conc = np.repeat((eta_pos, eta_neg), (n_pos, n_neg))
+    weights = np.maximum(rng.dirichlet(conc), TINY)
     keys = rng.exponential(size=total) / weights
     chosen = np.argpartition(keys, capacity)[:capacity]
     obs_neg = int(np.count_nonzero(chosen >= n_pos))
@@ -90,11 +92,13 @@ def select_observed(
 def step_observations(
     rng: np.random.Generator,
     scenario: Scenario,
-    events_by_area: list[DayEvents],
+    n_pos: Sequence[int],
+    n_neg: Sequence[int],
     proportions_by_type: dict[str, np.ndarray],
 ) -> DayObservations:
     """Run one day of the observation process over every type and area.
 
+    n_pos and n_neg are the day's safe and unsafe activity counts per area.
     Stream order: for each obs type in config order, one allocation draw,
     then the per-area selection draws for areas that received observers and
     have events. Each type draws its own Dirichlet weights, so the same
@@ -102,19 +106,20 @@ def step_observations(
     """
     n_areas = scenario.n_areas
     out = DayObservations.empty(len(scenario.obs_types), n_areas)
+    checked = {}  # id of a proportion vector -> its validated array
     for t_idx, obs_type in enumerate(scenario.obs_types):
-        s = check_proportions(proportions_by_type[obs_type.id], n_areas)
+        given = proportions_by_type[obs_type.id]
+        s = checked.get(id(given))
+        if s is None:
+            s = checked[id(given)] = check_proportions(given, n_areas)
         q = allocate_observers(rng, obs_type.m, s)
-        for a_idx in range(n_areas):
-            if q[a_idx] == 0:
-                continue
-            events = events_by_area[a_idx]
-            if events.n_activities == 0:
+        for a_idx in np.flatnonzero(q).tolist():
+            if n_pos[a_idx] + n_neg[a_idx] == 0:
                 continue
             pos, neg = select_observed(
                 rng,
-                events.n_pos,
-                events.n_neg,
+                n_pos[a_idx],
+                n_neg[a_idx],
                 obs_type.rho * int(q[a_idx]),
                 obs_type.eta_pos,
                 obs_type.eta_neg,

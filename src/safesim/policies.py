@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observation import check_proportions
 from .scenario import PROB_TOL
 
 DEFAULT_WINDOW_DAYS = 30
@@ -73,8 +72,9 @@ class ObservableHistory:
         return _read_only(self._log[: self._day_end[self._n_days]])
 
     def append_day(self, incidents, observed=None) -> None:
-        """Close the current day: log its incidents as (area, ahl, phl) rows
-        and, if observers were deployed, its DayObservations."""
+        """Close the current day: log its incidents, an (n, 3) array of
+        (area, ahl, phl) rows, and, if observers were deployed, its
+        DayObservations."""
         if observed is not None:
             self._obs_pos[self._n_days] = observed.obs_pos
             self._obs_neg[self._n_days] = observed.obs_neg
@@ -84,7 +84,7 @@ class ObservableHistory:
             grown = np.zeros((max(end, 2 * len(self._log)), 4), dtype=int)
             grown[:start] = self._log[:start]
             self._log = grown
-        if incidents:
+        if end > start:
             self._log[start:end, DAY] = self.current_day
             self._log[start:end, AREA:] = incidents
         self._n_days += 1
@@ -190,7 +190,11 @@ class IncidentSeverityPolicy(Policy):
 
 
 class FixedWeightsPolicy(Policy):
-    """Allocate by a fixed prior weight vector, ignoring history."""
+    """Allocate by a fixed prior weight vector, ignoring history.
+
+    The vector needs one weight per area; the observation step rejects a
+    vector of another length on the first day with observers.
+    """
 
     name = "weighted"
 
@@ -207,7 +211,6 @@ class FixedWeightsPolicy(Policy):
         self.weights = weights
 
     def decide(self, history: ObservableHistory, rng: np.random.Generator) -> PolicyDecision:
-        check_proportions(self.weights, history.n_areas)
         return PolicyDecision.same_for_all_types(self.weights, history.obs_type_ids)
 
 

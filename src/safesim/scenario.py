@@ -11,6 +11,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 N_HURT_LEVELS = 6
 
 DEFAULT_RHO = 1
@@ -105,6 +107,41 @@ class Scenario:
 
     def without_incident_feedback(self) -> "Scenario":
         return replace(self, delta_e=0.0)
+
+
+@dataclass(frozen=True)
+class ScenarioArrays:
+    """A scenario's per-area numbers as arrays over areas, in config order.
+
+    The engine builds one per run, so that a simulated day takes one array
+    operation per step instead of one Python loop over areas. hl_probs is
+    shaped (areas, N_HURT_LEVELS). hl_sums[a, k, l] is hl_probs[a, k] + ...
+    + hl_probs[a, l], added left to right, and 0 for l < k: the running sums
+    a sequential severity draw compares its uniform against.
+    """
+
+    xi_base: np.ndarray
+    lambda_star: np.ndarray
+    alpha: np.ndarray
+    hl_probs: np.ndarray
+    hl_sums: np.ndarray
+    loss_vector: np.ndarray
+
+    @classmethod
+    def of(cls, scenario: Scenario) -> "ScenarioArrays":
+        areas = scenario.areas
+        hl = np.array([a.hl_probs for a in areas], dtype=float).reshape(-1, N_HURT_LEVELS)
+        sums = np.zeros((len(areas), N_HURT_LEVELS, N_HURT_LEVELS))
+        for k in range(N_HURT_LEVELS):
+            sums[:, k, k:] = np.add.accumulate(hl[:, k:], axis=1)
+        return cls(
+            xi_base=np.array([a.xi_base for a in areas]),
+            lambda_star=np.array([a.lambda_star for a in areas]),
+            alpha=np.array([a.alpha for a in areas]),
+            hl_probs=hl,
+            hl_sums=sums,
+            loss_vector=np.array(scenario.loss_vector, dtype=float),
+        )
 
 
 def _is_number(x) -> bool:

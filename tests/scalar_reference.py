@@ -1,0 +1,69 @@
+"""Scalar, one-area-at-a-time versions of the array code in safesim.
+
+The simulator maps severity uniforms to Hurt levels by table lookup and
+computes each day's metrics as array operations over areas. These are the
+sequential per-area forms that code must match bit for bit; the tests
+compare against them.
+"""
+
+import math
+
+import numpy as np
+
+from safesim.events import DegenerateHurtDistribution, sample_event_counts
+from safesim.metrics import SEVERE_AHL, aggregate_metrics
+from safesim.scenario import N_HURT_LEVELS
+
+
+def sample_ahl(rng, hl_probs) -> int:
+    """Draw an actual Hurt level 0-5 with the area's severity probabilities."""
+    u = rng.random()
+    acc = 0.0
+    for level in range(N_HURT_LEVELS - 1):
+        acc += hl_probs[level]
+        if u < acc:
+            return level
+    return N_HURT_LEVELS - 1
+
+
+def sample_phl(rng, hl_probs, ahl: int) -> int:
+    """Draw a potential Hurt level >= ahl from the truncated, renormalized tail."""
+    tail = sum(hl_probs[ahl:])
+    if tail <= 0.0:
+        raise DegenerateHurtDistribution(f"no probability mass at Hurt level >= {ahl}")
+    u = rng.random() * tail
+    acc = 0.0
+    for level in range(ahl, N_HURT_LEVELS - 1):
+        acc += hl_probs[level]
+        if u < acc:
+            return level
+    return N_HURT_LEVELS - 1
+
+
+def step_events(rng, area, xi: float):
+    """One area-day: counts, then each incident's AHL, then each PHL."""
+    n_e, n_neg, n_pos = sample_event_counts(rng, area.lambda_star, xi, area.alpha)
+    ahls = [sample_ahl(rng, area.hl_probs) for _ in range(n_e)]
+    phls = [sample_phl(rng, area.hl_probs, ahl) for ahl in ahls]
+    return n_e, n_neg, n_pos, ahls, phls
+
+
+def expected_daily_loss(area, xi: float, loss_vector) -> float:
+    return sum(
+        c_j * (area.alpha * xi * area.lambda_star * p_j)
+        for c_j, p_j in zip(loss_vector, area.hl_probs)
+    )
+
+
+def tail_probability(area, xi: float) -> float:
+    factor = 1.0 - math.exp(-area.lambda_star * area.alpha * xi)
+    marginal = factor * np.asarray(area.hl_probs, dtype=float)
+    return float(marginal[SEVERE_AHL:].sum())
+
+
+def compute_day_metrics(scenario, xi):
+    """Both metrics, one area at a time, then aggregated."""
+    return aggregate_metrics(
+        [expected_daily_loss(a, x, scenario.loss_vector) for a, x in zip(scenario.areas, xi)],
+        [tail_probability(a, x) for a, x in zip(scenario.areas, xi)],
+    )

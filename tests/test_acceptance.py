@@ -12,11 +12,11 @@ import pytest
 from conftest import make_area, make_scenario
 from safesim.cli import main
 from safesim.engine import run_ensemble, run_simulation
-from safesim.events import sample_ahl, sample_event_counts
+from safesim.events import hurt_level, sample_event_counts
 from safesim.metrics import baseline_asymptote, expected_hl_count
 from safesim.policies import AHL, PHL, make_policy
 from safesim.reports import fmt
-from safesim.scenario import case_study_path
+from safesim.scenario import ScenarioArrays, case_study_path
 from stat_utils import two_sample_chisquare
 
 WEIGHTED_SPEC = "weighted:0.12,0.12,0.12,0.08,0.08,0.28,0.2"
@@ -91,14 +91,15 @@ class TestCriterion2AnalyticVsMonteCarlo:
 
     def test_expected_counts_match_simulation(self, case_study):
         rng = np.random.default_rng(self.SEED)
+        hl_sums = ScenarioArrays.of(case_study).hl_sums
         misses = []
-        for area in case_study.areas:
+        for area, sums in zip(case_study.areas, hl_sums):
             xi = area.xi_base
             totals = np.zeros(6, dtype=np.int64)
             for _ in range(self.N_DAYS):
                 n_e, _, _ = sample_event_counts(rng, area.lambda_star, xi, area.alpha)
-                for _ in range(n_e):
-                    totals[sample_ahl(rng, area.hl_probs)] += 1
+                if n_e:  # n_e AHL draws, one uniform each
+                    totals += np.bincount(hurt_level(rng.random(n_e), sums[0]), minlength=6)
             mc = totals / self.N_DAYS
             for j in range(6):
                 analytic = expected_hl_count(area.lambda_star, xi, area.alpha, area.hl_probs[j])

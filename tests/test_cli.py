@@ -79,6 +79,28 @@ class TestRunCommand:
         assert main(["run", "--scenario", SCENARIO, "--horizon", "0"]) == 2
         assert main(["table2", "--scenario", SCENARIO, "--reps", "0"]) == 2
         assert main(["run", "--scenario", SCENARIO, "--policy", "weighted:nan,1"]) == 2
+        assert main(["run", "--scenario", SCENARIO, "--policy", "weighted:0.5,0.5"]) == 2
+
+    def test_weight_count_checked_before_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in (
+            ["run", "--policy", "weighted:0.5,0.5"],
+            ["compare", "--reps", "1", "--policy", "uniform", "--policy", "weighted:0.5,0.5"],
+        ):
+            code = main(argv + ["--scenario", SCENARIO, "--out-dir", str(out)])
+            assert code == 2
+            assert "2 weights" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_horizon_too_long_to_preallocate_exits_2(self, tmp_path, capsys):
+        # 10**12 days fail at once: no allocation of that size is attempted in part
+        code = main(
+            ["run", "--scenario", SCENARIO, "--horizon", str(10**12), "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon of 1000000000000 days")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_unwritable_out_dir_exits_1(self, tmp_path):
         blocker = tmp_path / "file"

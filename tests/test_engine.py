@@ -27,7 +27,7 @@ class TestStepDay:
     def test_baseline_day_decays_theta(self, case_study):
         rng = np.random.default_rng(0)
         run = Trajectory.allocate(case_study, "none", seed=0, horizon=1)
-        theta0 = [a.theta0 for a in case_study.areas]
+        theta0 = np.array([a.theta0 for a in case_study.areas])
         new_theta = step_day(run, 0, theta0, make_policy("none"), rng)
         assert run.obs_pos.sum() + run.obs_neg.sum() == 0
         k = np.array([a.k_decay for a in case_study.areas])

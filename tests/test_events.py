@@ -1,20 +1,55 @@
 import numpy as np
 import pytest
 
-from conftest import make_area
+import scalar_reference
+from conftest import make_area, make_scenario
 from safesim.events import (
     DegenerateHurtDistribution,
-    sample_ahl,
+    hurt_level,
+    hurt_levels,
     sample_event_counts,
-    sample_phl,
     step_events,
     xi_of_theta,
 )
 from safesim.intervention import decay_theta
+from safesim.scenario import ScenarioArrays
 from stat_utils import two_sample_chisquare
 
 AREA_A_HL = (0.50, 0.35, 0.13, 0.02, 0.0, 0.0)
 AREA_C_HL = (0.30, 0.06, 0.35, 0.28, 0.01, 0.0)
+
+
+def hl_sums(hl_probs) -> np.ndarray:
+    """One area's ScenarioArrays.hl_sums."""
+    scenario = make_scenario(areas=(make_area(hl_probs=hl_probs),))
+    return ScenarioArrays.of(scenario).hl_sums[0]
+
+
+def levels(hl_probs, uniforms) -> tuple[np.ndarray, np.ndarray]:
+    """hurt_levels for incidents of one area with the given severity uniforms."""
+    uniforms = np.asarray(uniforms, dtype=float)
+    return hurt_levels(hl_sums(hl_probs)[None], np.zeros(uniforms.shape[1], dtype=int), uniforms)
+
+
+def draw_ahl(rng, hl_probs, n: int) -> np.ndarray:
+    """n AHLs through the sampler's lookup, from the same uniforms as n scalar draws."""
+    return hurt_level(rng.random(n), hl_sums(hl_probs)[0])
+
+
+def draw_phl(rng, hl_probs, ahl: int, n: int) -> np.ndarray:
+    """n PHLs above a fixed AHL, as hurt_levels maps PHL uniforms."""
+    rows = hl_sums(hl_probs)[np.full(n, ahl)]
+    return hurt_level(rng.random(n) * rows[:, -1], rows)
+
+
+class Uniforms:
+    """A stand-in generator whose random() hands out given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
 
 
 class TestXiOfTheta:
@@ -88,18 +123,16 @@ class TestSampleEventCounts:
 class TestSampleAhl:
     def test_degenerate_low(self):
         rng = np.random.default_rng(0)
-        assert all(sample_ahl(rng, (1, 0, 0, 0, 0, 0)) == 0 for _ in range(100))
+        assert np.all(draw_ahl(rng, (1, 0, 0, 0, 0, 0), 100) == 0)
 
     def test_degenerate_high(self):
         rng = np.random.default_rng(0)
-        assert all(sample_ahl(rng, (0, 0, 0, 0, 0, 1)) == 5 for _ in range(100))
+        assert np.all(draw_ahl(rng, (0, 0, 0, 0, 0, 1), 100) == 5)
 
     def test_frequencies_match_probabilities(self):
         rng = np.random.default_rng(42)
-        counts = np.zeros(6, dtype=int)
         n = 1_000_000
-        for _ in range(n):
-            counts[sample_ahl(rng, AREA_A_HL)] += 1
+        counts = np.bincount(draw_ahl(rng, AREA_A_HL, n), minlength=6)
         assert np.max(np.abs(counts / n - np.array(AREA_A_HL))) < 0.002
 
 
@@ -107,12 +140,12 @@ class TestSamplePhl:
     def test_top_level_forced(self):
         rng = np.random.default_rng(0)
         area_f_hl = (0.58, 0.06, 0.08, 0.18, 0.08, 0.02)
-        assert all(sample_phl(rng, area_f_hl, 5) == 5 for _ in range(20))
-        assert all(sample_phl(rng, (0.5, 0.5, 0, 0, 0, 0), 1) == 1 for _ in range(20))
+        assert np.all(draw_phl(rng, area_f_hl, 5, 20) == 5)
+        assert np.all(draw_phl(rng, (0.5, 0.5, 0, 0, 0, 0), 1, 20) == 1)
 
     def test_untouched_prefix_renormalization(self):
         rng = np.random.default_rng(3)
-        draws = [sample_phl(rng, (0.5, 0.5, 0, 0, 0, 0), 0) for _ in range(50_000)]
+        draws = draw_phl(rng, (0.5, 0.5, 0, 0, 0, 0), 0, 50_000)
         freq = np.bincount(draws, minlength=6) / len(draws)
         assert freq[0] == pytest.approx(0.5, abs=0.01)
         assert freq[1] == pytest.approx(0.5, abs=0.01)
@@ -120,7 +153,7 @@ class TestSamplePhl:
     def test_truncated_tail_renormalization(self):
         # oracle: hand renormalization of (0.35, 0.28, 0.01) by 0.64
         rng = np.random.default_rng(4)
-        draws = [sample_phl(rng, AREA_C_HL, 2) for _ in range(200_000)]
+        draws = draw_phl(rng, AREA_C_HL, 2, 200_000)
         freq = np.bincount(draws, minlength=6) / len(draws)
         assert freq[2] == pytest.approx(0.546875, abs=0.005)
         assert freq[3] == pytest.approx(0.4375, abs=0.005)
@@ -128,9 +161,91 @@ class TestSamplePhl:
         assert freq[0] == freq[1] == freq[5] == 0.0
 
     def test_no_mass_above_ahl_raises(self):
-        rng = np.random.default_rng(0)
+        # The probabilities sum to 1 - 1e-10, so a uniform above that falls
+        # through to AHL 5, which has no mass.
+        probs = (0.5, 0.5 - 1e-10, 0, 0, 0, 0)
+        with pytest.raises(DegenerateHurtDistribution, match=">= 5"):
+            levels(probs, [[0.2, 1 - 5e-11], [0.5, 0.5]])
+
+
+class TestTableSamplerEquivalence:
+    """step_events then hurt_levels match counts, then n scalar AHL draws, then
+    n scalar PHL draws, per area: same numbers, same generator state."""
+
+    DISTRIBUTIONS = (
+        AREA_A_HL,  # no mass at levels 4 and 5
+        AREA_C_HL,
+        (0.3, 0.0, 0.4, 0.0, 0.3, 0.0),  # zero mass between levels with mass
+        (1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 1),
+        (0.2, 0.3, 0.1, 0.1, 0.1, 0.2 - 1e-10),  # sums to 1 - 1e-10
+        tuple(np.random.default_rng(0).dirichlet(np.ones(6))),
+    )
+
+    @staticmethod
+    def scalar(rng, probs, n):
+        ahl = [scalar_reference.sample_ahl(rng, probs) for _ in range(n)]
+        return ahl, [scalar_reference.sample_phl(rng, probs, a) for a in ahl]
+
+    @pytest.mark.parametrize("probs", DISTRIBUTIONS)
+    def test_same_events_and_generator_state(self, probs):
+        # a mean of 0.9 incidents a day gives days with 0, 1 and several
+        area = make_area(lambda_star=10.0, xi_base=0.9, alpha=0.1, hl_probs=probs)
+        sums = hl_sums(probs)[None]
+        for seed in (1, 2, 3):
+            scalar_rng, table_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(300):
+                n_e, n_neg, n_pos, ahl, phl = scalar_reference.step_events(scalar_rng, area, 0.9)
+                events = step_events(table_rng, area, 0.9)
+                assert events[:3] == (n_e, n_neg, n_pos)
+                got = hurt_levels(sums, np.zeros(n_e, dtype=int), events.uniforms)
+                assert (got[0].tolist(), got[1].tolist()) == (ahl, phl)
+            assert table_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_one_mapping_for_all_areas_of_a_day(self):
+        # as the engine does: every area draws in turn, then one lookup
+        areas = [
+            make_area(f"A{i}", lambda_star=10.0, xi_base=0.9, alpha=0.1, hl_probs=probs)
+            for i, probs in enumerate(self.DISTRIBUTIONS)
+        ]
+        sums = ScenarioArrays.of(make_scenario(areas=areas)).hl_sums
+        scalar_rng, table_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(200):
+            expected = [
+                (i, a, p)
+                for i, area in enumerate(areas)
+                for a, p in zip(*scalar_reference.step_events(scalar_rng, area, 0.9)[3:])
+            ]
+            events = [step_events(table_rng, area, 0.9) for area in areas]
+            index = np.repeat(np.arange(len(areas)), [e.n_e for e in events])
+            uniforms = np.concatenate([e.uniforms for e in events], axis=1)
+            ahl, phl = hurt_levels(sums, index, uniforms)
+            assert list(zip(index.tolist(), ahl.tolist(), phl.tolist())) == expected
+        assert table_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @pytest.mark.parametrize("probs", DISTRIBUTIONS)
+    def test_same_levels_on_boundaries(self, probs):
+        # uniforms exactly on each running sum, next to it, and at the ends
+        cum = np.cumsum(probs)
+        edges = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 1), [0.0, 1 - 5e-11]])
+        u = np.clip(edges, 0.0, np.nextafter(1.0, 0)).tolist()
+        for phl_u in (0.0, 0.5, np.nextafter(1.0, 0)):
+            uniforms = [u, [phl_u] * len(u)]
+            try:
+                expected = self.scalar(Uniforms(u + uniforms[1]), probs, len(u))
+            except DegenerateHurtDistribution:
+                with pytest.raises(DegenerateHurtDistribution):
+                    levels(probs, uniforms)
+                continue
+            ahl, phl = levels(probs, uniforms)
+            assert (ahl.tolist(), phl.tolist()) == expected
+
+    def test_degenerate_raise_matches(self):
+        probs = (0.5, 0.5 - 1e-10, 0, 0, 0, 0)
         with pytest.raises(DegenerateHurtDistribution):
-            sample_phl(rng, (0.5, 0.5, 0, 0, 0, 0), 2)
+            self.scalar(Uniforms([0.3, 1 - 5e-11, 0.1, 0.1]), probs, 2)
+        with pytest.raises(DegenerateHurtDistribution):
+            levels(probs, [[0.3, 1 - 5e-11], [0.1, 0.1]])
 
 
 class TestStepEvents:
@@ -148,8 +263,9 @@ class TestStepEvents:
         area = make_area(lambda_star=20.0, xi_base=0.9, alpha=0.5)
         xi = xi_of_theta(0.0, area.xi_base)
         for _ in range(2_000):
-            for ahl, phl in step_events(rng, area, xi).incidents:
-                assert phl >= ahl
+            events = step_events(rng, area, xi)
+            ahl, phl = levels(area.hl_probs, events.uniforms)
+            assert np.all(phl >= ahl)
 
     def test_incident_count_matches_length(self):
         rng = np.random.default_rng(8)
@@ -157,7 +273,7 @@ class TestStepEvents:
         xi = xi_of_theta(0.2, area.xi_base)
         for _ in range(200):
             events = step_events(rng, area, xi)
-            assert len(events.incidents) == events.n_e
+            assert events.uniforms.shape == (2, events.n_e)
 
     def test_mean_incidents_match_analytic_at_fixed_theta(self):
         # oracle: analytic mean alpha * xi * lambda at theta = 0.3
@@ -175,7 +291,9 @@ class TestStepEvents:
         for _ in range(2):
             rng = np.random.default_rng(123)
             runs.append([step_events(rng, area, xi) for _ in range(50)])
-        assert runs[0] == runs[1]
+        for a, b in zip(*runs):
+            assert a[:3] == b[:3]
+            assert np.array_equal(a.uniforms, b.uniforms)
 
 
 class TestSamplerEquivalence:

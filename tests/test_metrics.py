@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_area
+import scalar_reference
+from conftest import make_area, make_obs_type, make_scenario
 from safesim.events import xi_of_theta
 from safesim.metrics import (
     aggregate_metrics,
@@ -14,7 +15,7 @@ from safesim.metrics import (
     expected_hl_count,
     tail_probability,
 )
-from safesim.scenario import DEFAULT_LOSS_VECTOR
+from safesim.scenario import DEFAULT_LOSS_VECTOR, ScenarioArrays
 
 
 def area_state(area, theta):
@@ -128,7 +129,7 @@ class TestAggregateMetrics:
 
     def test_loss_adds_across_areas(self, case_study):
         states = [xi_of_theta(0.0, a.xi_base) for a in case_study.areas]
-        metrics = compute_day_metrics(case_study, states)
+        metrics = compute_day_metrics(ScenarioArrays.of(case_study), states)
         assert metrics.expected_loss == pytest.approx(metrics.expected_loss_by_area.sum())
         assert metrics.tail_prob <= 1.0
 
@@ -144,16 +145,62 @@ class TestBaselineConvergence:
         loss_limit, _ = baseline_asymptote(case_study)
         theta = np.array([a.theta0 for a in case_study.areas])
         k = np.array([a.k_decay for a in case_study.areas])
+        params = ScenarioArrays.of(case_study)
         losses = []
         for _ in range(365):
             states = [
                 xi_of_theta(float(theta[i]), a.xi_base)
                 for i, a in enumerate(case_study.areas)
             ]
-            losses.append(compute_day_metrics(case_study, states).expected_loss)
+            losses.append(compute_day_metrics(params, states).expected_loss)
             theta = k * theta
         assert all(b > a for a, b in zip(losses, losses[1:]))
         assert all(loss < loss_limit for loss in losses)
         # closed form: loss(t) = limit * (1 - theta0 * k^t), shared theta0/k here
         expected = loss_limit * (1 - 0.1 * np.power(0.98, np.arange(365)))
         assert np.allclose(losses, expected, rtol=1e-12)
+
+
+def random_scenario(rng, n_areas: int):
+    """Areas with parameters spread over their ranges; some severity levels empty."""
+    areas = []
+    for i in range(n_areas):
+        hl = rng.dirichlet(np.ones(6)) * (rng.random(6) > 0.3)
+        hl = hl / hl.sum() if hl.sum() > 0 else np.eye(6)[i % 6]
+        areas.append(
+            make_area(
+                f"Z{i}",
+                lambda_star=float(rng.uniform(0.5, 300.0)),
+                xi_base=float(rng.uniform(0.0, 1.0)),
+                alpha=float(rng.uniform(0.0, 0.2)),
+                hl_probs=tuple(hl.tolist()),
+            )
+        )
+    return make_scenario(areas=areas, obs_types=(make_obs_type(),))
+
+
+class TestArrayMetricsBitwise:
+    """compute_day_metrics over areas equals the per-area formulas bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(scenario, xi):
+        ours = compute_day_metrics(ScenarioArrays.of(scenario), np.asarray(xi))
+        ref = scalar_reference.compute_day_metrics(scenario, list(xi))
+        assert np.array_equal(ours.expected_loss_by_area, ref.expected_loss_by_area)
+        assert np.array_equal(ours.tail_prob_by_area, ref.tail_prob_by_area)
+        assert ours.expected_loss == ref.expected_loss
+        assert ours.tail_prob == ref.tail_prob
+
+    def test_case_study(self, case_study):
+        rng = np.random.default_rng(2)
+        xi_base = np.array([a.xi_base for a in case_study.areas])
+        for theta in (np.zeros(7), np.ones(7), *rng.random((500, 7))):
+            self.assert_bitwise(case_study, xi_of_theta(theta, xi_base))
+
+    def test_random_24_area_scenario(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            scenario = random_scenario(rng, 24)
+            xi_base = np.array([a.xi_base for a in scenario.areas])
+            for theta in rng.random((50, 24)):
+                self.assert_bitwise(scenario, xi_of_theta(theta, xi_base))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import make_area, make_obs_type, make_scenario
-from safesim.events import DayEvents
 from safesim.observation import (
     DayObservations,
     ProportionError,
@@ -13,8 +12,10 @@ from safesim.observation import (
 )
 
 
-def events(n_pos: int, n_neg: int, n_e: int = 0) -> DayEvents:
-    return DayEvents(n_e=n_e, n_neg=n_neg, n_pos=n_pos, incidents=tuple((0, 0) for _ in range(n_e)))
+def observe(rng, scenario, activity, decision):
+    """step_observations on one (n_pos, n_neg) activity pair per area."""
+    n_pos, n_neg = (list(counts) for counts in zip(*activity))
+    return step_observations(rng, scenario, n_pos, n_neg, decision)
 
 
 class TestAllocateObservers:
@@ -139,8 +140,8 @@ class TestStepObservations:
     def test_no_observers_records_nothing(self):
         scenario = make_scenario(obs_types=(make_obs_type(m=0),))
         rng = np.random.default_rng(0)
-        out = step_observations(
-            rng, scenario, [events(10, 10)], {"OBS": np.array([1.0])}
+        out = observe(
+            rng, scenario, [(10, 10)], {"OBS": np.array([1.0])}
         )
         assert out.obs_pos.sum() + out.obs_neg.sum() == 0
 
@@ -148,41 +149,41 @@ class TestStepObservations:
         rng = np.random.default_rng(5)
         budget = sum(t.m * t.rho for t in case_study.obs_types)
         assert budget == 5
-        evs = [events(8, 6, 1) for _ in case_study.areas]
+        evs = [(8, 6) for _ in case_study.areas]
         decision = {t.id: np.full(7, 1 / 7) for t in case_study.obs_types}
         for _ in range(300):
-            out = step_observations(rng, case_study, evs, decision)
+            out = observe(rng, case_study, evs, decision)
             assert out.obs_pos.sum() + out.obs_neg.sum() <= budget
 
     def test_area_without_events_records_zero(self):
         scenario = self.scenario_3x2()
         rng = np.random.default_rng(6)
-        evs = [events(0, 0), events(10, 10)]
+        evs = [(0, 0), (10, 10)]
         decision = {t.id: np.array([1.0, 0.0]) for t in scenario.obs_types}
-        out = step_observations(rng, scenario, evs, decision)
+        out = observe(rng, scenario, evs, decision)
         assert out.obs_pos.sum() + out.obs_neg.sum() == 0
 
     def test_per_cell_counts_bounded_by_events(self):
         scenario = self.scenario_3x2()
         rng = np.random.default_rng(7)
-        evs = [events(2, 1), events(0, 3)]
+        evs = [(2, 1), (0, 3)]
         decision = self.uniform_decision(scenario)
         for _ in range(300):
-            out = step_observations(rng, scenario, evs, decision)
+            out = observe(rng, scenario, evs, decision)
             for t_idx in range(3):
-                for a_idx, ev in enumerate(evs):
-                    assert out.obs_pos[t_idx, a_idx] <= ev.n_pos
-                    assert out.obs_neg[t_idx, a_idx] <= ev.n_neg
+                for a_idx, (n_pos, n_neg) in enumerate(evs):
+                    assert out.obs_pos[t_idx, a_idx] <= n_pos
+                    assert out.obs_neg[t_idx, a_idx] <= n_neg
 
     def test_bit_reproducible(self):
         scenario = self.scenario_3x2()
-        evs = [events(9, 4), events(5, 5)]
+        evs = [(9, 4), (5, 5)]
         decision = self.uniform_decision(scenario)
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(88)
             outs.append(
-                [step_observations(rng, scenario, evs, decision) for _ in range(30)]
+                [observe(rng, scenario, evs, decision) for _ in range(30)]
             )
         for a, b in zip(outs[0], outs[1]):
             assert np.array_equal(a.obs_pos, b.obs_pos)
@@ -193,7 +194,16 @@ class TestStepObservations:
         rng = np.random.default_rng(0)
         bad = {t.id: np.array([0.7, 0.7]) for t in scenario.obs_types}
         with pytest.raises(ProportionError, match="sum to 1"):
-            step_observations(rng, scenario, [events(1, 1), events(1, 1)], bad)
+            observe(rng, scenario, [(1, 1), (1, 1)], bad)
+
+    def test_each_distinct_vector_checked(self):
+        # one valid vector shared by two types, a bad one for the third
+        scenario = self.scenario_3x2()
+        rng = np.random.default_rng(0)
+        good = np.array([0.5, 0.5])
+        decision = {"WSO": good, "SAO": good, "BPO": np.array([0.7, 0.7])}
+        with pytest.raises(ProportionError, match="sum to 1"):
+            observe(rng, scenario, [(1, 1), (1, 1)], decision)
 
 
 class TestCheckProportions:
