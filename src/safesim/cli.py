@@ -33,9 +33,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, with_reps: bool) -> None:
     parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    parser.add_argument("--seed", type=int, default=42, help="base random seed (default 42)")
+    parser.add_argument("--seed", type=nonnegative_int, default=42, help="base random seed (default 42)")
     parser.add_argument(
         "--horizon",
         type=positive_int,

@@ -30,7 +30,7 @@ from .intervention import feedback_drive, step_theta
 from .metrics import compute_day_metrics
 from .observation import step_observations
 from .policies import AHL, AREA, ObservableHistory, Policy
-from .scenario import N_HURT_LEVELS, Scenario, ScenarioArrays
+from .scenario import N_HURT_LEVELS, Scenario
 
 
 class HorizonError(ValueError):
@@ -47,13 +47,11 @@ class Trajectory:
     and NaN on days without observers. expected_loss and tail_prob are
     per day. The recorded data (observation counts and the incident log)
     live in history; obs_pos, obs_neg and incidents refer to its arrays.
-    params holds the scenario's numbers as arrays, built once per run.
     """
 
     scenario: Scenario
     policy_name: str
     seed: int
-    params: ScenarioArrays
     history: ObservableHistory
     theta: np.ndarray
     xi: np.ndarray
@@ -74,7 +72,6 @@ class Trajectory:
             scenario=scenario,
             policy_name=policy_name,
             seed=seed,
-            params=ScenarioArrays.of(scenario),
             history=ObservableHistory(scenario.n_areas, scenario.obs_type_ids, horizon),
             theta=np.zeros(shape),
             xi=np.zeros(shape),
@@ -126,7 +123,7 @@ def step_day(
     the observation process, close the day in the history, update theta,
     and evaluate metrics at the xi used for today's events.
     """
-    scenario, history, params = run.scenario, run.history, run.params
+    scenario, history, params = run.scenario, run.history, run.scenario.arrays
     xi = xi_of_theta(theta, params.xi_base)
     events = [step_events(rng, area, x) for area, x in zip(scenario.areas, xi.tolist())]
     n_e, n_neg, n_pos, uniforms = zip(*events)

@@ -102,6 +102,5 @@ def baseline_asymptote(scenario: Scenario) -> tuple[float, float]:
     This is the limit the no-observation baseline converges to, drawn as the
     dotted line in comparison plots.
     """
-    params = ScenarioArrays.of(scenario)
-    limit = compute_day_metrics(params, params.xi_base)
+    limit = compute_day_metrics(scenario.arrays, scenario.arrays.xi_base)
     return limit.expected_loss, limit.tail_prob

@@ -81,7 +81,7 @@ def select_observed(
         return 0, 0
     if capacity >= total:
         return n_pos, n_neg
-    conc = np.repeat((eta_pos, eta_neg), (n_pos, n_neg))
+    conc = np.array((eta_pos, eta_neg)).repeat((n_pos, n_neg))
     weights = np.maximum(rng.dirichlet(conc), TINY)
     keys = rng.exponential(size=total) / weights
     chosen = np.argpartition(keys, capacity)[:capacity]

@@ -2,12 +2,16 @@
 
 A scenario is a single JSON document describing the simulated work environment.
 It is immutable after loading and safe to share across concurrent replications.
+
+The config dataclasses are the schema: a JSON object's keys are its class's
+field names, a field's type says how its value parses, a default makes it
+optional, and the metadata holds the rule validate_scenario checks.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -23,13 +27,41 @@ DEFAULT_HORIZON_DAYS = 365
 # Probability vectors must sum to 1 within this tolerance.
 PROB_TOL = 1e-9
 
+# Range rules of number fields, keyed by the text a violation quotes. A field
+# names one of these, or a function of its value returning its problems.
+_RANGES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+}
+
+
+def _rule(rule, default=MISSING):
+    return field(default=default, metadata={"rule": rule})
+
+
+def _hl_probs_problems(hl: tuple[float, ...]) -> list[str]:
+    if any(p < 0 for p in hl):
+        return ["hl_probs entries must be nonnegative"]
+    return [f"hl_probs must sum to 1, got {sum(hl)}"] if abs(sum(hl) - 1.0) > PROB_TOL else []
+
+
+def _loss_vector_problems(loss: tuple[float, ...]) -> list[str]:
+    problems = []
+    if any(c < 0 for c in loss):
+        problems.append("loss_vector entries must be nonnegative")
+    if any(b < a for a, b in zip(loss, loss[1:])):
+        problems.append("loss_vector must be nondecreasing")
+    return problems
+
 
 class ScenarioError(ValueError):
     """Base class for scenario loading problems."""
 
 
 class ScenarioParseError(ScenarioError):
-    """The config text is not well-formed or has missing/ill-typed fields."""
+    """The config text is not well-formed or has missing/ill-typed/unknown fields."""
 
 
 class ScenarioValidationError(ScenarioError):
@@ -40,58 +72,44 @@ class ScenarioValidationError(ScenarioError):
         super().__init__("invalid scenario:\n  " + "\n  ".join(self.violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SafetyAreaConfig:
-    """Static parameters of one safety area.
-
-    lambda_star  task rate (tasks/day, > 0)
-    xi_base      worst-case fraction of tasks performed unsafely, in [0, 1]
-    alpha        fraction of unsafe tasks that become incidents, in [0, 1]
-    k_decay      daily complacency decay factor applied to theta, in [0, 1]
-    theta0       initial safety state, in [0, 1]
-    hl_probs     probabilities of Hurt levels 0-5 for an incident (sum to 1)
-    """
+    """Static parameters of one safety area."""
 
     id: str
-    lambda_star: float
-    xi_base: float
-    alpha: float
-    k_decay: float
-    theta0: float
-    hl_probs: tuple[float, ...]
+    lambda_star: float = _rule("> 0")  # task rate, tasks/day
+    xi_base: float = _rule("in [0, 1]")  # worst-case fraction of tasks performed unsafely
+    alpha: float = _rule("in [0, 1]")  # fraction of unsafe tasks that become incidents
+    k_decay: float = _rule("in [0, 1]")  # daily complacency decay factor applied to theta
+    theta0: float = _rule("in [0, 1]")  # initial safety state
+    hl_probs: tuple[float, ...] = _rule(_hl_probs_problems)  # P(Hurt level 0-5) of an incident
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ObservationTypeConfig:
     """Static parameters of one observation channel.
-
-    m          observers fielded per day (nonnegative integer)
-    rho        observations each observer can record per day (positive integer)
-    delta_neg  safety-state feedback magnitude per observed unsafe event, in [0, 1]
-    eta_pos    Dirichlet concentration given to each safe event (> 0)
-    eta_neg    Dirichlet concentration given to each unsafe event (> 0)
 
     eta_pos == eta_neg records safe/unsafe events without bias; a larger
     eta_neg tilts recording toward unsafe events, and vice versa.
     """
 
     id: str
-    m: int
-    rho: int = DEFAULT_RHO
-    delta_neg: float = 0.0
-    eta_pos: float = 1.0
-    eta_neg: float = 1.0
+    m: int = _rule(">= 0")  # observers fielded per day
+    rho: int = _rule(">= 1", DEFAULT_RHO)  # observations each observer can record per day
+    delta_neg: float = _rule("in [0, 1]")  # theta feedback per observed unsafe event
+    eta_pos: float = _rule("> 0")  # Dirichlet concentration given to each safe event
+    eta_neg: float = _rule("> 0")  # Dirichlet concentration given to each unsafe event
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Complete, validated simulation configuration."""
 
     areas: tuple[SafetyAreaConfig, ...]
     obs_types: tuple[ObservationTypeConfig, ...]
-    delta_e: float = DEFAULT_DELTA_E
-    loss_vector: tuple[float, ...] = DEFAULT_LOSS_VECTOR
-    horizon_days: int = DEFAULT_HORIZON_DAYS
+    delta_e: float = _rule("in [0, 1]", DEFAULT_DELTA_E)
+    loss_vector: tuple[float, ...] = _rule(_loss_vector_problems, DEFAULT_LOSS_VECTOR)
+    horizon_days: int = _rule(">= 1", DEFAULT_HORIZON_DAYS)
 
     @property
     def n_areas(self) -> int:
@@ -105,15 +123,20 @@ class Scenario:
     def obs_type_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.obs_types)
 
+    @cached_property
+    def arrays(self) -> "ScenarioArrays":
+        """The per-area numbers as arrays, built on first use and then shared."""
+        return ScenarioArrays.of(self)
+
     def without_incident_feedback(self) -> "Scenario":
         return replace(self, delta_e=0.0)
 
 
 @dataclass(frozen=True)
 class ScenarioArrays:
-    """A scenario's per-area numbers as arrays over areas, in config order.
+    """A scenario's per-area numbers as read-only arrays over areas, in config order.
 
-    The engine builds one per run, so that a simulated day takes one array
+    Scenario.arrays holds one, so that a simulated day takes one array
     operation per step instead of one Python loop over areas. hl_probs is
     shaped (areas, N_HURT_LEVELS). hl_sums[a, k, l] is hl_probs[a, k] + ...
     + hl_probs[a, l], added left to right, and 0 for l < k: the running sums
@@ -134,7 +157,7 @@ class ScenarioArrays:
         sums = np.zeros((len(areas), N_HURT_LEVELS, N_HURT_LEVELS))
         for k in range(N_HURT_LEVELS):
             sums[:, k, k:] = np.add.accumulate(hl[:, k:], axis=1)
-        return cls(
+        arrays = cls(
             xi_base=np.array([a.xi_base for a in areas]),
             lambda_star=np.array([a.lambda_star for a in areas]),
             alpha=np.array([a.alpha for a in areas]),
@@ -142,83 +165,64 @@ class ScenarioArrays:
             hl_sums=sums,
             loss_vector=np.array(scenario.loss_vector, dtype=float),
         )
+        for array in vars(arrays).values():
+            array.flags.writeable = False
+        return arrays
 
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _get(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ScenarioParseError(f"{where}: missing required field '{key}'")
-    return obj[key]
+def _parse_value(kind, value, name: str, where: str):
+    """Parse one field's JSON value by the field's type."""
+    if kind is str:
+        if not isinstance(value, str) or not value:
+            raise ScenarioParseError(f"{where}: field '{name}' must be a nonempty string")
+        return value
+    if kind is float:
+        if not _is_number(value):
+            raise ScenarioParseError(f"{where}: field '{name}' must be a number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError:  # an integer too large for a float
+            return math.inf if value > 0 else -math.inf
+    if kind is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ScenarioParseError(f"{where}: field '{name}' must be an integer, got {value!r}")
+        return value
+    (item, _) = kind.__args__  # tuple[item, ...]
+    if item is float:
+        if not isinstance(value, list) or len(value) != N_HURT_LEVELS or not all(map(_is_number, value)):
+            raise ScenarioParseError(f"{where}: field '{name}' must be a list of {N_HURT_LEVELS} numbers")
+        return tuple(_parse_value(float, v, name, where) for v in value)
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{where}: field '{name}' must be a list")
+    return tuple(_parse(item, v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
-def _number(obj: dict, key: str, where: str, required: bool = True, default=None) -> float:
-    if key not in obj:
-        if required:
-            raise ScenarioParseError(f"{where}: missing required field '{key}'")
-        return default
-    val = obj[key]
-    if not _is_number(val):
-        raise ScenarioParseError(f"{where}: field '{key}' must be a number, got {val!r}")
-    return float(val)
-
-
-def _integer(obj: dict, key: str, where: str, required: bool = True, default=None) -> int:
-    if key not in obj:
-        if required:
-            raise ScenarioParseError(f"{where}: missing required field '{key}'")
-        return default
-    val = obj[key]
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ScenarioParseError(f"{where}: field '{key}' must be an integer, got {val!r}")
-    return val
-
-
-def _parse_area(obj: dict, index: int) -> SafetyAreaConfig:
-    where = f"areas[{index}]"
+def _parse(cls, obj, where: str):
+    """Build a config object of class cls from its JSON object, field by field."""
     if not isinstance(obj, dict):
         raise ScenarioParseError(f"{where}: expected an object")
-    area_id = _get(obj, "id", where)
-    if not isinstance(area_id, str) or not area_id:
-        raise ScenarioParseError(f"{where}: field 'id' must be a nonempty string")
-    hl = _get(obj, "hl_probs", where)
-    if not isinstance(hl, list) or len(hl) != N_HURT_LEVELS or not all(_is_number(p) for p in hl):
-        raise ScenarioParseError(f"{where}: field 'hl_probs' must be a list of {N_HURT_LEVELS} numbers")
-    return SafetyAreaConfig(
-        id=area_id,
-        lambda_star=_number(obj, "lambda_star", where),
-        xi_base=_number(obj, "xi_base", where),
-        alpha=_number(obj, "alpha", where),
-        k_decay=_number(obj, "k_decay", where),
-        theta0=_number(obj, "theta0", where),
-        hl_probs=tuple(float(p) for p in hl),
-    )
-
-
-def _parse_obs_type(obj: dict, index: int) -> ObservationTypeConfig:
-    where = f"obs_types[{index}]"
-    if not isinstance(obj, dict):
-        raise ScenarioParseError(f"{where}: expected an object")
-    type_id = _get(obj, "id", where)
-    if not isinstance(type_id, str) or not type_id:
-        raise ScenarioParseError(f"{where}: field 'id' must be a nonempty string")
-    return ObservationTypeConfig(
-        id=type_id,
-        m=_integer(obj, "m", where),
-        rho=_integer(obj, "rho", where, required=False, default=DEFAULT_RHO),
-        delta_neg=_number(obj, "delta_neg", where),
-        eta_pos=_number(obj, "eta_pos", where),
-        eta_neg=_number(obj, "eta_neg", where),
-    )
+    values = {}
+    for f in fields(cls):
+        if f.name in obj:
+            values[f.name] = _parse_value(f.type, obj[f.name], f.name, where)
+        elif f.default is MISSING:
+            raise ScenarioParseError(f"{where}: missing required field '{f.name}'")
+    for key in obj:
+        if key not in values:
+            raise ScenarioParseError(f"{where}: unknown field '{key}'")
+    return cls(**values)
 
 
 def load_scenario(text: str) -> Scenario:
     """Parse a JSON scenario document and return a validated Scenario.
 
-    Optional fields and their defaults: rho=1 per observation type, delta_e=0,
-    loss_vector=[0, 1, 10, 100, 1000, 10000], horizon_days=365.
+    Fields with a default are optional: rho=1 per observation type, delta_e=0,
+    loss_vector=[0, 1, 10, 100, 1000, 10000], horizon_days=365. All others
+    are required, and unknown fields are rejected.
 
     Raises ScenarioParseError on malformed input and ScenarioValidationError
     (listing every violated invariant) on invalid parameter values.
@@ -229,29 +233,7 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("top level: expected a JSON object")
-
-    areas_raw = _get(doc, "areas", "top level")
-    if not isinstance(areas_raw, list):
-        raise ScenarioParseError("top level: field 'areas' must be a list")
-    types_raw = _get(doc, "obs_types", "top level")
-    if not isinstance(types_raw, list):
-        raise ScenarioParseError("top level: field 'obs_types' must be a list")
-
-    loss_raw = doc.get("loss_vector", list(DEFAULT_LOSS_VECTOR))
-    if (
-        not isinstance(loss_raw, list)
-        or len(loss_raw) != N_HURT_LEVELS
-        or not all(_is_number(c) for c in loss_raw)
-    ):
-        raise ScenarioParseError(f"top level: field 'loss_vector' must be a list of {N_HURT_LEVELS} numbers")
-
-    scenario = Scenario(
-        areas=tuple(_parse_area(a, i) for i, a in enumerate(areas_raw)),
-        obs_types=tuple(_parse_obs_type(t, i) for i, t in enumerate(types_raw)),
-        delta_e=_number(doc, "delta_e", "top level", required=False, default=DEFAULT_DELTA_E),
-        loss_vector=tuple(float(c) for c in loss_raw),
-        horizon_days=_integer(doc, "horizon_days", "top level", required=False, default=DEFAULT_HORIZON_DAYS),
-    )
+    scenario = _parse(Scenario, doc, "top level")
     violations = validate_scenario(scenario)
     if violations:
         raise ScenarioValidationError(violations)
@@ -262,9 +244,23 @@ def load_scenario_file(path: str | Path) -> Scenario:
     return load_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-def _check_fraction(violations: list[str], where: str, name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        violations.append(f"{where}: {name} must be in [0, 1], got {value}")
+def _field_violations(config, where: str) -> list[str]:
+    """Check every number field of one config object: finite, then its rule."""
+    violations = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        vector = f.type == tuple[float, ...]
+        rule = f.metadata.get("rule")
+        if vector and len(value) != N_HURT_LEVELS:
+            problems = [f"{f.name} must have {N_HURT_LEVELS} entries"]
+        elif (vector or f.type is float) and not all(map(math.isfinite, value if vector else [value])):
+            problems = [f"{f.name} must be finite, got {value}"]
+        elif rule in _RANGES:
+            problems = [] if _RANGES[rule](value) else [f"{f.name} must be {rule}, got {value}"]
+        else:
+            problems = rule(value) if rule else []
+        violations += [f"{where}: {p}" for p in problems]
+    return violations
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
@@ -274,93 +270,23 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     errors: callers decide whether to raise.
     """
     violations: list[str] = []
-
     if not scenario.areas:
         violations.append("scenario: at least one safety area is required")
-
-    seen_ids: set[str] = set()
-    for area in scenario.areas:
+    for i, area in enumerate(scenario.areas):
         where = f"area {area.id!r}"
-        if area.id in seen_ids:
+        if area.id in scenario.area_ids[:i]:
             violations.append(f"{where}: duplicate area id")
-        seen_ids.add(area.id)
-        if area.lambda_star <= 0:
-            violations.append(f"{where}: lambda_star must be > 0, got {area.lambda_star}")
-        _check_fraction(violations, where, "xi_base", area.xi_base)
-        _check_fraction(violations, where, "alpha", area.alpha)
-        _check_fraction(violations, where, "k_decay", area.k_decay)
-        _check_fraction(violations, where, "theta0", area.theta0)
-        if len(area.hl_probs) != N_HURT_LEVELS:
-            violations.append(f"{where}: hl_probs must have {N_HURT_LEVELS} entries")
-            continue
-        if any(p < 0 for p in area.hl_probs):
-            violations.append(f"{where}: hl_probs entries must be nonnegative")
-        elif abs(sum(area.hl_probs) - 1.0) > PROB_TOL:
-            violations.append(f"{where}: hl_probs must sum to 1, got {sum(area.hl_probs)}")
-
+        violations += _field_violations(area, where)
     for obs in scenario.obs_types:
-        where = f"obs type {obs.id!r}"
-        if obs.m < 0:
-            violations.append(f"{where}: m must be >= 0, got {obs.m}")
-        if obs.rho < 1:
-            violations.append(f"{where}: rho must be >= 1, got {obs.rho}")
-        _check_fraction(violations, where, "delta_neg", obs.delta_neg)
-        if obs.eta_pos <= 0:
-            violations.append(f"{where}: eta_pos must be > 0, got {obs.eta_pos}")
-        if obs.eta_neg <= 0:
-            violations.append(f"{where}: eta_neg must be > 0, got {obs.eta_neg}")
-
-    seen_types: set[str] = set()
-    for obs in scenario.obs_types:
-        if obs.id in seen_types:
-            violations.append(f"obs type {obs.id!r}: duplicate obs type id")
-        seen_types.add(obs.id)
-
-    _check_fraction(violations, "scenario", "delta_e", scenario.delta_e)
-    if len(scenario.loss_vector) != N_HURT_LEVELS:
-        violations.append(f"scenario: loss_vector must have {N_HURT_LEVELS} entries")
-    else:
-        if any(c < 0 for c in scenario.loss_vector):
-            violations.append("scenario: loss_vector entries must be nonnegative")
-        if any(b < a for a, b in zip(scenario.loss_vector, scenario.loss_vector[1:])):
-            violations.append("scenario: loss_vector must be nondecreasing")
-    if scenario.horizon_days < 1:
-        violations.append(f"scenario: horizon_days must be >= 1, got {scenario.horizon_days}")
-
-    return violations
+        violations += _field_violations(obs, f"obs type {obs.id!r}")
+    ids = scenario.obs_type_ids
+    violations += [f"obs type {t!r}: duplicate obs type id" for i, t in enumerate(ids) if t in ids[:i]]
+    return violations + _field_violations(scenario, "scenario")
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a Scenario back to JSON text; load_scenario inverts this."""
-    doc = {
-        "areas": [
-            {
-                "id": a.id,
-                "lambda_star": a.lambda_star,
-                "xi_base": a.xi_base,
-                "alpha": a.alpha,
-                "k_decay": a.k_decay,
-                "theta0": a.theta0,
-                "hl_probs": list(a.hl_probs),
-            }
-            for a in scenario.areas
-        ],
-        "obs_types": [
-            {
-                "id": t.id,
-                "m": t.m,
-                "rho": t.rho,
-                "delta_neg": t.delta_neg,
-                "eta_pos": t.eta_pos,
-                "eta_neg": t.eta_neg,
-            }
-            for t in scenario.obs_types
-        ],
-        "delta_e": scenario.delta_e,
-        "loss_vector": list(scenario.loss_vector),
-        "horizon_days": scenario.horizon_days,
-    }
-    return json.dumps(doc, indent=2)
+    return json.dumps(asdict(scenario), indent=2)
 
 
 def case_study_path() -> Path:

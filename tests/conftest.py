@@ -1,9 +1,13 @@
+import json
+import math
+
 import pytest
 
 from safesim.scenario import (
     ObservationTypeConfig,
     SafetyAreaConfig,
     Scenario,
+    case_study_path,
     load_case_study,
 )
 
@@ -52,3 +56,24 @@ def make_scenario(areas=None, obs_types=None, delta_e=0.0, horizon_days=365) -> 
         delta_e=delta_e,
         horizon_days=horizon_days,
     )
+
+
+# (object, index, field, value): one non-finite number in the case study that
+# a scenario must be rejected for at load time.
+NON_FINITE_CASES = [
+    ("areas", 0, "lambda_star", math.inf),
+    ("areas", 0, "lambda_star", math.nan),
+    ("obs_types", 0, "eta_pos", math.inf),
+    ("loss_vector", 3, None, math.nan),
+    ("areas", 0, "hl_probs", [0.5, math.nan, 0.13, 0.02, 0.0, 0.0]),
+]
+
+
+def case_study_text_with(obj, index, field, value) -> str:
+    """The case study's JSON text with one number replaced; json writes NaN/Infinity."""
+    doc = json.loads(case_study_path().read_text(encoding="utf-8"))
+    if field is None:
+        doc[obj][index] = value
+    else:
+        doc[obj][index][field] = value
+    return json.dumps(doc)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import NON_FINITE_CASES, case_study_text_with
 from safesim.cli import main
 from safesim.reports import fmt
 from safesim.scenario import case_study_path
@@ -80,6 +81,25 @@ class TestRunCommand:
         assert main(["table2", "--scenario", SCENARIO, "--reps", "0"]) == 2
         assert main(["run", "--scenario", SCENARIO, "--policy", "weighted:nan,1"]) == 2
         assert main(["run", "--scenario", SCENARIO, "--policy", "weighted:0.5,0.5"]) == 2
+        assert main(["run", "--scenario", SCENARIO, "--seed", "-1"]) == 2
+
+    def test_negative_seed_exits_2_before_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("run", "table2", "compare"):
+            argv = [command, "--scenario", SCENARIO, "--seed", "-3", "--out-dir", str(out)]
+            assert main(argv + (["--policy", "uniform"] if command == "compare" else [])) == 2
+            assert "must be >= 0, got -3" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("obj,index,field,value", NON_FINITE_CASES)
+    def test_non_finite_scenario_exits_2_before_output(self, obj, index, field, value, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(case_study_text_with(obj, index, field, value), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(path), "--horizon", "2", "--out-dir", str(out)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_weight_count_checked_before_output(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,16 +1,30 @@
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import NON_FINITE_CASES, case_study_text_with
 from safesim.scenario import (
     DEFAULT_LOSS_VECTOR,
+    N_HURT_LEVELS,
+    ObservationTypeConfig,
+    SafetyAreaConfig,
+    Scenario,
+    ScenarioArrays,
     ScenarioParseError,
     ScenarioValidationError,
     case_study_path,
+    load_case_study,
     load_scenario,
     serialize_scenario,
     validate_scenario,
 )
+
+GOLDEN_SERIALIZED = Path(__file__).parent / "golden" / "scenario" / "case_study.json"
 
 MINIMAL = {
     "areas": [
@@ -100,6 +114,12 @@ def test_loss_vector_must_be_nondecreasing():
         load_scenario(doc_with(loss_vector=[0, 1, 10, 5, 1000, 10000]))
 
 
+def test_loss_vector_entries_must_be_nonnegative():
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(doc_with(loss_vector=[-1, 1, 10, 100, 1000, 10000]))
+    assert exc.value.violations == ["scenario: loss_vector entries must be nonnegative"]
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [
@@ -157,3 +177,150 @@ def test_loaded_scenarios_pass_validation(case_study):
 
 def test_case_study_file_exists():
     assert case_study_path().is_file()
+
+
+def test_serialized_case_study_matches_golden():
+    # Pins key order and formatting, which a round trip does not check.
+    assert serialize_scenario(load_case_study()) == GOLDEN_SERIALIZED.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("obj,index,field,value", NON_FINITE_CASES)
+def test_non_finite_number_rejected_once(obj, index, field, value):
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(case_study_text_with(obj, index, field, value))
+    (violation,) = exc.value.violations
+    assert f"{field or obj} must be finite, got " in violation
+
+
+def test_integer_too_large_for_a_float_is_not_finite():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["areas"][0]["lambda_star"] = -(10**400)
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(json.dumps(doc))
+    assert exc.value.violations == ["area 'A': lambda_star must be finite, got -inf"]
+
+
+@pytest.mark.parametrize(
+    "path,message",
+    [
+        ((), "top level: unknown field 'horizon_day'"),
+        (("areas", 0), "areas[0]: unknown field 'horizon_day'"),
+        (("obs_types", 0), "obs_types[0]: unknown field 'horizon_day'"),
+    ],
+)
+def test_unknown_field_rejected(path, message):
+    doc = json.loads(json.dumps(MINIMAL))
+    obj = doc[path[0]][path[1]] if path else doc
+    obj["horizon_day"] = 30
+    with pytest.raises(ScenarioParseError) as exc:
+        load_scenario(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_arrays_built_once_and_read_only(case_study):
+    arrays = case_study.arrays
+    assert arrays is case_study.arrays
+    assert np.array_equal(arrays.hl_sums, ScenarioArrays.of(case_study).hl_sums)
+    with pytest.raises(ValueError):
+        arrays.xi_base[0] = 0.0
+
+
+# ---------------------------------------------------------------- properties
+
+fractions = st.floats(0.0, 1.0)
+positives = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+ids = st.text(min_size=1, max_size=6)
+
+
+@st.composite
+def hl_probs(draw):
+    weights = draw(st.lists(st.integers(0, 1000), min_size=6, max_size=6).filter(any))
+    return tuple(w / sum(weights) for w in weights)
+
+
+areas = st.builds(
+    SafetyAreaConfig,
+    id=ids,
+    lambda_star=positives,
+    xi_base=fractions,
+    alpha=fractions,
+    k_decay=fractions,
+    theta0=fractions,
+    hl_probs=hl_probs(),
+)
+obs_types = st.builds(
+    ObservationTypeConfig,
+    id=ids,
+    m=st.integers(0, 100),
+    rho=st.integers(1, 10),
+    delta_neg=fractions,
+    eta_pos=positives,
+    eta_neg=positives,
+)
+
+
+def scenarios(min_obs_types=0):
+    return st.builds(
+        Scenario,
+        areas=st.lists(areas, min_size=1, max_size=4, unique_by=lambda a: a.id).map(tuple),
+        obs_types=st.lists(
+            obs_types, min_size=min_obs_types, max_size=3, unique_by=lambda t: t.id
+        ).map(tuple),
+        delta_e=fractions,
+        loss_vector=st.lists(st.floats(0.0, 1e12), min_size=6, max_size=6).map(sorted).map(tuple),
+        horizon_days=st.integers(1, 10**6),
+    )
+
+
+@settings(deadline=None)
+@given(scenarios())
+def test_valid_scenarios_round_trip(scenario):
+    assert validate_scenario(scenario) == []
+    assert load_scenario(serialize_scenario(scenario)) == scenario
+
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+outside_fraction = st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.0, exclude_min=True)
+not_positive = st.floats(max_value=0.0, allow_nan=False)
+bad_entry = non_finite | st.floats(max_value=0.0, exclude_max=True)
+
+# Where a field lives in the JSON document, and values its rule rejects.
+BAD_VALUES = {
+    ("areas", "lambda_star"): not_positive | non_finite,
+    ("areas", "xi_base"): outside_fraction | non_finite,
+    ("areas", "alpha"): outside_fraction | non_finite,
+    ("areas", "k_decay"): outside_fraction | non_finite,
+    ("areas", "theta0"): outside_fraction | non_finite,
+    ("areas", "hl_probs"): bad_entry,
+    ("obs_types", "m"): st.integers(-(10**6), -1),
+    ("obs_types", "rho"): st.integers(-(10**6), 0),
+    ("obs_types", "delta_neg"): outside_fraction | non_finite,
+    ("obs_types", "eta_pos"): not_positive | non_finite,
+    ("obs_types", "eta_neg"): not_positive | non_finite,
+    (None, "delta_e"): outside_fraction | non_finite,
+    (None, "loss_vector"): bad_entry,
+    (None, "horizon_days"): st.integers(-(10**6), 0),
+}
+
+
+@settings(deadline=None)
+@given(scenarios(min_obs_types=1), st.sampled_from(sorted(BAD_VALUES, key=str)), st.data())
+def test_one_bad_field_rejected_at_load_naming_it(scenario, key, data):
+    doc = json.loads(serialize_scenario(scenario))
+    group, name = key
+    value = data.draw(BAD_VALUES[key])
+    if group is None:
+        obj, where = doc, "scenario"
+    else:
+        obj = data.draw(st.sampled_from(doc[group]))
+        where = f"{'area' if group == 'areas' else 'obs type'} {obj['id']!r}"
+    if isinstance(obj[name], list):  # one entry of a vector field
+        obj[name][data.draw(st.integers(0, N_HURT_LEVELS - 1))] = value
+    else:
+        obj[name] = value
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(json.dumps(doc))
+    violations = exc.value.violations
+    assert violations and all(v.startswith(f"{where}: {name} ") for v in violations)
+    if isinstance(value, float) and not math.isfinite(value):
+        assert len(violations) == 1 and "must be finite" in violations[0]
