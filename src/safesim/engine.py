@@ -1,36 +1,66 @@
 """Simulation engine: daily loop, seeded replications, ensemble summaries.
 
-One replication consumes a single numpy Generator in a fixed order, so a
-(scenario, policy, seed) triple fully determines every byte of the
-trajectory. Within a day the stream order is: per area in config order the
-event draws (counts, AHLs, PHLs), then the policy decision (which may draw),
-then per observation type the allocation and per-area selection draws.
+Stream contract (version STREAM_CONTRACT). A replication's seed fixes three
+independent numpy Generators, so a (scenario, policy, seed) triple fully
+determines every byte of the trajectory. With root = SeedSequence(seed) and
+its two children from root.spawn(2):
 
-That order is the stream contract, and it fixes which draws stay one call
-per area or per cell: an area's counts come between the previous area's
-severities and its own, so the three Poisson draws stay scalar calls per
-area, and a cell's Dirichlet and race draws have a length that depends on
-the cell's counts, so selection stays one call per (type, area) cell. An
-area's severity uniforms are one draw of 2 * n_e, which the generator
-yields exactly as it would 2 * n_e single draws. Everything else in a day
-is deterministic and runs as array operations over areas (or over the
-day's incidents, for mapping uniforms to Hurt levels), with the same
-floating-point operations in the same order as a per-area loop.
+- the environment stream, default_rng(root), the same generator as
+  default_rng(seed). Each day, per area in config order, it draws the
+  event counts (incidents, unsafe, safe: three Poisson draws), then the
+  incidents' severity uniforms as one draw of 2 * n_e;
+- the observer stream, default_rng of the first child. Each day the
+  policy fields observers, it draws m + rho * m uniforms per observation
+  type, in config order: m to allocate the type's observers, then
+  rho * m for the recording urns of its cells (see
+  observation.step_observations). The count is fixed: it depends neither
+  on the day's events nor on the allocation. On a day without observers
+  (the none policy's every day) it draws nothing;
+- the policy stream, default_rng of the second child, handed to
+  Policy.decide.
+
+No stream draws for another, so a policy's own draws never shift the
+events or the observers, and the observers' draws never shift the events.
+Only the order within a stream matters. The three Poisson draws stay
+scalar calls per area because an area's counts come between the previous
+area's severities and its own. Everything else in a day is deterministic
+and runs as array operations over areas (or over the day's incidents, for
+mapping uniforms to Hurt levels), with the same floating-point operations
+in the same order as a per-area loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .events import hurt_levels, step_events, xi_of_theta
 from .intervention import feedback_drive, step_theta
 from .metrics import compute_day_metrics
-from .observation import step_observations
+from .observation import observer_draws, step_observations
 from .policies import AHL, AREA, ObservableHistory, Policy
 from .scenario import N_HURT_LEVELS, Scenario
+
+
+STREAM_CONTRACT = 2  # version of the stream contract in the module docstring
+
+
+class Streams(NamedTuple):
+    """A replication's three random streams; see the module docstring."""
+
+    environment: np.random.Generator
+    observer: np.random.Generator
+    policy: np.random.Generator
+
+    @classmethod
+    def from_seed(cls, seed: int) -> "Streams":
+        root = np.random.SeedSequence(seed)
+        environment = np.random.default_rng(root)
+        observer, policy = (np.random.default_rng(child) for child in root.spawn(2))
+        return cls(environment, observer, policy)
 
 
 class HorizonError(ValueError):
@@ -114,7 +144,7 @@ class Trajectory:
 
 
 def step_day(
-    run: Trajectory, d: int, theta: np.ndarray, policy: Policy, rng: np.random.Generator
+    run: Trajectory, d: int, theta: np.ndarray, policy: Policy, streams: Streams
 ) -> np.ndarray:
     """Simulate day d + 1 into row d of run; returns the next day's theta.
 
@@ -125,15 +155,17 @@ def step_day(
     """
     scenario, history, params = run.scenario, run.history, run.scenario.arrays
     xi = xi_of_theta(theta, params.xi_base)
+    rng = streams.environment
     events = [step_events(rng, area, x) for area, x in zip(scenario.areas, xi.tolist())]
     n_e, n_neg, n_pos, uniforms = zip(*events)
     run.theta[d], run.xi[d] = theta, xi
     run.n_e[d], run.n_neg[d], run.n_pos[d] = n_e, n_neg, n_pos
 
-    decision = policy.decide(history, rng)
+    decision = policy.decide(history, streams.policy)
     observed, n_neg_obs = None, ()
     if decision.proportions is not None:
-        observed = step_observations(rng, scenario, n_pos, n_neg, decision.proportions)
+        u = streams.observer.random(observer_draws(scenario))
+        observed = step_observations(u, scenario, n_pos, n_neg, decision.proportions)
         run.proportions[d] = [decision.proportions[t] for t in scenario.obs_type_ids]
         n_neg_obs = observed.obs_neg
     incidents = ()
@@ -160,14 +192,14 @@ def run_simulation(
     horizon = scenario.horizon_days if horizon is None else horizon
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    rng = np.random.default_rng(seed)
+    streams = Streams.from_seed(seed)
     try:
         run = Trajectory.allocate(scenario, policy.name, seed, horizon)
     except MemoryError as exc:
         raise HorizonError(f"horizon of {horizon} days is too long to preallocate: {exc}") from None
     theta = np.array([area.theta0 for area in scenario.areas], dtype=float)
     for d in range(horizon):
-        theta = step_day(run, d, theta, policy, rng)
+        theta = step_day(run, d, theta, policy, streams)
     return run
 
 

@@ -80,10 +80,13 @@ def hurt_levels(
     uniforms their draws, shaped (2, incidents) as in DayEvents. The AHL
     follows the area's severity probabilities; the PHL follows them
     truncated below the AHL and renormalized. Each level is the one a
-    sequential draw from the same uniform returns.
+    sequential draw from the same uniform returns. Both uniforms are mapped
+    onto their row's own total, so a row that sums to slightly less than 1
+    gives its missing mass to no level.
     """
     u_ahl, u_phl = uniforms
-    ahl = hurt_level(u_ahl, hl_sums[areas, 0])
+    sums = hl_sums[areas, 0]
+    ahl = hurt_level(u_ahl * sums[:, -1], sums)
     rows = hl_sums[areas, ahl]
     tail = rows[:, -1]
     empty = tail <= 0.0

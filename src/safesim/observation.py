@@ -2,11 +2,24 @@
 
 Observers of each type are spread over safety areas by a policy-supplied
 proportion vector, then each (type, area) cell records at most
-rho * observers events out of that area's daily activity pool. Which events
-get recorded is controlled by a Dirichlet draw: each safe event receives
-concentration eta_pos, each unsafe event eta_neg, so unequal concentrations
-bias the record toward one class. Incidents bypass this module entirely;
-they are always recorded.
+rho * observers events out of that area's daily activity pool. Incidents
+bypass this module entirely; they are always recorded.
+
+Which events a cell records follows the paper's recording bias: each safe
+event carries weight eta_pos and each unsafe event weight eta_neg, and the
+cell's record is drawn from the Dirichlet with those concentrations. The
+Dirichlet is neutral (Connor & Mosimann, JASA 64, 1969): once an event is
+picked, the remaining weights, renormalized, are again Dirichlet with the
+picked event's concentration removed. So the record has the law of sampling
+without replacement with fixed weights: each pick is unsafe with probability
+r_neg * eta_neg / (r_pos * eta_pos + r_neg * eta_neg), where r_pos and r_neg
+are the events of each class not yet picked. The unsafe count is then
+Wallenius' noncentral hypergeometric (Fog, Comm. Stat. Sim. Comp. 37(2),
+2008), and the central hypergeometric when eta_pos == eta_neg.
+select_observed draws that urn directly, one uniform per pick.
+
+Every function here is a deterministic map of the uniforms it is given; the
+engine draws them from the observer stream (see the engine docstring).
 """
 
 from __future__ import annotations
@@ -17,8 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import PROB_TOL, Scenario
-
-TINY = np.finfo(float).tiny  # floor on Dirichlet weights, which can underflow to 0
 
 
 class ProportionError(ValueError):
@@ -52,15 +63,28 @@ class DayObservations:
         return cls(obs_pos=np.zeros(shape, dtype=int), obs_neg=np.zeros(shape, dtype=int))
 
 
-def allocate_observers(rng: np.random.Generator, m: int, s: np.ndarray) -> np.ndarray:
-    """Distribute m observers over areas: one multinomial draw with proportions s."""
-    if m == 0:
-        return np.zeros(len(s), dtype=int)
-    return rng.multinomial(m, s)
+def observer_draws(scenario: Scenario) -> int:
+    """Uniforms the observation process takes per day: m + rho * m per type."""
+    return sum(t.m * (1 + t.rho) for t in scenario.obs_types)
+
+
+def allocate_observers(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Distribute len(u) observers over areas by categorical inversion of s.
+
+    Observer i goes to the first area whose running proportion sum exceeds
+    u[i] * sum(s), so each observer lands in area a with probability
+    s[a] / sum(s), independently of the others. Scaling by the vector's own
+    total keeps every uniform in [0, 1) below the last running sum: no
+    observer lands on an area of proportion 0 or past the last area, even
+    when s sums to slightly less than 1.
+    """
+    cumulative = np.cumsum(s)
+    areas = np.searchsorted(cumulative, u * cumulative[-1], side="right")
+    return np.bincount(areas, minlength=len(s))
 
 
 def select_observed(
-    rng: np.random.Generator,
+    u: Sequence[float],
     n_pos: int,
     n_neg: int,
     capacity: int,
@@ -69,28 +93,37 @@ def select_observed(
 ) -> tuple[int, int]:
     """Record min(capacity, n_pos + n_neg) distinct events; return (pos, neg) counts.
 
-    Per-event recording weights are one Dirichlet draw with concentration
-    eta_pos for each safe event and eta_neg for each unsafe event (if one
-    class is empty the draw covers only the other). Events are then taken
-    without replacement, each pick proportional to the remaining weights;
-    the exponential race below is distributionally identical to that
-    iterative renormalized sampling.
+    Draws the fixed-weight urn of the module docstring: u holds the cell's
+    capacity uniforms, and pick k is unsafe when u[k] falls below its
+    probability, recomputed from the remaining integer counts. Once one
+    class is used up, the remaining picks all come from the other.
     """
     total = n_pos + n_neg
     if total == 0 or capacity <= 0:
         return 0, 0
     if capacity >= total:
         return n_pos, n_neg
-    conc = np.array((eta_pos, eta_neg)).repeat((n_pos, n_neg))
-    weights = np.maximum(rng.dirichlet(conc), TINY)
-    keys = rng.exponential(size=total) / weights
-    chosen = np.argpartition(keys, capacity)[:capacity]
-    obs_neg = int(np.count_nonzero(chosen >= n_pos))
-    return capacity - obs_neg, obs_neg
+    if len(u) < capacity:
+        raise ValueError(f"a cell of capacity {capacity} needs {capacity} uniforms, got {len(u)}")
+    # r_neg * eta_neg / (r_pos * eta_pos + r_neg * eta_neg), divided through by
+    # eta_neg so that no product of a count and a weight can overflow.
+    ratio = eta_pos / eta_neg
+    neg = 0
+    for k in range(capacity):
+        r_neg = n_neg - neg
+        r_pos = n_pos - k + neg
+        if r_pos == 0:
+            neg = capacity - n_pos
+            break
+        if r_neg == 0:
+            break
+        if u[k] * (r_neg + r_pos * ratio) < r_neg:
+            neg += 1
+    return capacity - neg, neg
 
 
 def step_observations(
-    rng: np.random.Generator,
+    u: np.ndarray,
     scenario: Scenario,
     n_pos: Sequence[int],
     n_neg: Sequence[int],
@@ -99,28 +132,36 @@ def step_observations(
     """Run one day of the observation process over every type and area.
 
     n_pos and n_neg are the day's safe and unsafe activity counts per area.
-    Stream order: for each obs type in config order, one allocation draw,
-    then the per-area selection draws for areas that received observers and
-    have events. Each type draws its own Dirichlet weights, so the same
-    event can be recorded by several types but at most once per type.
+    u holds the day's observer_draws(scenario) uniforms: for each obs type
+    in config order, m allocation uniforms, then a block of rho * m urn
+    uniforms, sliced over the areas in area order, rho * q[a] for area a.
+    Each type draws its own urn, so the same event can be recorded by
+    several types but at most once per type.
     """
     n_areas = scenario.n_areas
     out = DayObservations.empty(len(scenario.obs_types), n_areas)
     checked = {}  # id of a proportion vector -> its validated array
+    start = 0
     for t_idx, obs_type in enumerate(scenario.obs_types):
         given = proportions_by_type[obs_type.id]
         s = checked.get(id(given))
         if s is None:
             s = checked[id(given)] = check_proportions(given, n_areas)
-        q = allocate_observers(rng, obs_type.m, s)
+        m, rho = obs_type.m, obs_type.rho
+        q = allocate_observers(u[start : start + m], s)
+        urn = u[start + m : start + m + rho * m].tolist()
+        start += m + rho * m
+        end = 0
         for a_idx in np.flatnonzero(q).tolist():
+            capacity = rho * int(q[a_idx])
+            end += capacity
             if n_pos[a_idx] + n_neg[a_idx] == 0:
                 continue
             pos, neg = select_observed(
-                rng,
+                urn[end - capacity : end],
                 n_pos[a_idx],
                 n_neg[a_idx],
-                obs_type.rho * int(q[a_idx]),
+                capacity,
                 obs_type.eta_pos,
                 obs_type.eta_neg,
             )

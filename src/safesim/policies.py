@@ -111,8 +111,8 @@ class ObservableHistory:
 class PolicyDecision:
     """One proportion vector per observation type, or the no-observation marker.
 
-    proportions is None only for the baseline policy; the engine then skips
-    the observation process entirely.
+    proportions is None only for the baseline policy; the engine then records
+    no observations that day.
     """
 
     proportions: dict[str, np.ndarray] | None
@@ -130,9 +130,12 @@ class PolicyDecision:
 class Policy:
     """Base class for allocation policies.
 
-    decide() must be a pure function of the history: identical histories
-    yield identical decisions. Policies needing randomness must draw from
-    the engine-provided rng so replications stay reproducible.
+    decide() must be a pure function of the history and of rng: identical
+    histories and generator states yield identical decisions. Policies
+    needing randomness must draw from rng, the replication's policy stream
+    (see the engine docstring), so replications stay reproducible. Nothing
+    else draws from that stream, so a policy's draws never shift the
+    environment or the observers.
     """
 
     name = "policy"

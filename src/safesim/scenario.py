@@ -27,10 +27,17 @@ DEFAULT_HORIZON_DAYS = 365
 # Probability vectors must sum to 1 within this tolerance.
 PROB_TOL = 1e-9
 
+# Upper bounds that cap a day's work and memory: each day draws Poisson task
+# counts at rate lambda_star per area, and one uniform per observer and per
+# recording slot (m + rho * m per observation type).
+MAX_LAMBDA_STAR = 1e6
+MAX_RECORDING_SLOTS = 10**6  # m * rho of one observation type
+
 # Range rules of number fields, keyed by the text a violation quotes. A field
 # names one of these, or a function of its value returning its problems.
 _RANGES = {
     "> 0": lambda v: v > 0,
+    "in (0, 1e6]": lambda v: 0 < v <= MAX_LAMBDA_STAR,
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
@@ -77,7 +84,7 @@ class SafetyAreaConfig:
     """Static parameters of one safety area."""
 
     id: str
-    lambda_star: float = _rule("> 0")  # task rate, tasks/day
+    lambda_star: float = _rule("in (0, 1e6]")  # task rate, tasks/day
     xi_base: float = _rule("in [0, 1]")  # worst-case fraction of tasks performed unsafely
     alpha: float = _rule("in [0, 1]")  # fraction of unsafe tasks that become incidents
     k_decay: float = _rule("in [0, 1]")  # daily complacency decay factor applied to theta
@@ -97,8 +104,8 @@ class ObservationTypeConfig:
     m: int = _rule(">= 0")  # observers fielded per day
     rho: int = _rule(">= 1", DEFAULT_RHO)  # observations each observer can record per day
     delta_neg: float = _rule("in [0, 1]")  # theta feedback per observed unsafe event
-    eta_pos: float = _rule("> 0")  # Dirichlet concentration given to each safe event
-    eta_neg: float = _rule("> 0")  # Dirichlet concentration given to each unsafe event
+    eta_pos: float = _rule("> 0")  # recording weight of each safe event
+    eta_neg: float = _rule("> 0")  # recording weight of each unsafe event
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -279,6 +286,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         violations += _field_violations(area, where)
     for obs in scenario.obs_types:
         violations += _field_violations(obs, f"obs type {obs.id!r}")
+        if obs.m * obs.rho > MAX_RECORDING_SLOTS:
+            violations.append(f"obs type {obs.id!r}: m * rho must be <= 1e6, got {obs.m * obs.rho}")
     ids = scenario.obs_type_ids
     violations += [f"obs type {t!r}: duplicate obs type id" for i, t in enumerate(ids) if t in ids[:i]]
     return violations + _field_violations(scenario, "scenario")

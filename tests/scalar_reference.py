@@ -1,9 +1,12 @@
-"""Scalar, one-area-at-a-time versions of the array code in safesim.
+"""Scalar, one-area-at-a-time versions of the array code in safesim, and
+earlier samplers kept as oracles.
 
 The simulator maps severity uniforms to Hurt levels by table lookup and
 computes each day's metrics as array operations over areas. These are the
 sequential per-area forms that code must match bit for bit; the tests
-compare against them.
+compare against them. The observation samplers at the end are the ones the
+simulator used before the fixed-weight urn: the tests compare the urn's law
+against theirs.
 """
 
 import math
@@ -16,8 +19,9 @@ from safesim.scenario import N_HURT_LEVELS
 
 
 def sample_ahl(rng, hl_probs) -> int:
-    """Draw an actual Hurt level 0-5 with the area's severity probabilities."""
-    u = rng.random()
+    """Draw an actual Hurt level 0-5 with the area's severity probabilities,
+    taken relative to their own total."""
+    u = rng.random() * sum(hl_probs)
     acc = 0.0
     for level in range(N_HURT_LEVELS - 1):
         acc += hl_probs[level]
@@ -67,3 +71,29 @@ def compute_day_metrics(scenario, xi):
         [expected_daily_loss(a, x, scenario.loss_vector) for a, x in zip(scenario.areas, xi)],
         [tail_probability(a, x) for a, x in zip(scenario.areas, xi)],
     )
+
+
+def allocate_observers_multinomial(rng, m: int, s) -> np.ndarray:
+    """Distribute m observers over areas: one multinomial draw with proportions s."""
+    if m == 0:
+        return np.zeros(len(s), dtype=int)
+    return rng.multinomial(m, s)
+
+
+def select_observed_dirichlet(rng, n_pos, n_neg, capacity, eta_pos, eta_neg) -> tuple[int, int]:
+    """Record min(capacity, n_pos + n_neg) events by a Dirichlet draw of
+    per-event weights (eta_pos per safe event, eta_neg per unsafe one), then
+    an exponential race, which picks without replacement in proportion to
+    the remaining weights. The weights are floored at the smallest normal
+    float, so at small eta they underflow and ties go to the safe events."""
+    total = n_pos + n_neg
+    if total == 0 or capacity <= 0:
+        return 0, 0
+    if capacity >= total:
+        return n_pos, n_neg
+    conc = np.array((eta_pos, eta_neg)).repeat((n_pos, n_neg))
+    weights = np.maximum(rng.dirichlet(conc), np.finfo(float).tiny)
+    keys = rng.exponential(size=total) / weights
+    chosen = np.argpartition(keys, capacity)[:capacity]
+    obs_neg = int(np.count_nonzero(chosen >= n_pos))
+    return capacity - obs_neg, obs_neg

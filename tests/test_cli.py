@@ -101,6 +101,22 @@ class TestRunCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "obj,field,value,message",
+        [
+            ("areas", "lambda_star", 1e300, "lambda_star must be in (0, 1e6], got 1e+300"),
+            ("obs_types", "m", 2**63, f"m * rho must be <= 1e6, got {2**63}"),
+        ],
+    )
+    def test_per_day_bound_exits_2_before_output(self, obj, field, value, message, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(case_study_text_with(obj, 0, field, value), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", str(path), "--policy", "uniform", "--horizon", "2"]
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_weight_count_checked_before_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         for argv in (

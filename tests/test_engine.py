@@ -3,6 +3,7 @@ import pytest
 
 from conftest import make_area, make_obs_type, make_scenario
 from safesim.engine import (
+    Streams,
     Trajectory,
     nearest_rank,
     run_ensemble,
@@ -25,10 +26,9 @@ def trajectories_equal(a, b) -> bool:
 
 class TestStepDay:
     def test_baseline_day_decays_theta(self, case_study):
-        rng = np.random.default_rng(0)
         run = Trajectory.allocate(case_study, "none", seed=0, horizon=1)
         theta0 = np.array([a.theta0 for a in case_study.areas])
-        new_theta = step_day(run, 0, theta0, make_policy("none"), rng)
+        new_theta = step_day(run, 0, theta0, make_policy("none"), Streams.from_seed(0))
         assert run.obs_pos.sum() + run.obs_neg.sum() == 0
         k = np.array([a.k_decay for a in case_study.areas])
         assert np.allclose(new_theta, run.theta[0] * k, rtol=1e-15)
@@ -118,6 +118,48 @@ class TestHistoryIsolation:
             assert deciding_day == day
             assert newest_visible == deciding_day - 1
             assert np.array_equal(visible, logged[logged < deciding_day])
+
+
+class DrawingCountsPolicy(Policy):
+    """Decides as counts does, after 1,000 draws of its own a day."""
+
+    name = "drawing-counts"
+
+    def __init__(self):
+        self.counts = make_policy("counts")
+
+    def decide(self, history, rng):
+        rng.random(1000)
+        return self.counts.decide(history, rng)
+
+
+class TestStreams:
+    def test_policy_draws_shift_no_other_stream(self, case_study):
+        counts = run_simulation(case_study, make_policy("counts"), seed=21, horizon=90)
+        drawing = run_simulation(case_study, DrawingCountsPolicy(), seed=21, horizon=90)
+        assert counts.obs_neg.sum() > 0
+        assert trajectories_equal(counts, drawing)
+        assert np.array_equal(counts.proportions, drawing.proportions)
+
+    def test_environment_stream_is_default_rng_of_the_seed(self, case_study):
+        streams = Streams.from_seed(7)
+        assert np.array_equal(streams.environment.random(5), np.random.default_rng(7).random(5))
+        assert streams.observer.random() != streams.policy.random()
+
+    @pytest.mark.parametrize(
+        "policy_name,days_observed",
+        [("none", 0), ("uniform", 1), ("weighted:1,0,0,0,0,0,0", 1)],
+    )
+    def test_observer_draws_fixed_per_observed_day(self, case_study, policy_name, days_observed):
+        # m + rho * m uniforms per type on a day with observers, whatever the
+        # events and the allocation; none on a day without
+        run = Trajectory.allocate(case_study, policy_name, seed=0, horizon=1)
+        theta = np.array([a.theta0 for a in case_study.areas])
+        streams, reference = Streams.from_seed(3), Streams.from_seed(3)
+        step_day(run, 0, theta, make_policy(policy_name), streams)
+        per_day = sum(t.m * (1 + t.rho) for t in case_study.obs_types)
+        reference.observer.random(per_day * days_observed)
+        assert streams.observer.bit_generator.state == reference.observer.bit_generator.state
 
 
 class TestRunEnsemble:

@@ -160,12 +160,15 @@ class TestSamplePhl:
         assert freq[4] == pytest.approx(0.015625, abs=0.002)
         assert freq[0] == freq[1] == freq[5] == 0.0
 
-    def test_no_mass_above_ahl_raises(self):
-        # The probabilities sum to 1 - 1e-10, so a uniform above that falls
-        # through to AHL 5, which has no mass.
+    def test_missing_mass_goes_to_no_level(self):
+        # The probabilities sum to 1 - 1e-10. Uniforms above that total, up
+        # to the largest one below 1, are mapped onto it: no level 5, which
+        # has no mass, and no raise.
         probs = (0.5, 0.5 - 1e-10, 0, 0, 0, 0)
-        with pytest.raises(DegenerateHurtDistribution, match=">= 5"):
-            levels(probs, [[0.2, 1 - 5e-11], [0.5, 0.5]])
+        top = np.nextafter(1.0, 0.0)
+        ahl, phl = levels(probs, [[0.2, 1 - 1e-10, 1 - 5e-11, top], [0.5, 0.5, top, top]])
+        assert ahl.tolist() == [0, 1, 1, 1]
+        assert phl.tolist() == [0, 1, 1, 1]
 
 
 class TestTableSamplerEquivalence:
@@ -241,11 +244,13 @@ class TestTableSamplerEquivalence:
             assert (ahl.tolist(), phl.tolist()) == expected
 
     def test_degenerate_raise_matches(self):
+        # A uniform of 1, outside the generator's [0, 1), is the only way left
+        # to reach a level without mass.
         probs = (0.5, 0.5 - 1e-10, 0, 0, 0, 0)
         with pytest.raises(DegenerateHurtDistribution):
-            self.scalar(Uniforms([0.3, 1 - 5e-11, 0.1, 0.1]), probs, 2)
-        with pytest.raises(DegenerateHurtDistribution):
-            levels(probs, [[0.3, 1 - 5e-11], [0.1, 0.1]])
+            self.scalar(Uniforms([0.3, 1.0, 0.1, 0.1]), probs, 2)
+        with pytest.raises(DegenerateHurtDistribution, match=">= 5"):
+            levels(probs, [[0.3, 1.0], [0.1, 0.1]])
 
 
 class TestStepEvents:

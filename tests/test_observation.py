@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chisquare, hypergeom, nchypergeom_wallenius
 
+import scalar_reference
 from conftest import make_area, make_obs_type, make_scenario
+from stat_utils import two_sample_chisquare
 from safesim.observation import (
     DayObservations,
     ProportionError,
     allocate_observers,
     check_proportions,
+    observer_draws,
     select_observed,
     step_observations,
 )
@@ -15,7 +21,7 @@ from safesim.observation import (
 def observe(rng, scenario, activity, decision):
     """step_observations on one (n_pos, n_neg) activity pair per area."""
     n_pos, n_neg = (list(counts) for counts in zip(*activity))
-    return step_observations(rng, scenario, n_pos, n_neg, decision)
+    return step_observations(rng.random(observer_draws(scenario)), scenario, n_pos, n_neg, decision)
 
 
 class TestAllocateObservers:
@@ -23,17 +29,17 @@ class TestAllocateObservers:
         rng = np.random.default_rng(0)
         s = np.array([1.0, 0.0, 0.0, 0.0])
         for m in (1, 3, 10):
-            assert allocate_observers(rng, m, s).tolist() == [m, 0, 0, 0]
+            assert allocate_observers(rng.random(m), s).tolist() == [m, 0, 0, 0]
 
     def test_zero_observers(self):
         rng = np.random.default_rng(0)
-        assert allocate_observers(rng, 0, np.full(7, 1 / 7)).tolist() == [0] * 7
+        assert allocate_observers(rng.random(0), np.full(7, 1 / 7)).tolist() == [0] * 7
 
     def test_total_preserved(self):
         rng = np.random.default_rng(1)
         s = np.array([0.2, 0.5, 0.3])
         for _ in range(200):
-            assert allocate_observers(rng, 5, s).sum() == 5
+            assert allocate_observers(rng.random(5), s).sum() == 5
 
     def test_uniform_mean_allocation(self):
         # oracle: multinomial mean m * s_i = 2/7 per area
@@ -42,8 +48,33 @@ class TestAllocateObservers:
         total = np.zeros(7)
         n = 100_000
         for _ in range(n):
-            total += allocate_observers(rng, 2, s)
+            total += allocate_observers(rng.random(2), s)
         assert np.max(np.abs(total / n - 2 / 7)) < 0.01
+
+
+    def test_top_uniform_never_lands_on_an_empty_area(self):
+        # 1 - 2**-53 is the largest uniform below 1; the proportions sum to
+        # slightly less than 1 and end with areas of proportion 0.
+        u = np.array([1 - 2**-53, 0.0, 0.5, 0.25, 1 - 2**-53])
+        for s in (
+            np.array([0.0, 0.5, 0.0, 0.5 - 1e-10, 0.0, 0.0]),
+            np.array([0.3, 0.0, 0.7 + 1e-10]),
+            np.array([0.0, 0.0, 1.0]),
+        ):
+            q = allocate_observers(u, s)
+            assert len(q) == len(s) and q.sum() == len(u)
+            assert np.all(q[s == 0.0] == 0)
+
+    def test_matches_multinomial_oracle(self):
+        # two-sample test against the multinomial draw the simulator used before
+        s = np.array([0.1, 0.0, 0.25, 0.4, 0.25])
+        rng, oracle_rng = np.random.default_rng(12), np.random.default_rng(13)
+        n = 20_000
+        ours = [tuple(allocate_observers(rng.random(4), s)) for _ in range(n)]
+        oracle = [tuple(scalar_reference.allocate_observers_multinomial(oracle_rng, 4, s)) for _ in range(n)]
+        _, p_value, n_cells = two_sample_chisquare(ours, oracle)
+        assert n_cells > 20
+        assert p_value >= 0.001
 
 
 def brute_force_select(rng, n_pos, n_neg, capacity, eta_pos, eta_neg):
@@ -70,24 +101,24 @@ def brute_force_select(rng, n_pos, n_neg, capacity, eta_pos, eta_neg):
 class TestSelectObserved:
     def test_no_scarcity_records_everything(self):
         rng = np.random.default_rng(0)
-        assert select_observed(rng, 3, 4, 7, 100.0, 100.0) == (3, 4)
-        assert select_observed(rng, 3, 4, 50, 100.0, 1.0) == (3, 4)
+        assert select_observed(rng.random(7), 3, 4, 7, 100.0, 100.0) == (3, 4)
+        assert select_observed(rng.random(50), 3, 4, 50, 100.0, 1.0) == (3, 4)
 
     def test_empty_classes(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            assert select_observed(rng, 0, 10, 4, 100.0, 100.0)[0] == 0
-            assert select_observed(rng, 10, 0, 4, 100.0, 100.0)[1] == 0
+            assert select_observed(rng.random(4), 0, 10, 4, 100.0, 100.0)[0] == 0
+            assert select_observed(rng.random(4), 10, 0, 4, 100.0, 100.0)[1] == 0
 
     def test_no_events_or_no_capacity(self):
         rng = np.random.default_rng(0)
-        assert select_observed(rng, 0, 0, 5, 1.0, 1.0) == (0, 0)
-        assert select_observed(rng, 5, 5, 0, 1.0, 1.0) == (0, 0)
+        assert select_observed(rng.random(5), 0, 0, 5, 1.0, 1.0) == (0, 0)
+        assert select_observed(rng.random(0), 5, 5, 0, 1.0, 1.0) == (0, 0)
 
     def test_count_equals_capacity_under_scarcity(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            pos, neg = select_observed(rng, 12, 9, 10, 50.0, 150.0)
+            pos, neg = select_observed(rng.random(10), 12, 9, 10, 50.0, 150.0)
             assert pos + neg == 10
             assert pos <= 12 and neg <= 9
 
@@ -96,7 +127,7 @@ class TestSelectObserved:
         rng = np.random.default_rng(20)
         pos = neg = 0
         for _ in range(10_000):
-            p, n = select_observed(rng, 50, 50, 10, 100.0, 300.0)
+            p, n = select_observed(rng.random(10), 50, 50, 10, 100.0, 300.0)
             pos += p
             neg += n
         ratio = neg / pos
@@ -115,10 +146,99 @@ class TestSelectObserved:
         rng = np.random.default_rng(30)
         pos = neg = 0
         for _ in range(100_000):
-            p, n = select_observed(rng, 30, 10, 8, 120.0, 120.0)
+            p, n = select_observed(rng.random(8), 30, 10, 8, 120.0, 120.0)
             pos += p
             neg += n
         assert neg / (pos + neg) == pytest.approx(0.25, rel=0.02)
+
+
+def urn_counts(seed, n, n_pos, n_neg, capacity, eta_pos, eta_neg) -> np.ndarray:
+    """Unsafe counts recorded by n independent cells."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((n, capacity)).tolist()
+    return np.array([select_observed(row, n_pos, n_neg, capacity, eta_pos, eta_neg)[1] for row in u])
+
+
+def pmf_chisquare_p(counts, pmf) -> float:
+    """Goodness of fit of observed counts to an exact pmf over 0..len(pmf)-1;
+    outcomes expected fewer than 5 times are pooled into one cell."""
+    observed = np.bincount(counts, minlength=len(pmf))
+    assert len(observed) == len(pmf)
+    expected = pmf / pmf.sum() * len(counts)
+    small = expected < 5
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if exp[-1] == 0:
+        obs, exp = obs[:-1], exp[:-1]
+    return float(chisquare(obs, exp).pvalue)
+
+
+class TestUrnLaw:
+    """The unsafe count of a cell is Wallenius' noncentral hypergeometric,
+    and the central hypergeometric when eta_pos == eta_neg."""
+
+    # (n_pos, n_neg, capacity, eta_pos, eta_neg)
+    WALLENIUS_CELLS = [
+        (20, 10, 5, 150.0, 100.0),
+        (50, 50, 10, 100.0, 300.0),
+        (12, 9, 10, 50.0, 150.0),
+        (40, 8, 6, 1.0, 0.2),
+        (25, 30, 12, 0.2, 3.0),
+    ]
+    EQUAL_CELLS = [
+        (20, 10, 5, 1e-3, 1e-3),
+        (30, 10, 8, 120.0, 120.0),
+        (5, 40, 7, 1.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("seed,cell", list(enumerate(WALLENIUS_CELLS)))
+    def test_wallenius_pmf(self, seed, cell):
+        n_pos, n_neg, capacity, eta_pos, eta_neg = cell
+        counts = urn_counts(100 + seed, 50_000, *cell)
+        law = nchypergeom_wallenius(n_pos + n_neg, n_neg, capacity, eta_neg / eta_pos)
+        assert pmf_chisquare_p(counts, law.pmf(np.arange(capacity + 1))) >= 0.001
+
+    @pytest.mark.parametrize("seed,cell", list(enumerate(EQUAL_CELLS)))
+    def test_equal_weights_hypergeometric_pmf(self, seed, cell):
+        n_pos, n_neg, capacity, _, _ = cell
+        counts = urn_counts(200 + seed, 50_000, *cell)
+        law = hypergeom(n_pos + n_neg, n_neg, capacity)
+        assert pmf_chisquare_p(counts, law.pmf(np.arange(capacity + 1))) >= 0.001
+
+    def test_tiny_equal_weights_unbiased(self):
+        # 20 safe, 10 unsafe, capacity 5: the hypergeometric mean is 5/3
+        counts = urn_counts(300, 100_000, 20, 10, 5, 1e-3, 1e-3)
+        assert abs(counts.mean() - 5 / 3) < 0.01
+
+    @pytest.mark.parametrize("seed,cell", list(enumerate(WALLENIUS_CELLS[:3] + EQUAL_CELLS[1:])))
+    def test_matches_dirichlet_race_oracle(self, seed, cell):
+        # the sampler the simulator used before; it agrees wherever eta >= 0.2
+        n = 20_000
+        ours = urn_counts(400 + seed, n, *cell).tolist()
+        oracle_rng = np.random.default_rng(500 + seed)
+        oracle = [scalar_reference.select_observed_dirichlet(oracle_rng, *cell)[1] for _ in range(n)]
+        _, p_value, _ = two_sample_chisquare(ours, oracle)
+        assert p_value >= 0.001
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 60),
+        st.integers(0, 60),
+        st.integers(0, 80),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.randoms(use_true_random=False),
+    )
+    def test_counts_within_pools_and_capacity(self, n_pos, n_neg, capacity, eta_pos, eta_neg, random):
+        # eta ratios from 1e-6 to 1e6
+        u = [random.random() for _ in range(capacity)]
+        pos, neg = select_observed(u, n_pos, n_neg, capacity, eta_pos, eta_neg)
+        assert 0 <= pos <= n_pos and 0 <= neg <= n_neg
+        assert pos + neg == min(capacity, n_pos + n_neg)
+
+    def test_short_uniforms_rejected(self):
+        with pytest.raises(ValueError, match="needs 5 uniforms"):
+            select_observed([0.5] * 4, 10, 10, 5, 1.0, 1.0)
 
 
 class TestStepObservations:
@@ -188,6 +308,33 @@ class TestStepObservations:
         for a, b in zip(outs[0], outs[1]):
             assert np.array_equal(a.obs_pos, b.obs_pos)
             assert np.array_equal(a.obs_neg, b.obs_neg)
+
+    def test_uniforms_laid_out_per_type_then_per_area(self):
+        # per type: m allocation uniforms, then rho * m urn uniforms sliced
+        # over areas in area order by rho * q
+        areas = (make_area("A1"), make_area("A2"), make_area("A3"))
+        types = (
+            make_obs_type("T1", m=3, rho=2, eta_pos=1.0, eta_neg=5.0),
+            make_obs_type("T2", m=4, rho=3, eta_pos=2.0, eta_neg=1.0),
+        )
+        scenario = make_scenario(areas=areas, obs_types=types)
+        evs = [(9, 4), (0, 0), (12, 7)]
+        decision = {"T1": np.array([0.5, 0.2, 0.3]), "T2": np.array([0.1, 0.4, 0.5])}
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            u = rng.random(observer_draws(scenario))
+            out = step_observations(u, scenario, [p for p, _ in evs], [n for _, n in evs], decision)
+            start = 0
+            for t_idx, obs in enumerate(types):
+                q = allocate_observers(u[start : start + obs.m], decision[obs.id])
+                urn = u[start + obs.m : start + obs.m * (1 + obs.rho)]
+                start += obs.m * (1 + obs.rho)
+                edges = np.concatenate([[0], np.cumsum(obs.rho * q)])
+                for a_idx, (n_pos, n_neg) in enumerate(evs):
+                    cell = urn[edges[a_idx] : edges[a_idx + 1]]
+                    expected = select_observed(cell, n_pos, n_neg, len(cell), obs.eta_pos, obs.eta_neg)
+                    got = (out.obs_pos[t_idx, a_idx], out.obs_neg[t_idx, a_idx])
+                    assert got == expected
 
     def test_invalid_proportions_rejected(self):
         scenario = self.scenario_3x2()

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NON_FINITE_CASES, case_study_text_with
+from safesim.engine import run_simulation
+from safesim.policies import make_policy
 from safesim.scenario import (
     DEFAULT_LOSS_VECTOR,
+    MAX_LAMBDA_STAR,
+    MAX_RECORDING_SLOTS,
     N_HURT_LEVELS,
     ObservationTypeConfig,
     SafetyAreaConfig,
@@ -137,6 +142,21 @@ def test_obs_type_invariants(field, value, message):
         load_scenario(json.dumps(doc))
 
 
+def test_per_day_bounds_are_inclusive():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["areas"][0]["lambda_star"] = 1e6
+    doc["obs_types"][0].update(m=1000, rho=1000)
+    load_scenario(json.dumps(doc))
+    doc["areas"][0]["lambda_star"] = 1000000.5
+    doc["obs_types"][0].update(m=1000, rho=1001)
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(json.dumps(doc))
+    assert exc.value.violations == [
+        "area 'A': lambda_star must be in (0, 1e6], got 1000000.5",
+        "obs type 'OBS': m * rho must be <= 1e6, got 1001000",
+    ]
+
+
 def test_parse_error_reports_location():
     with pytest.raises(ScenarioParseError, match="line"):
         load_scenario('{"areas": [,]}')
@@ -241,7 +261,7 @@ def hl_probs(draw):
 areas = st.builds(
     SafetyAreaConfig,
     id=ids,
-    lambda_star=positives,
+    lambda_star=st.floats(0.0, MAX_LAMBDA_STAR, exclude_min=True),
     xi_base=fractions,
     alpha=fractions,
     k_decay=fractions,
@@ -286,13 +306,13 @@ bad_entry = non_finite | st.floats(max_value=0.0, exclude_max=True)
 
 # Where a field lives in the JSON document, and values its rule rejects.
 BAD_VALUES = {
-    ("areas", "lambda_star"): not_positive | non_finite,
+    ("areas", "lambda_star"): not_positive | non_finite | st.floats(min_value=MAX_LAMBDA_STAR, exclude_min=True),
     ("areas", "xi_base"): outside_fraction | non_finite,
     ("areas", "alpha"): outside_fraction | non_finite,
     ("areas", "k_decay"): outside_fraction | non_finite,
     ("areas", "theta0"): outside_fraction | non_finite,
     ("areas", "hl_probs"): bad_entry,
-    ("obs_types", "m"): st.integers(-(10**6), -1),
+    ("obs_types", "m"): st.integers(-(10**6), -1) | st.integers(MAX_RECORDING_SLOTS + 1, 2**70),
     ("obs_types", "rho"): st.integers(-(10**6), 0),
     ("obs_types", "delta_neg"): outside_fraction | non_finite,
     ("obs_types", "eta_pos"): not_positive | non_finite,
@@ -324,3 +344,27 @@ def test_one_bad_field_rejected_at_load_naming_it(scenario, key, data):
     assert violations and all(v.startswith(f"{where}: {name} ") for v in violations)
     if isinstance(value, float) and not math.isfinite(value):
         assert len(violations) == 1 and "must be finite" in violations[0]
+
+
+# (m, rho) pairs with m * rho at its bound.
+AT_SLOT_BOUND = [(MAX_RECORDING_SLOTS, 1), (1, MAX_RECORDING_SLOTS), (1000, 1000)]
+
+
+@settings(deadline=None, max_examples=6)
+@given(scenarios(min_obs_types=1), st.data())
+def test_scenario_at_the_bounds_runs(scenario, data):
+    # One area at the lambda_star bound, every observation type at the m * rho
+    # bound: two days run, within the record invariants.
+    area = replace(scenario.areas[0], lambda_star=MAX_LAMBDA_STAR)
+    types = []
+    for obs in scenario.obs_types:
+        m, rho = data.draw(st.sampled_from(AT_SLOT_BOUND))
+        types.append(replace(obs, m=m, rho=rho))
+    scenario = replace(scenario, areas=(area,), obs_types=tuple(types))
+    assert validate_scenario(scenario) == []
+    run = run_simulation(scenario, make_policy("uniform"), seed=data.draw(st.integers(0, 2**32)), horizon=2)
+    assert np.all(run.obs_pos <= run.n_pos[:, None, :]) and np.all(run.obs_neg <= run.n_neg[:, None, :])
+    recorded = run.obs_pos + run.obs_neg
+    slots = np.array([t.m * t.rho for t in types])[None, :, None]
+    assert np.all(recorded == np.minimum(slots, (run.n_pos + run.n_neg)[:, None, :]))
+    assert np.all(run.theta >= 0.0) and np.all(run.theta <= 1.0)
