@@ -74,8 +74,10 @@ class Trajectory:
     theta is the start-of-day safety state that drives the day's xi, both
     shaped (days, areas), like the event counts n_e, n_neg and n_pos.
     proportions is the policy's decision, shaped (days, obs_types, areas)
-    and NaN on days without observers. expected_loss and tail_prob are
-    per day. The recorded data (observation counts and the incident log)
+    and NaN on days without observers. expected_loss and tail_prob are the
+    ground-truth metrics per day, shaped (days,); run_simulation fills them
+    from xi after the last day, so they stay 0 in a run stepped by hand with
+    step_day. The recorded data (observation counts and the incident log)
     live in history; obs_pos, obs_neg and incidents refer to its arrays.
     """
 
@@ -130,12 +132,6 @@ class Trajectory:
         """Day-sorted incident log; columns DAY, AREA, AHL, PHL (see policies)."""
         return self.history.incidents
 
-    def expected_loss_series(self) -> np.ndarray:
-        return self.expected_loss
-
-    def tail_prob_series(self) -> np.ndarray:
-        return self.tail_prob
-
     def incident_totals(self) -> np.ndarray:
         """Total incident counts over the run, indexed [area, ahl]."""
         cells = self.incidents[:, AREA] * N_HURT_LEVELS + self.incidents[:, AHL]
@@ -150,8 +146,9 @@ def step_day(
 
     Order of operations: derive xi from the carried-over theta, generate
     events, ask the policy (which sees history through yesterday only), run
-    the observation process, close the day in the history, update theta,
-    and evaluate metrics at the xi used for today's events.
+    the observation process, close the day in the history, and update
+    theta. The metrics are not evaluated here: they depend on xi alone, and
+    run_simulation computes them for every day at once after the last one.
     """
     scenario, history, params = run.scenario, run.history, run.scenario.arrays
     xi = xi_of_theta(theta, params.xi_base)
@@ -180,8 +177,6 @@ def step_day(
         step_theta(t, dr, area.k_decay)
         for t, dr, area in zip(theta.tolist(), drive.tolist(), scenario.areas)
     ]
-    metrics = compute_day_metrics(params, xi)
-    run.expected_loss[d], run.tail_prob[d] = metrics.expected_loss, metrics.tail_prob
     return np.array(next_theta)
 
 
@@ -200,6 +195,7 @@ def run_simulation(
     theta = np.array([area.theta0 for area in scenario.areas], dtype=float)
     for d in range(horizon):
         theta = step_day(run, d, theta, policy, streams)
+    run.expected_loss[:], run.tail_prob[:] = compute_day_metrics(scenario.arrays, run.xi)
     return run
 
 
@@ -234,8 +230,8 @@ def summarize_trajectories(trajectories: list[Trajectory], base_seed: int) -> En
         raise ValueError("at least one trajectory is required")
     trajectories = sorted(trajectories, key=lambda t: t.seed)
     scenario = trajectories[0].scenario
-    loss = np.stack([t.expected_loss_series() for t in trajectories])
-    tail = np.stack([t.tail_prob_series() for t in trajectories])
+    loss = np.stack([t.expected_loss for t in trajectories])
+    tail = np.stack([t.tail_prob for t in trajectories])
     totals = np.stack([t.incident_totals() for t in trajectories])
     sorted_totals = np.sort(totals, axis=0)
 

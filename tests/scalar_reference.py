@@ -2,9 +2,10 @@
 earlier samplers kept as oracles.
 
 The simulator maps severity uniforms to Hurt levels by table lookup and
-computes each day's metrics as array operations over areas. These are the
-sequential per-area forms that code must match bit for bit; the tests
-compare against them. The observation samplers at the end are the ones the
+computes the metrics of all of a run's days as array operations over days
+and areas. These are the sequential per-area, per-day forms that code must
+match bit for bit (the tail probability to rounding); the tests compare
+against them. The observation samplers at the end are the ones the
 simulator used before the fixed-weight urn: the tests compare the urn's law
 against theirs.
 """
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from safesim.events import DegenerateHurtDistribution, sample_event_counts
-from safesim.metrics import SEVERE_AHL, aggregate_metrics
+from safesim.metrics import SEVERE_AHL
 from safesim.scenario import N_HURT_LEVELS
 
 
@@ -59,18 +60,20 @@ def expected_daily_loss(area, xi: float, loss_vector) -> float:
     )
 
 
-def tail_probability(area, xi: float) -> float:
-    factor = 1.0 - math.exp(-area.lambda_star * area.alpha * xi)
-    marginal = factor * np.asarray(area.hl_probs, dtype=float)
-    return float(marginal[SEVERE_AHL:].sum())
+def severe_count(area, xi: float) -> float:
+    return area.alpha * xi * area.lambda_star * sum(area.hl_probs[SEVERE_AHL:])
 
 
 def compute_day_metrics(scenario, xi):
-    """Both metrics, one area at a time, then aggregated."""
-    return aggregate_metrics(
-        [expected_daily_loss(a, x, scenario.loss_vector) for a, x in zip(scenario.areas, xi)],
-        [tail_probability(a, x) for a, x in zip(scenario.areas, xi)],
-    )
+    """One day's (expected loss, tail probability), one area at a time.
+
+    The per-area losses and severe-incident counts are each added over the
+    day's areas by one 1-D numpy sum.
+    """
+    areas = list(zip(scenario.areas, xi))
+    losses = np.array([expected_daily_loss(a, x, scenario.loss_vector) for a, x in areas])
+    severe = np.array([severe_count(a, x) for a, x in areas])
+    return losses.sum(), -math.expm1(-severe.sum())
 
 
 def allocate_observers_multinomial(rng, m: int, s) -> np.ndarray:

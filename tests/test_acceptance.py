@@ -13,7 +13,7 @@ from conftest import make_area, make_scenario
 from safesim.cli import main
 from safesim.engine import run_ensemble, run_simulation
 from safesim.events import hurt_level, sample_event_counts
-from safesim.metrics import baseline_asymptote, expected_hl_count
+from safesim.metrics import SEVERE_AHL, baseline_asymptote, expected_hl_count, tail_probability
 from safesim.policies import AHL, PHL, make_policy
 from safesim.reports import fmt
 from safesim.scenario import ScenarioArrays, case_study_path
@@ -168,19 +168,19 @@ class TestCriterion5BaselineDeterminism:
         as_bytes = [
             "\n".join(
                 fmt(loss) + "," + fmt(tail)
-                for loss, tail in zip(t.expected_loss_series(), t.tail_prob_series())
+                for loss, tail in zip(t.expected_loss, t.tail_prob)
             ).encode()
             for t in runs
         ]
         identical = as_bytes[0] == as_bytes[1] and np.array_equal(
-            runs[0].expected_loss_series(), runs[1].expected_loss_series()
+            runs[0].expected_loss, runs[1].expected_loss
         )
         report("criterion 5: baseline metric trajectories seed-independent", identical)
 
     def test_convergence_to_asymptote(self, case_study):
         loss_limit, _ = baseline_asymptote(case_study)
         trajectory = run_simulation(case_study, make_policy("none"), seed=1, horizon=365)
-        gap = abs(trajectory.expected_loss_series()[-1] - loss_limit) / loss_limit
+        gap = abs(trajectory.expected_loss[-1] - loss_limit) / loss_limit
         # The decay is exactly geometric, so the day-365 record's relative gap
         # is theta0 * k^364 = 0.1 * 0.98^364 = 6.4e-5 for these parameters; it
         # first drops below 1e-6 around day 571. Asserted as stated anyway.
@@ -250,4 +250,54 @@ class TestCriterion8SeverityTable:
             "criterion 8: single-run severity table within ensemble bands",
             ok,
             f"cells {cells.tolist()} in [{p01.tolist()}, {p99.tolist()}]",
+        )
+
+
+class TestCriterion9TailProbabilityVsMonteCarlo:
+    N_DAYS = 200_000
+    CHUNK_DAYS = 20_000  # bounds the incidents held at once in the busiest area
+    SEED = 19
+    # Two busy areas, mu = alpha * xi * lambda of 18 and 2. There the chance
+    # of a severe incident is far from (1 - exp(-mu)) * P(AHL >= 4): 0.996
+    # against 0.30, and 0.63 against 0.43.
+    BUSY_AREAS = (
+        make_area("M18", lambda_star=60.0, xi_base=0.6, alpha=0.5,
+                  hl_probs=(0.4, 0.2, 0.1, 0.0, 0.2, 0.1)),
+        make_area("M2", lambda_star=10.0, xi_base=0.4, alpha=0.5,
+                  hl_probs=(0.3, 0.1, 0.1, 0.0, 0.3, 0.2)),
+    )
+
+    def severe_days(self, rng, area, sums):
+        """Per simulated day at xi_base, whether the area had an incident with AHL >= 4."""
+        severe = np.zeros(self.N_DAYS, dtype=bool)
+        mu = area.alpha * area.xi_base * area.lambda_star
+        for start in range(0, self.N_DAYS, self.CHUNK_DAYS):
+            n_e = rng.poisson(mu, size=self.CHUNK_DAYS)
+            ahl = hurt_level(rng.random(n_e.sum()) * sums[-1], sums)
+            day = np.repeat(np.arange(self.CHUNK_DAYS), n_e)
+            severe[start + day[ahl >= SEVERE_AHL]] = True
+        return severe
+
+    def test_tail_probability_matches_simulation(self, case_study):
+        rng = np.random.default_rng(self.SEED)
+        scenario = make_scenario(areas=case_study.areas + self.BUSY_AREAS)
+        any_case_study = np.zeros(self.N_DAYS, dtype=bool)
+        cells = []
+        for area, sums in zip(scenario.areas, ScenarioArrays.of(scenario).hl_sums[:, 0]):
+            severe = self.severe_days(rng, area, sums)
+            cells.append((area.id, severe.mean(), float(tail_probability(area, area.xi_base))))
+            if area in case_study.areas:
+                any_case_study |= severe
+        # areas are independent, so a day of the case study is severe if any area's is
+        cells.append(("case study", any_case_study.mean(), baseline_asymptote(case_study)[1]))
+        misses = []
+        for name, mc, analytic in cells:
+            se = np.sqrt(analytic * (1.0 - analytic) / self.N_DAYS)
+            if abs(mc - analytic) > 4.0 * se:
+                misses.append((name, float(mc), analytic))
+        report(
+            "criterion 9: analytic tail probability vs Monte Carlo",
+            not misses,
+            f"{len(cells)} cells at {self.N_DAYS} days each, within 4 standard errors"
+            if not misses else f"misses: {misses}",
         )

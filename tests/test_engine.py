@@ -223,14 +223,14 @@ class TestBaselineDeterminism:
     def test_metric_trajectories_independent_of_seed(self, case_study):
         a = run_simulation(case_study, make_policy("none"), seed=1, horizon=80)
         b = run_simulation(case_study, make_policy("none"), seed=999, horizon=80)
-        assert np.array_equal(a.expected_loss_series(), b.expected_loss_series())
-        assert np.array_equal(a.tail_prob_series(), b.tail_prob_series())
+        assert np.array_equal(a.expected_loss, b.expected_loss)
+        assert np.array_equal(a.tail_prob, b.tail_prob)
 
     def test_baseline_approaches_asymptote_from_below(self, case_study):
         loss_limit, tail_limit = baseline_asymptote(case_study)
         trajectory = run_simulation(case_study, make_policy("none"), seed=1, horizon=365)
-        losses = trajectory.expected_loss_series()
-        tails = trajectory.tail_prob_series()
+        losses = trajectory.expected_loss
+        tails = trajectory.tail_prob
         assert np.all(np.diff(losses) > 0)
         assert losses[-1] < loss_limit
         assert tails[-1] < tail_limit

@@ -3,9 +3,13 @@
 Every file under tests/golden/<case>/ was written by the CLI for the case's
 arguments at seed 42. A change that keeps behaviour must reproduce each of
 them exactly. A change that moves the random stream on purpose rewrites them
-with ``PYTHONPATH=src python tests/test_golden.py`` and says so.
+with ``PYTHONPATH=src python tests/test_golden.py`` and says so; the script
+prints each file it rewrote as unchanged or changed, and for a changed CSV
+the columns whose cells changed.
 """
 
+import csv
+import io
 import shutil
 from pathlib import Path
 
@@ -42,7 +46,35 @@ def test_output_bytes_match_golden(case, tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
 
 
+def changed_columns(old: bytes, new: bytes) -> list[str]:
+    """Header names of the CSV columns whose cells differ between two versions."""
+    old_rows, new_rows = (list(csv.reader(io.StringIO(b.decode("utf-8")))) for b in (old, new))
+    if old_rows[:1] != new_rows[:1] or len(old_rows) != len(new_rows):
+        return ["(header or row count)"]
+    return [
+        name
+        for i, name in enumerate(new_rows[0])
+        if any(a[i] != b[i] for a, b in zip(old_rows[1:], new_rows[1:]))
+    ]
+
+
+def describe_rewrite(name: str, old: bytes | None, new: bytes) -> str:
+    if old is None:
+        return "new"
+    if old == new:
+        return "unchanged"
+    if name.endswith(".csv"):
+        return "changed: " + ", ".join(changed_columns(old, new))
+    return "changed"
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
+        before = {p.name: p.read_bytes() for p in (GOLDEN / case).glob("*")}
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         write_case(case, GOLDEN / case)
+        for path in sorted((GOLDEN / case).iterdir()):
+            old = before.pop(path.name, None)
+            print(f"{case}/{path.name}: {describe_rewrite(path.name, old, path.read_bytes())}")
+        for name in sorted(before):
+            print(f"{case}/{name}: removed")

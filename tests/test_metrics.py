@@ -7,8 +7,6 @@ import scalar_reference
 from conftest import make_area, make_obs_type, make_scenario
 from safesim.events import xi_of_theta
 from safesim.metrics import (
-    aggregate_metrics,
-    ahl_marginal,
     baseline_asymptote,
     compute_day_metrics,
     expected_daily_loss,
@@ -72,22 +70,6 @@ class TestExpectedDailyLoss:
         assert high == 2.0 * low  # doubling xi doubles the metric exactly
 
 
-class TestAhlMarginal:
-    def test_zero_xi_gives_zeros(self):
-        marginal = ahl_marginal(15.0, 0.0, 0.01, (0.38, 0.26, 0.16, 0.16, 0.03, 0.01))
-        assert np.all(marginal == 0.0)
-
-    def test_reference_value_area_e(self):
-        # factor 1 - exp(-15 * 0.01 * 0.05), level-5 probability 0.01
-        marginal = ahl_marginal(15.0, 0.05, 0.01, (0.38, 0.26, 0.16, 0.16, 0.03, 0.01))
-        assert marginal[5] == pytest.approx(7.471945180861583e-05, rel=1e-12)
-
-    def test_sums_like_factor(self):
-        hl = (0.5, 0.2, 0.15, 0.1, 0.04, 0.01)
-        marginal = ahl_marginal(10.0, 0.3, 0.1, hl)
-        assert marginal.sum() == pytest.approx(1 - math.exp(-10 * 0.3 * 0.1))
-
-
 class TestTailProbability:
     def test_area_without_severe_levels(self):
         area = make_area(
@@ -102,36 +84,66 @@ class TestTailProbability:
         assert tail_probability(area, area_state(area, 1.0)) == 0.0
 
     def test_reference_value_area_f(self):
+        # severe incidents are Poisson with mean 5 * 0.02 * 0.45 * (0.08 + 0.02)
         area = make_area(
             lambda_star=5.0, xi_base=0.45, alpha=0.02,
             hl_probs=(0.58, 0.06, 0.08, 0.18, 0.08, 0.02),
         )
         tail = tail_probability(area, area_state(area, 0.0))
-        assert tail == pytest.approx((1 - math.exp(-0.045)) * 0.10, rel=1e-12)
-        assert tail == pytest.approx(0.0044002518, rel=1e-6)
+        assert tail == pytest.approx(1 - math.exp(-0.0045), rel=1e-12)
+        assert tail == pytest.approx(0.0044898878, rel=1e-6)
+
+    def test_reference_value_area_e(self):
+        # severe incidents are Poisson with mean 15 * 0.01 * 0.05 * (0.03 + 0.01)
+        area = make_area(
+            lambda_star=15.0, xi_base=0.05, alpha=0.01,
+            hl_probs=(0.38, 0.26, 0.16, 0.16, 0.03, 0.01),
+        )
+        tail = tail_probability(area, area_state(area, 0.0))
+        assert tail == pytest.approx(2.99955e-04, rel=1e-5)
+        assert tail == pytest.approx(-math.expm1(-0.0003), rel=1e-12)
+
+
+def two_area_params():
+    areas = (
+        make_area("P", lambda_star=40.0, alpha=0.2, hl_probs=(0.3, 0.2, 0.1, 0.1, 0.2, 0.1)),
+        make_area("Q", lambda_star=25.0, alpha=0.1, hl_probs=(0.4, 0.1, 0.1, 0.1, 0.1, 0.2)),
+    )
+    return areas, ScenarioArrays.of(make_scenario(areas=areas)), np.array([0.3, 0.2])
 
 
 class TestAggregateMetrics:
+    """compute_day_metrics combines the areas: losses add, tails as independent events."""
+
     def test_single_area_passthrough(self):
-        metrics = aggregate_metrics([3.5], [0.07])
-        assert metrics.expected_loss == 3.5
-        assert metrics.tail_prob == pytest.approx(0.07)
+        area = make_area(lambda_star=30.0, alpha=0.3)
+        params = ScenarioArrays.of(make_scenario(areas=(area,)))
+        loss, tail = compute_day_metrics(params, np.array([0.4]))
+        assert loss == expected_daily_loss(area, 0.4, DEFAULT_LOSS_VECTOR)
+        assert tail == tail_probability(area, 0.4)
 
     def test_complement_product(self):
-        metrics = aggregate_metrics([1.0, 2.0], [0.1, 0.2])
-        assert metrics.expected_loss == 3.0
-        assert metrics.tail_prob == pytest.approx(0.28)
+        areas, params, xi = two_area_params()
+        _, tail = compute_day_metrics(params, xi)
+        per_area = [tail_probability(a, x) for a, x in zip(areas, xi)]
+        assert tail == pytest.approx(1 - (1 - per_area[0]) * (1 - per_area[1]), rel=1e-14)
+        assert tail > max(per_area)
 
     def test_all_safe(self):
-        metrics = aggregate_metrics([0.0, 0.0], [0.0, 0.0])
-        assert metrics.expected_loss == 0.0
-        assert metrics.tail_prob == 0.0
+        _, params, _ = two_area_params()
+        loss, tail = compute_day_metrics(params, np.zeros((3, 2)))
+        assert np.array_equal(loss, np.zeros(3)) and np.array_equal(tail, np.zeros(3))
+        assert not np.signbit(loss).any() and not np.signbit(tail).any()
 
     def test_loss_adds_across_areas(self, case_study):
-        states = [xi_of_theta(0.0, a.xi_base) for a in case_study.areas]
-        metrics = compute_day_metrics(ScenarioArrays.of(case_study), states)
-        assert metrics.expected_loss == pytest.approx(metrics.expected_loss_by_area.sum())
-        assert metrics.tail_prob <= 1.0
+        states = np.array([xi_of_theta(0.0, a.xi_base) for a in case_study.areas])
+        loss, tail = compute_day_metrics(ScenarioArrays.of(case_study), states)
+        by_area = [
+            expected_daily_loss(a, x, case_study.loss_vector)
+            for a, x in zip(case_study.areas, states)
+        ]
+        assert loss == pytest.approx(sum(by_area))
+        assert 0.0 < tail <= 1.0
 
 
 class TestBaselineConvergence:
@@ -143,19 +155,13 @@ class TestBaselineConvergence:
 
     def test_deterministic_decay_converges_monotonically(self, case_study):
         loss_limit, _ = baseline_asymptote(case_study)
-        theta = np.array([a.theta0 for a in case_study.areas])
+        theta0 = np.array([a.theta0 for a in case_study.areas])
         k = np.array([a.k_decay for a in case_study.areas])
-        params = ScenarioArrays.of(case_study)
-        losses = []
-        for _ in range(365):
-            states = [
-                xi_of_theta(float(theta[i]), a.xi_base)
-                for i, a in enumerate(case_study.areas)
-            ]
-            losses.append(compute_day_metrics(params, states).expected_loss)
-            theta = k * theta
-        assert all(b > a for a, b in zip(losses, losses[1:]))
-        assert all(loss < loss_limit for loss in losses)
+        xi_base = np.array([a.xi_base for a in case_study.areas])
+        theta = theta0 * k ** np.arange(365)[:, None]
+        losses, _ = compute_day_metrics(ScenarioArrays.of(case_study), xi_of_theta(theta, xi_base))
+        assert np.all(np.diff(losses) > 0)
+        assert np.all(losses < loss_limit)
         # closed form: loss(t) = limit * (1 - theta0 * k^t), shared theta0/k here
         expected = loss_limit * (1 - 0.1 * np.power(0.98, np.arange(365)))
         assert np.allclose(losses, expected, rtol=1e-12)
@@ -180,27 +186,42 @@ def random_scenario(rng, n_areas: int):
 
 
 class TestArrayMetricsBitwise:
-    """compute_day_metrics over areas equals the per-area formulas bit for bit."""
+    """compute_day_metrics over a run's (days, areas) xi equals the per-day
+    scalar formulas: the expected loss bit for bit, the tail to rounding.
+
+    From 8 areas on numpy adds pairwise, and a sum along a non-contiguous
+    axis differs in the last bits; the goldens have 7 areas, so this is the
+    only gate for wide scenarios.
+    """
 
     @staticmethod
-    def assert_bitwise(scenario, xi):
-        ours = compute_day_metrics(ScenarioArrays.of(scenario), np.asarray(xi))
-        ref = scalar_reference.compute_day_metrics(scenario, list(xi))
-        assert np.array_equal(ours.expected_loss_by_area, ref.expected_loss_by_area)
-        assert np.array_equal(ours.tail_prob_by_area, ref.tail_prob_by_area)
-        assert ours.expected_loss == ref.expected_loss
-        assert ours.tail_prob == ref.tail_prob
+    def assert_matches_per_day(scenario, xi):
+        loss, tail = compute_day_metrics(ScenarioArrays.of(scenario), xi)
+        ref = np.array([scalar_reference.compute_day_metrics(scenario, row) for row in xi])
+        assert np.array_equal(loss, ref[:, 0])
+        # expm1 implementations may differ in the last place
+        assert np.allclose(tail, ref[:, 1], rtol=1e-14, atol=0.0)
+
+    @staticmethod
+    def assert_asymptote_matches(scenario):
+        loss, tail = baseline_asymptote(scenario)
+        ref_loss, ref_tail = scalar_reference.compute_day_metrics(
+            scenario, [a.xi_base for a in scenario.areas]
+        )
+        assert loss == ref_loss
+        assert tail == pytest.approx(ref_tail, rel=1e-14)
 
     def test_case_study(self, case_study):
         rng = np.random.default_rng(2)
         xi_base = np.array([a.xi_base for a in case_study.areas])
-        for theta in (np.zeros(7), np.ones(7), *rng.random((500, 7))):
-            self.assert_bitwise(case_study, xi_of_theta(theta, xi_base))
+        theta = np.vstack([np.zeros(7), np.ones(7), rng.random((500, 7))])
+        self.assert_matches_per_day(case_study, xi_of_theta(theta, xi_base))
+        self.assert_asymptote_matches(case_study)
 
     def test_random_24_area_scenario(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             scenario = random_scenario(rng, 24)
             xi_base = np.array([a.xi_base for a in scenario.areas])
-            for theta in rng.random((50, 24)):
-                self.assert_bitwise(scenario, xi_of_theta(theta, xi_base))
+            self.assert_matches_per_day(scenario, xi_of_theta(rng.random((100, 24)), xi_base))
+            self.assert_asymptote_matches(scenario)
