@@ -1,6 +1,6 @@
 """Stochastic workplace-safety simulator for benchmarking observer-allocation policies."""
 
-from .engine import EnsembleSummary, Trajectory, run_ensemble, run_simulation
+from .engine import EnsembleSummary, Trajectory, run_ensemble, run_replications, run_simulation
 from .policies import Policy, PolicyDecision, make_policy, policy_names, register_policy
 from .scenario import (
     Scenario,
@@ -28,6 +28,7 @@ __all__ = [
     "policy_names",
     "register_policy",
     "run_ensemble",
+    "run_replications",
     "run_simulation",
     "serialize_scenario",
     "validate_scenario",

@@ -27,12 +27,22 @@ area's severities and its own. Everything else in a day is deterministic
 and runs as array operations over areas (or over the day's incidents, for
 mapping uniforms to Hurt levels), with the same floating-point operations
 in the same order as a per-area loop.
+
+The replications of an ensemble step together (run_replications): one
+day loop advances all of them. Each still draws from its own three
+streams, in the order above, and has its own history and policy
+decision, so its trajectory is byte-identical to the run of its seed
+alone. What draws nothing (xi, storage, the Hurt-level mapping, the
+feedback drive and the metrics) runs once over the areas of every
+replication. run_simulation is the case of one replication.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +52,7 @@ from .intervention import feedback_drive, step_theta
 from .metrics import compute_day_metrics
 from .observation import observer_draws, step_observations
 from .policies import AHL, AREA, ObservableHistory, Policy
-from .scenario import N_HURT_LEVELS, Scenario
+from .scenario import N_HURT_LEVELS, SafetyAreaConfig, Scenario
 
 
 STREAM_CONTRACT = 2  # version of the stream contract in the module docstring
@@ -75,10 +85,12 @@ class Trajectory:
     shaped (days, areas), like the event counts n_e, n_neg and n_pos.
     proportions is the policy's decision, shaped (days, obs_types, areas)
     and NaN on days without observers. expected_loss and tail_prob are the
-    ground-truth metrics per day, shaped (days,); run_simulation fills them
-    from xi after the last day, so they stay 0 in a run stepped by hand with
-    step_day. The recorded data (observation counts and the incident log)
-    live in history; obs_pos, obs_neg and incidents refer to its arrays.
+    ground-truth metrics per day, shaped (days,); run_replications fills
+    them from xi after the last day, so they stay 0 in a run stepped by hand
+    with step_day. The recorded data (observation counts and the incident
+    log) live in history; obs_pos, obs_neg and incidents refer to its
+    arrays. The other arrays are views of the replication's columns in the
+    Replications that stepped it.
     """
 
     scenario: Scenario
@@ -93,27 +105,6 @@ class Trajectory:
     proportions: np.ndarray
     expected_loss: np.ndarray
     tail_prob: np.ndarray
-
-    @classmethod
-    def allocate(
-        cls, scenario: Scenario, policy_name: str, seed: int, horizon: int
-    ) -> "Trajectory":
-        shape = (horizon, scenario.n_areas)
-        n_types = len(scenario.obs_types)
-        return cls(
-            scenario=scenario,
-            policy_name=policy_name,
-            seed=seed,
-            history=ObservableHistory(scenario.n_areas, scenario.obs_type_ids, horizon),
-            theta=np.zeros(shape),
-            xi=np.zeros(shape),
-            n_e=np.zeros(shape, dtype=int),
-            n_neg=np.zeros(shape, dtype=int),
-            n_pos=np.zeros(shape, dtype=int),
-            proportions=np.full((horizon, n_types, scenario.n_areas), np.nan),
-            expected_loss=np.zeros(horizon),
-            tail_prob=np.zeros(horizon),
-        )
 
     @property
     def horizon(self) -> int:
@@ -139,64 +130,170 @@ class Trajectory:
         return np.bincount(cells, minlength=size).reshape(-1, N_HURT_LEVELS)
 
 
-def step_day(
-    run: Trajectory, d: int, theta: np.ndarray, policy: Policy, streams: Streams
-) -> np.ndarray:
-    """Simulate day d + 1 into row d of run; returns the next day's theta.
+@dataclass(frozen=True)
+class Replications:
+    """R replications of one (scenario, policy), stepped through the days together.
 
-    Order of operations: derive xi from the carried-over theta, generate
-    events, ask the policy (which sees history through yesterday only), run
-    the observation process, close the day in the history, and update
-    theta. The metrics are not evaluated here: they depend on xi alone, and
-    run_simulation computes them for every day at once after the last one.
+    The per-run arrays of Trajectory are held here for every replication at
+    once, one row per day, so that a day's writes are contiguous rows.
+    Column r * areas + a is area a of replication r: theta, xi, n_e, n_neg
+    and n_pos are shaped (days, R * areas), proportions (days, obs_types,
+    R * areas); expected_loss and tail_prob are shaped (days, R). runs[r]
+    is replication r's Trajectory, whose arrays are views of its columns,
+    and streams[r] its random streams. The column_ fields hold, per column,
+    the environment stream and area config, the area index, xi_base and
+    k_decay.
     """
-    scenario, history, params = run.scenario, run.history, run.scenario.arrays
-    xi = xi_of_theta(theta, params.xi_base)
-    rng = streams.environment
-    events = [step_events(rng, area, x) for area, x in zip(scenario.areas, xi.tolist())]
+
+    scenario: Scenario
+    runs: tuple[Trajectory, ...]
+    streams: tuple[Streams, ...]
+    theta: np.ndarray
+    xi: np.ndarray
+    n_e: np.ndarray
+    n_neg: np.ndarray
+    n_pos: np.ndarray
+    proportions: np.ndarray
+    expected_loss: np.ndarray
+    tail_prob: np.ndarray
+    column_events: list[tuple[np.random.Generator, SafetyAreaConfig]]
+    column_area: np.ndarray
+    column_xi_base: np.ndarray
+    column_k_decay: list[float]
+
+    @classmethod
+    def allocate(
+        cls, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int
+    ) -> "Replications":
+        n_reps, n_areas = len(seeds), scenario.n_areas
+        shape = (horizon, n_reps * n_areas)
+        try:
+            per_column = dict(
+                theta=np.zeros(shape),
+                xi=np.zeros(shape),
+                n_e=np.zeros(shape, dtype=int),
+                n_neg=np.zeros(shape, dtype=int),
+                n_pos=np.zeros(shape, dtype=int),
+                proportions=np.full((horizon, len(scenario.obs_types), shape[1]), np.nan),
+            )
+            per_rep = dict(
+                expected_loss=np.zeros((horizon, n_reps)), tail_prob=np.zeros((horizon, n_reps))
+            )
+            histories = [
+                ObservableHistory(n_areas, scenario.obs_type_ids, horizon) for _ in seeds
+            ]
+        except MemoryError as exc:
+            raise HorizonError(
+                f"horizon of {horizon} days is too long to preallocate: {exc}"
+            ) from None
+        runs = tuple(
+            Trajectory(
+                scenario,
+                policy_name,
+                seed,
+                history,
+                **{k: a[..., r * n_areas : (r + 1) * n_areas] for k, a in per_column.items()},
+                **{k: a[:, r] for k, a in per_rep.items()},
+            )
+            for r, (seed, history) in enumerate(zip(seeds, histories))
+        )
+        streams = tuple(Streams.from_seed(seed) for seed in seeds)
+        return cls(
+            scenario,
+            runs,
+            streams,
+            **per_column,
+            **per_rep,
+            column_events=[(s.environment, area) for s in streams for area in scenario.areas],
+            column_area=np.tile(np.arange(n_areas), n_reps),
+            column_xi_base=np.tile(scenario.arrays.xi_base, n_reps),
+            column_k_decay=[area.k_decay for area in scenario.areas] * n_reps,
+        )
+
+
+def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> np.ndarray:
+    """Simulate day d + 1 of every replication into row d; returns the next day's theta.
+
+    theta is the start-of-day state per column (see Replications). Order of
+    operations: derive xi from the carried-over theta, generate events, ask
+    the policy (which sees history through yesterday only), run the
+    observation process, close the day in the history, and update theta.
+    Each replication draws from its own streams in the order of a run
+    stepped alone; what is deterministic runs once over all columns. The
+    metrics are not evaluated here: they depend on xi alone, and
+    run_replications computes them for every day at once after the last one.
+    """
+    scenario, n_areas = reps.scenario, reps.scenario.n_areas
+    xi = xi_of_theta(theta, reps.column_xi_base)
+    events = [step_events(rng, area, x) for (rng, area), x in zip(reps.column_events, xi.tolist())]
     n_e, n_neg, n_pos, uniforms = zip(*events)
-    run.theta[d], run.xi[d] = theta, xi
-    run.n_e[d], run.n_neg[d], run.n_pos[d] = n_e, n_neg, n_pos
+    reps.theta[d], reps.xi[d] = theta, xi
+    reps.n_e[d], reps.n_neg[d], reps.n_pos[d] = n_e, n_neg, n_pos
 
-    decision = policy.decide(history, streams.policy)
-    observed, n_neg_obs = None, ()
-    if decision.proportions is not None:
-        u = streams.observer.random(observer_draws(scenario))
-        observed = step_observations(u, scenario, n_pos, n_neg, decision.proportions)
-        run.proportions[d] = [decision.proportions[t] for t in scenario.obs_type_ids]
-        n_neg_obs = observed.obs_neg
-    incidents = ()
+    observed = [None] * len(reps.runs)
+    for r, (run, streams) in enumerate(zip(reps.runs, reps.streams)):
+        decision = policy.decide(run.history, streams.policy)
+        if decision.proportions is not None:
+            u = streams.observer.random(observer_draws(scenario))
+            columns = slice(r * n_areas, (r + 1) * n_areas)
+            observed[r] = step_observations(
+                u, scenario, n_pos[columns], n_neg[columns], decision.proportions
+            )
+            proportions = [decision.proportions[t] for t in scenario.obs_type_ids]
+            reps.proportions[d, :, columns] = proportions
+
+    incidents = [()] * len(reps.runs)
     if any(n_e):
-        areas = np.repeat(np.arange(len(n_e)), n_e)
-        ahl, phl = hurt_levels(params.hl_sums, areas, np.concatenate(uniforms, axis=1))
-        incidents = np.column_stack((areas, ahl, phl))
-    history.append_day(incidents, observed)
+        areas = np.repeat(reps.column_area, n_e)
+        ahl, phl = hurt_levels(scenario.arrays.hl_sums, areas, np.concatenate(uniforms, axis=1))
+        log = np.column_stack((areas, ahl, phl))
+        ends = list(accumulate(sum(n_e[i : i + n_areas]) for i in range(0, len(n_e), n_areas)))
+        incidents = [log[start:end] for start, end in zip([0] + ends, ends)]
+    for run, day_incidents, day_observed in zip(reps.runs, incidents, observed):
+        run.history.append_day(day_incidents, day_observed)
 
-    drive = feedback_drive(n_neg_obs, run.n_e[d], scenario)
-    next_theta = [
-        step_theta(t, dr, area.k_decay)
-        for t, dr, area in zip(theta.tolist(), drive.tolist(), scenario.areas)
-    ]
+    # A replication without observers gets zero observed counts: 0.0 + 0 * delta
+    # is 0.0, so its drive has the bits of a drive without the observation term.
+    n_neg_obs = ()
+    if any(day_observed is not None for day_observed in observed):
+        n_neg_obs = np.zeros((len(scenario.obs_types), len(xi)), dtype=int)
+        for r, day_observed in enumerate(observed):
+            if day_observed is not None:
+                n_neg_obs[:, r * n_areas : (r + 1) * n_areas] = day_observed.obs_neg
+    drive = feedback_drive(n_neg_obs, reps.n_e[d], scenario)
+    k_decay = reps.column_k_decay
+    next_theta = [step_theta(t, dr, k) for t, dr, k in zip(theta.tolist(), drive.tolist(), k_decay)]
     return np.array(next_theta)
+
+
+def run_replications(
+    scenario: Scenario, policy: Policy, seeds: Sequence[int], horizon: int | None = None
+) -> list[Trajectory]:
+    """Run one seeded replication per seed over the given horizon (days), in lockstep.
+
+    Returns one trajectory per seed, in the order of seeds. Each is
+    byte-identical to the run of its seed alone: the replications share one
+    day loop, not a random draw.
+    """
+    horizon = scenario.horizon_days if horizon is None else horizon
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if len(seeds) < 1:
+        raise ValueError("at least one seed is required")
+    reps = Replications.allocate(scenario, policy.name, seeds, horizon)
+    theta = np.array([area.theta0 for area in scenario.areas] * len(seeds), dtype=float)
+    for d in range(horizon):
+        theta = step_day(reps, d, theta, policy)
+    xi = reps.xi.reshape(horizon, len(seeds), scenario.n_areas)
+    reps.expected_loss[:], reps.tail_prob[:] = compute_day_metrics(scenario.arrays, xi)
+    return list(reps.runs)
 
 
 def run_simulation(
     scenario: Scenario, policy: Policy, seed: int, horizon: int | None = None
 ) -> Trajectory:
     """Run one seeded replication over the given horizon (days)."""
-    horizon = scenario.horizon_days if horizon is None else horizon
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    streams = Streams.from_seed(seed)
-    try:
-        run = Trajectory.allocate(scenario, policy.name, seed, horizon)
-    except MemoryError as exc:
-        raise HorizonError(f"horizon of {horizon} days is too long to preallocate: {exc}") from None
-    theta = np.array([area.theta0 for area in scenario.areas], dtype=float)
-    for d in range(horizon):
-        theta = step_day(run, d, theta, policy, streams)
-    run.expected_loss[:], run.tail_prob[:] = compute_day_metrics(scenario.arrays, run.xi)
-    return run
+    return run_replications(scenario, policy, [seed], horizon)[0]
 
 
 def nearest_rank(sorted_values: np.ndarray, percentile: float):
@@ -266,7 +363,5 @@ def run_ensemble(
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    trajectories = [
-        run_simulation(scenario, policy, seed=base_seed + i, horizon=horizon) for i in range(n_reps)
-    ]
-    return summarize_trajectories(trajectories, base_seed)
+    seeds = range(base_seed, base_seed + n_reps)
+    return summarize_trajectories(run_replications(scenario, policy, seeds, horizon), base_seed)

@@ -136,6 +136,11 @@ class Policy:
     (see the engine docstring), so replications stay reproducible. Nothing
     else draws from that stream, so a policy's draws never shift the
     environment or the observers.
+
+    The engine steps an ensemble's replications together, so one instance
+    decides for every replication each day, one call per replication in
+    turn. It must therefore keep no per-run state: whatever it needs to
+    remember belongs in the history it is handed.
     """
 
     name = "policy"

@@ -3,16 +3,18 @@ import pytest
 
 from conftest import make_area, make_obs_type, make_scenario
 from safesim.engine import (
+    Replications,
     Streams,
-    Trajectory,
     nearest_rank,
     run_ensemble,
+    run_replications,
     run_simulation,
     step_day,
     summarize_trajectories,
 )
 from safesim.metrics import baseline_asymptote
 from safesim.policies import AHL, DAY, PHL, Policy, PolicyDecision, make_policy
+from safesim.scenario import N_HURT_LEVELS
 
 RUN_ARRAYS = (
     "theta", "xi", "n_e", "n_neg", "n_pos", "obs_pos", "obs_neg",
@@ -26,9 +28,10 @@ def trajectories_equal(a, b) -> bool:
 
 class TestStepDay:
     def test_baseline_day_decays_theta(self, case_study):
-        run = Trajectory.allocate(case_study, "none", seed=0, horizon=1)
+        reps = Replications.allocate(case_study, "none", seeds=[0], horizon=1)
         theta0 = np.array([a.theta0 for a in case_study.areas])
-        new_theta = step_day(run, 0, theta0, make_policy("none"), Streams.from_seed(0))
+        new_theta = step_day(reps, 0, theta0, make_policy("none"))
+        run = reps.runs[0]
         assert run.obs_pos.sum() + run.obs_neg.sum() == 0
         k = np.array([a.k_decay for a in case_study.areas])
         assert np.allclose(new_theta, run.theta[0] * k, rtol=1e-15)
@@ -153,13 +156,96 @@ class TestStreams:
     def test_observer_draws_fixed_per_observed_day(self, case_study, policy_name, days_observed):
         # m + rho * m uniforms per type on a day with observers, whatever the
         # events and the allocation; none on a day without
-        run = Trajectory.allocate(case_study, policy_name, seed=0, horizon=1)
+        reps = Replications.allocate(case_study, policy_name, seeds=[3], horizon=1)
         theta = np.array([a.theta0 for a in case_study.areas])
-        streams, reference = Streams.from_seed(3), Streams.from_seed(3)
-        step_day(run, 0, theta, make_policy(policy_name), streams)
+        streams, reference = reps.streams[0], Streams.from_seed(3)
+        step_day(reps, 0, theta, make_policy(policy_name))
         per_day = sum(t.m * (1 + t.rho) for t in case_study.obs_types)
         reference.observer.random(per_day * days_observed)
         assert streams.observer.bit_generator.state == reference.observer.bit_generator.state
+
+
+class DirichletPolicy(Policy):
+    """Proportions drawn from the policy stream: a flat Dirichlet each day."""
+
+    name = "dirichlet"
+
+    def decide(self, history, rng):
+        s = rng.dirichlet(np.ones(history.n_areas))
+        return PolicyDecision.same_for_all_types(s, history.obs_type_ids)
+
+
+class OddDaysOffPolicy(Policy):
+    """Fields no observers while a replication's incident count so far is odd.
+
+    The count differs between replications, so on one day some replications
+    observe and others do not.
+    """
+
+    name = "odd-days-off"
+
+    def __init__(self):
+        self.counts = make_policy("counts")
+
+    def decide(self, history, rng):
+        if len(history.incidents) % 2:
+            return PolicyDecision.none()
+        return self.counts.decide(history, rng)
+
+
+def dense_scenario(n_areas=24, seed=5):
+    """A generated scenario like the dense-long benchmark's: many areas, large pools."""
+    rng = np.random.default_rng(seed)
+    areas = [
+        make_area(
+            f"Z{i:02d}",
+            lambda_star=float(rng.uniform(100, 300)),
+            xi_base=float(rng.uniform(0.05, 0.6)),
+            alpha=float(rng.uniform(0.005, 0.05)),
+            k_decay=0.98,
+            theta0=0.1,
+            hl_probs=rng.dirichlet(np.ones(N_HURT_LEVELS)),
+        )
+        for i in range(n_areas)
+    ]
+    obs_types = [
+        make_obs_type(f"T{j}", m=20, rho=4, delta_neg=0.005, eta_pos=eta_pos, eta_neg=100.0)
+        for j, eta_pos in enumerate((100.0, 150.0, 200.0))
+    ]
+    return make_scenario(areas=areas, obs_types=obs_types, delta_e=0.002)
+
+
+LOCKSTEP_POLICIES = ("none", "uniform", "counts", "severity", "weighted", "dirichlet", "odd")
+
+
+def lockstep_policy(name, scenario):
+    if name == "weighted":
+        return make_policy("weighted:" + ",".join(["1"] + ["0"] * (scenario.n_areas - 1)))
+    return {"dirichlet": DirichletPolicy, "odd": OddDaysOffPolicy}.get(name, lambda: make_policy(name))()
+
+
+class TestLockstep:
+    """run_replications equals seed-by-seed run_simulation, array for array."""
+
+    @pytest.mark.parametrize("policy_name", LOCKSTEP_POLICIES)
+    @pytest.mark.parametrize("scenario_name,horizon", [("case_study", 120), ("dense", 40)])
+    def test_same_arrays_as_single_runs(self, case_study, scenario_name, horizon, policy_name):
+        scenario = case_study if scenario_name == "case_study" else dense_scenario()
+        policy = lockstep_policy(policy_name, scenario)
+        seeds = [8, 3, 21, 5]
+        lockstep = run_replications(scenario, policy, seeds, horizon)
+        assert [t.seed for t in lockstep] == seeds
+        for seed, batched in zip(seeds, lockstep):
+            alone = run_simulation(scenario, policy, seed, horizon)
+            assert trajectories_equal(batched, alone)
+            assert np.array_equal(batched.proportions, alone.proportions, equal_nan=True)
+        if policy_name == "odd":
+            observing = ~np.isnan(np.stack([t.proportions[:, 0, 0] for t in lockstep]))
+            assert np.any(observing.any(axis=0) & ~observing.all(axis=0))
+
+    def test_empty_seeds_rejected(self, case_study):
+        with pytest.raises(ValueError, match="seed"):
+            run_replications(case_study, make_policy("none"), [], 5)
 
 
 class TestRunEnsemble:
