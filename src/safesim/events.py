@@ -37,6 +37,8 @@ class DayEvents(NamedTuple):
 NO_DRAWS = np.zeros((2, 0))
 NO_DRAWS.flags.writeable = False
 
+HURT_CHUNK = 1 << 16  # incidents hurt_levels maps per pass
+
 
 def xi_of_theta(theta, xi_base):
     """Unsafe-task fraction implied by safety state theta: (1 - theta) * xi_base."""
@@ -82,8 +84,17 @@ def hurt_levels(
     truncated below the AHL and renormalized. Each level is the one a
     sequential draw from the same uniform returns. Both uniforms are mapped
     onto their row's own total, so a row that sums to slightly less than 1
-    gives its missing mass to no level.
+    gives its missing mass to no level. Incidents are mapped HURT_CHUNK at a
+    time, which bounds the (incidents, levels) temporaries on a day with
+    many incidents.
     """
+    if len(areas) > HURT_CHUNK:
+        chunks = [
+            hurt_levels(hl_sums, areas[i : i + HURT_CHUNK], uniforms[:, i : i + HURT_CHUNK])
+            for i in range(0, len(areas), HURT_CHUNK)
+        ]
+        ahl, phl = zip(*chunks)
+        return np.concatenate(ahl), np.concatenate(phl)
     u_ahl, u_phl = uniforms
     sums = hl_sums[areas, 0]
     ahl = hurt_level(u_ahl * sums[:, -1], sums)

@@ -243,6 +243,18 @@ class TestTableSamplerEquivalence:
             ahl, phl = levels(probs, uniforms)
             assert (ahl.tolist(), phl.tolist()) == expected
 
+    def test_chunked_mapping_matches_one_pass(self, monkeypatch):
+        # a day longer than HURT_CHUNK is mapped in pieces, to the same levels
+        areas = [make_area(f"A{i}", hl_probs=p) for i, p in enumerate(self.DISTRIBUTIONS)]
+        sums = ScenarioArrays.of(make_scenario(areas=areas)).hl_sums
+        rng = np.random.default_rng(4)
+        index = rng.integers(len(self.DISTRIBUTIONS), size=1000)
+        uniforms = rng.random((2, 1000))
+        one_pass = hurt_levels(sums, index, uniforms)
+        monkeypatch.setattr("safesim.events.HURT_CHUNK", 7)
+        chunked = hurt_levels(sums, index, uniforms)
+        assert all(np.array_equal(a, b) for a, b in zip(one_pass, chunked))
+
     def test_degenerate_raise_matches(self):
         # A uniform of 1, outside the generator's [0, 1), is the only way left
         # to reach a level without mass.
