@@ -321,6 +321,17 @@ class EnsembleSummary:
     incident_p95: np.ndarray
 
 
+def spread(values: np.ndarray) -> np.ndarray:
+    """Standard deviation across replications (axis 0), exactly 0 where they all agree.
+
+    np.std subtracts the mean, and the mean of identical values can round
+    away from them, so identical replications would get a band of a few ulps.
+    """
+    std = values.std(axis=0)
+    std[(values == values[0]).all(axis=0)] = 0.0
+    return std
+
+
 def summarize_trajectories(trajectories: list[Trajectory], base_seed: int) -> EnsembleSummary:
     """Aggregate replications (in seed order) into an EnsembleSummary."""
     if not trajectories:
@@ -339,9 +350,9 @@ def summarize_trajectories(trajectories: list[Trajectory], base_seed: int) -> En
         horizon=loss.shape[1],
         area_ids=scenario.area_ids,
         mean_expected_loss=loss.mean(axis=0),
-        std_expected_loss=loss.std(axis=0),
+        std_expected_loss=spread(loss),
         mean_tail_prob=tail.mean(axis=0),
-        std_tail_prob=tail.std(axis=0),
+        std_tail_prob=spread(tail),
         incident_totals=totals,
         incident_p05=nearest_rank(sorted_totals, 5.0),
         incident_p50=nearest_rank(sorted_totals, 50.0),

@@ -9,6 +9,7 @@ from safesim.engine import (
     run_ensemble,
     run_replications,
     run_simulation,
+    spread,
     step_day,
     summarize_trajectories,
 )
@@ -259,6 +260,22 @@ class TestRunEnsemble:
         summary = run_ensemble(case_study, make_policy("none"), 5, base_seed=3, horizon=30)
         assert np.all(summary.std_expected_loss == 0.0)
         assert np.all(summary.std_tail_prob == 0.0)
+
+    def test_hundred_identical_reps_have_zero_band(self, case_study):
+        # np.std of 100 identical values is a few ulps on most days
+        summary = run_ensemble(case_study, make_policy("none"), 100, base_seed=1, horizon=60)
+        assert np.all(summary.std_expected_loss == 0.0)
+        assert np.all(summary.std_tail_prob == 0.0)
+
+    def test_band_of_differing_reps_is_np_std(self):
+        rng = np.random.default_rng(2)
+        values = rng.random((9, 50))
+        values[:, ::3] = rng.random(17)  # identical on every third day
+        band = spread(values)
+        same = np.zeros(50, dtype=bool)
+        same[::3] = True
+        assert np.all(band[same] == 0.0)
+        assert np.array_equal(band[~same], values.std(axis=0)[~same])
 
     def test_seeds_derived_from_base(self, case_study):
         policy = make_policy("none")
