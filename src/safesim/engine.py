@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +70,10 @@ class Streams(NamedTuple):
         environment = np.random.default_rng(root)
         observer, policy = (np.random.default_rng(child) for child in root.spawn(2))
         return cls(environment, observer, policy)
+
+
+NO_INCIDENTS = np.zeros((0, 3), dtype=int)  # a day's incident rows: area, AHL, PHL
+NO_INCIDENTS.flags.writeable = False
 
 
 class HorizonError(ValueError):
@@ -230,36 +233,36 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
     reps.theta[d], reps.xi[d] = theta, xi
     reps.n_e[d], reps.n_neg[d], reps.n_pos[d] = n_e, n_neg, n_pos
 
-    observed = [None] * len(reps.runs)
-    for r, (run, streams) in enumerate(zip(reps.runs, reps.streams)):
-        decision = policy.decide(run.history, streams.policy)
-        if decision.proportions is not None:
-            u = streams.observer.random(observer_draws(scenario))
-            columns = slice(r * n_areas, (r + 1) * n_areas)
-            observed[r] = step_observations(
-                u, scenario, n_pos[columns], n_neg[columns], decision.proportions
-            )
-            proportions = [decision.proportions[t] for t in scenario.obs_type_ids]
-            reps.proportions[d, :, columns] = proportions
-
-    incidents = [()] * len(reps.runs)
+    log = NO_INCIDENTS
     if any(n_e):
         areas = np.repeat(reps.column_area, n_e)
         ahl, phl = hurt_levels(scenario.arrays.hl_sums, areas, np.concatenate(uniforms, axis=1))
         log = np.column_stack((areas, ahl, phl))
-        ends = list(accumulate(sum(n_e[i : i + n_areas]) for i in range(0, len(n_e), n_areas)))
-        incidents = [log[start:end] for start, end in zip([0] + ends, ends)]
-    for run, day_incidents, day_observed in zip(reps.runs, incidents, observed):
-        run.history.append_day(day_incidents, day_observed)
+
+    observing = []  # (columns, observed unsafe counts) of each replication with observers
+    end = 0
+    for r, (run, streams) in enumerate(zip(reps.runs, reps.streams)):
+        columns = slice(r * n_areas, (r + 1) * n_areas)
+        decision = policy.decide(run.history, streams.policy)
+        observed = None
+        if decision.proportions is not None:
+            u = streams.observer.random(observer_draws(scenario))
+            observed = step_observations(
+                u, scenario, n_pos[columns], n_neg[columns], decision.proportions
+            )
+            proportions = [decision.proportions[t] for t in scenario.obs_type_ids]
+            reps.proportions[d, :, columns] = proportions
+            observing.append((columns, observed.obs_neg))
+        start, end = end, end + sum(n_e[columns])
+        run.history.append_day(log[start:end], observed)
 
     # A replication without observers gets zero observed counts: 0.0 + 0 * delta
     # is 0.0, so its drive has the bits of a drive without the observation term.
     n_neg_obs = ()
-    if any(day_observed is not None for day_observed in observed):
+    if observing:
         n_neg_obs = np.zeros((len(scenario.obs_types), len(xi)), dtype=int)
-        for r, day_observed in enumerate(observed):
-            if day_observed is not None:
-                n_neg_obs[:, r * n_areas : (r + 1) * n_areas] = day_observed.obs_neg
+        for columns, obs_neg in observing:
+            n_neg_obs[:, columns] = obs_neg
     drive = feedback_drive(n_neg_obs, reps.n_e[d], scenario)
     k_decay = reps.column_k_decay
     next_theta = [step_theta(t, dr, k) for t, dr, k in zip(theta.tolist(), drive.tolist(), k_decay)]
