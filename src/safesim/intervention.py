@@ -8,6 +8,8 @@ timestep.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .scenario import Scenario
 
 
@@ -28,15 +30,18 @@ def apply_feedback(theta: float, drive: float) -> float:
 def feedback_drive(n_neg_obs_by_type, n_e, scenario: Scenario):
     """The drive sum_X n_obs_X * delta_X + n_e * delta_e, per area.
 
-    n_neg_obs_by_type holds one entry per observation type, in config order:
-    a count for one area, or an array over areas; it is empty on a day
-    without observers. The types are added left to right from 0.0, then the
-    incident term.
+    n_neg_obs_by_type is indexed [obs_type, ...] in config order, with a
+    count for one area or counts over areas after the type; it is empty on
+    a day without observers. The type terms are added left to right, then
+    the incident term. No term is negative, so the result has the bits of a
+    Python sum from 0.0 over the terms.
     """
-    drive = 0.0
-    for n_obs, obs_type in zip(n_neg_obs_by_type, scenario.obs_types):
-        drive = drive + n_obs * obs_type.delta_neg
-    return drive + n_e * scenario.delta_e
+    incident = n_e * scenario.delta_e
+    if len(n_neg_obs_by_type) == 0:
+        return incident
+    n_obs = np.asarray(n_neg_obs_by_type)
+    deltas = scenario.arrays.delta_neg.reshape((-1,) + (1,) * (n_obs.ndim - 1))
+    return np.add.accumulate(n_obs * deltas, axis=0)[-1] + incident
 
 
 def step_theta(theta: float, drive: float, k_decay: float) -> float:

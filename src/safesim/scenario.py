@@ -147,7 +147,8 @@ class ScenarioArrays:
     operation per step instead of one Python loop over areas. hl_probs is
     shaped (areas, N_HURT_LEVELS). hl_sums[a, k, l] is hl_probs[a, k] + ...
     + hl_probs[a, l], added left to right, and 0 for l < k: the running sums
-    a sequential severity draw compares its uniform against.
+    a sequential severity draw compares its uniform against. delta_neg is
+    the one array over observation types: each type's delta_neg.
     """
 
     xi_base: np.ndarray
@@ -156,6 +157,7 @@ class ScenarioArrays:
     hl_probs: np.ndarray
     hl_sums: np.ndarray
     loss_vector: np.ndarray
+    delta_neg: np.ndarray
 
     @classmethod
     def of(cls, scenario: Scenario) -> "ScenarioArrays":
@@ -171,6 +173,7 @@ class ScenarioArrays:
             hl_probs=hl,
             hl_sums=sums,
             loss_vector=np.array(scenario.loss_vector, dtype=float),
+            delta_neg=np.array([t.delta_neg for t in scenario.obs_types], dtype=float),
         )
         for array in vars(arrays).values():
             array.flags.writeable = False
