@@ -51,7 +51,7 @@ from .intervention import feedback_drive, step_theta
 from .metrics import compute_day_metrics
 from .observation import observer_draws, step_observations
 from .policies import AHL, AREA, ObservableHistory, Policy
-from .scenario import N_HURT_LEVELS, SafetyAreaConfig, Scenario
+from .scenario import N_HURT_LEVELS, Scenario
 
 
 STREAM_CONTRACT = 2  # version of the stream contract in the module docstring
@@ -133,7 +133,6 @@ class Trajectory:
         return np.bincount(cells, minlength=size).reshape(-1, N_HURT_LEVELS)
 
 
-@dataclass(frozen=True)
 class Replications:
     """R replications of one (scenario, policy), stepped through the days together.
 
@@ -143,45 +142,23 @@ class Replications:
     and n_pos are shaped (days, R * areas), proportions (days, obs_types,
     R * areas); expected_loss and tail_prob are shaped (days, R). runs[r]
     is replication r's Trajectory, whose arrays are views of its columns,
-    and streams[r] its random streams. The column_ fields hold, per column,
-    the environment stream and area config, the area index, xi_base and
-    k_decay.
+    and streams[r] its random streams. The column_ attributes hold, per
+    column, the environment stream and area config, the area index,
+    xi_base and k_decay.
     """
 
-    scenario: Scenario
-    runs: tuple[Trajectory, ...]
-    streams: tuple[Streams, ...]
-    theta: np.ndarray
-    xi: np.ndarray
-    n_e: np.ndarray
-    n_neg: np.ndarray
-    n_pos: np.ndarray
-    proportions: np.ndarray
-    expected_loss: np.ndarray
-    tail_prob: np.ndarray
-    column_events: list[tuple[np.random.Generator, SafetyAreaConfig]]
-    column_area: np.ndarray
-    column_xi_base: np.ndarray
-    column_k_decay: list[float]
-
-    @classmethod
-    def allocate(
-        cls, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int
-    ) -> "Replications":
+    def __init__(self, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int):
         n_reps, n_areas = len(seeds), scenario.n_areas
         shape = (horizon, n_reps * n_areas)
         try:
-            per_column = dict(
-                theta=np.zeros(shape),
-                xi=np.zeros(shape),
-                n_e=np.zeros(shape, dtype=int),
-                n_neg=np.zeros(shape, dtype=int),
-                n_pos=np.zeros(shape, dtype=int),
-                proportions=np.full((horizon, len(scenario.obs_types), shape[1]), np.nan),
-            )
-            per_rep = dict(
-                expected_loss=np.zeros((horizon, n_reps)), tail_prob=np.zeros((horizon, n_reps))
-            )
+            self.theta = np.zeros(shape)
+            self.xi = np.zeros(shape)
+            self.n_e = np.zeros(shape, dtype=int)
+            self.n_neg = np.zeros(shape, dtype=int)
+            self.n_pos = np.zeros(shape, dtype=int)
+            self.proportions = np.full((horizon, len(scenario.obs_types), shape[1]), np.nan)
+            self.expected_loss = np.zeros((horizon, n_reps))
+            self.tail_prob = np.zeros((horizon, n_reps))
             histories = [
                 ObservableHistory(n_areas, scenario.obs_type_ids, horizon) for _ in seeds
             ]
@@ -189,29 +166,25 @@ class Replications:
             raise HorizonError(
                 f"horizon of {horizon} days is too long to preallocate: {exc}"
             ) from None
-        runs = tuple(
+        self.scenario = scenario
+        self.streams = tuple(Streams.from_seed(seed) for seed in seeds)
+        per_column = ("theta", "xi", "n_e", "n_neg", "n_pos", "proportions")
+        self.runs = tuple(
             Trajectory(
                 scenario,
                 policy_name,
                 seed,
                 history,
-                **{k: a[..., r * n_areas : (r + 1) * n_areas] for k, a in per_column.items()},
-                **{k: a[:, r] for k, a in per_rep.items()},
+                expected_loss=self.expected_loss[:, r],
+                tail_prob=self.tail_prob[:, r],
+                **{k: getattr(self, k)[..., r * n_areas : (r + 1) * n_areas] for k in per_column},
             )
             for r, (seed, history) in enumerate(zip(seeds, histories))
         )
-        streams = tuple(Streams.from_seed(seed) for seed in seeds)
-        return cls(
-            scenario,
-            runs,
-            streams,
-            **per_column,
-            **per_rep,
-            column_events=[(s.environment, area) for s in streams for area in scenario.areas],
-            column_area=np.tile(np.arange(n_areas), n_reps),
-            column_xi_base=np.tile(scenario.arrays.xi_base, n_reps),
-            column_k_decay=[area.k_decay for area in scenario.areas] * n_reps,
-        )
+        self.column_events = [(s.environment, a) for s in self.streams for a in scenario.areas]
+        self.column_area = np.tile(np.arange(n_areas), n_reps)
+        self.column_xi_base = np.tile(scenario.arrays.xi_base, n_reps)
+        self.column_k_decay = [area.k_decay for area in scenario.areas] * n_reps
 
 
 def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> np.ndarray:
@@ -256,8 +229,9 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
         start, end = end, end + sum(n_e[columns])
         run.history.append_day(log[start:end], observed)
 
-    # A replication without observers gets zero observed counts: 0.0 + 0 * delta
-    # is 0.0, so its drive has the bits of a drive without the observation term.
+    # A replication without observers gets zero observed counts. Their terms
+    # add up to 0.0, and 0.0 + x is x, so its drive has the bits of the
+    # incident term alone, the drive of a day without observers.
     n_neg_obs = ()
     if observing:
         n_neg_obs = np.zeros((len(scenario.obs_types), len(xi)), dtype=int)
@@ -283,7 +257,7 @@ def run_replications(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if len(seeds) < 1:
         raise ValueError("at least one seed is required")
-    reps = Replications.allocate(scenario, policy.name, seeds, horizon)
+    reps = Replications(scenario, policy.name, seeds, horizon)
     theta = np.array([area.theta0 for area in scenario.areas] * len(seeds), dtype=float)
     for d in range(horizon):
         theta = step_day(reps, d, theta, policy)

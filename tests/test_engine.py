@@ -29,7 +29,7 @@ def trajectories_equal(a, b) -> bool:
 
 class TestStepDay:
     def test_baseline_day_decays_theta(self, case_study):
-        reps = Replications.allocate(case_study, "none", seeds=[0], horizon=1)
+        reps = Replications(case_study, "none", seeds=[0], horizon=1)
         theta0 = np.array([a.theta0 for a in case_study.areas])
         new_theta = step_day(reps, 0, theta0, make_policy("none"))
         run = reps.runs[0]
@@ -157,7 +157,7 @@ class TestStreams:
     def test_observer_draws_fixed_per_observed_day(self, case_study, policy_name, days_observed):
         # m + rho * m uniforms per type on a day with observers, whatever the
         # events and the allocation; none on a day without
-        reps = Replications.allocate(case_study, policy_name, seeds=[3], horizon=1)
+        reps = Replications(case_study, policy_name, seeds=[3], horizon=1)
         theta = np.array([a.theta0 for a in case_study.areas])
         streams, reference = reps.streams[0], Streams.from_seed(3)
         step_day(reps, 0, theta, make_policy(policy_name))
