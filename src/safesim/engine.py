@@ -32,9 +32,9 @@ The replications of an ensemble step together (run_replications): one
 day loop advances all of them. Each still draws from its own three
 streams, in the order above, and has its own history and policy
 decision, so its trajectory is byte-identical to the run of its seed
-alone. What draws nothing (xi, storage, the Hurt-level mapping, the
-feedback drive and the metrics) runs once over the areas of every
-replication. run_simulation is the case of one replication.
+alone. What draws nothing (xi, storage, the Hurt-level mapping and the
+feedback drive) runs once a day over the areas of every replication.
+run_simulation is the case of one replication.
 """
 
 from __future__ import annotations
@@ -261,8 +261,10 @@ def run_replications(
     theta = np.array([area.theta0 for area in scenario.areas] * len(seeds), dtype=float)
     for d in range(horizon):
         theta = step_day(reps, d, theta, policy)
-    xi = reps.xi.reshape(horizon, len(seeds), scenario.n_areas)
-    reps.expected_loss[:], reps.tail_prob[:] = compute_day_metrics(scenario.arrays, xi)
+    # One replication at a time: the metrics' temporaries then scale with one
+    # run's days and areas, not with every replication's.
+    for run in reps.runs:
+        run.expected_loss[:], run.tail_prob[:] = compute_day_metrics(scenario.arrays, run.xi)
     return list(reps.runs)
 
 
