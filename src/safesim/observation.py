@@ -24,8 +24,10 @@ engine draws them from the observer stream (see the engine docstring).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,6 +41,17 @@ class ProportionError(ValueError):
 def check_proportions(s: np.ndarray, n_areas: int) -> np.ndarray:
     """Validate an allocation proportion vector; returns it as float array."""
     s = np.asarray(s, dtype=float)
+    # Fast path for a valid vector: a NaN fails the minimum and an infinity
+    # the sum, so what passes here passes every check below, and anything
+    # else gets the message of the check it fails. The minimum goes first so
+    # that inf and -inf together never reach the sum (and its warning).
+    if (
+        s.shape == (n_areas,)
+        and n_areas  # an empty vector has no minimum
+        and s.min() >= 0.0
+        and abs(float(s.sum()) - 1.0) <= PROB_TOL
+    ):
+        return s
     if s.shape != (n_areas,):
         raise ProportionError(f"expected {n_areas} proportions, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
@@ -57,18 +70,13 @@ class DayObservations:
     obs_pos: np.ndarray
     obs_neg: np.ndarray
 
-    @classmethod
-    def empty(cls, n_types: int, n_areas: int) -> "DayObservations":
-        shape = (n_types, n_areas)
-        return cls(obs_pos=np.zeros(shape, dtype=int), obs_neg=np.zeros(shape, dtype=int))
-
 
 def observer_draws(scenario: Scenario) -> int:
     """Uniforms the observation process takes per day: m + rho * m per type."""
     return sum(t.m * (1 + t.rho) for t in scenario.obs_types)
 
 
-def allocate_observers(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+def allocate_observers(u: Sequence[float], s: Sequence[float]) -> list[int]:
     """Distribute len(u) observers over areas by categorical inversion of s.
 
     Observer i goes to the first area whose running proportion sum exceeds
@@ -76,11 +84,19 @@ def allocate_observers(u: np.ndarray, s: np.ndarray) -> np.ndarray:
     s[a] / sum(s), independently of the others. Scaling by the vector's own
     total keeps every uniform in [0, 1) below the last running sum: no
     observer lands on an area of proportion 0 or past the last area, even
-    when s sums to slightly less than 1.
+    when s sums to slightly less than 1. Returns the count per area.
+
+    The running sums are sequential float additions, as np.cumsum makes
+    them, and bisect_right on them is searchsorted(side="right"): at the
+    simulator's few areas and observers, plain lists cost less than numpy
+    calls.
     """
-    cumulative = np.cumsum(s)
-    areas = np.searchsorted(cumulative, u * cumulative[-1], side="right")
-    return np.bincount(areas, minlength=len(s))
+    cumulative = list(accumulate(s))
+    total = cumulative[-1]
+    counts = [0] * len(cumulative)
+    for x in u:
+        counts[bisect_right(cumulative, x * total)] += 1
+    return counts
 
 
 def select_observed(
@@ -139,32 +155,38 @@ def step_observations(
     several types but at most once per type.
     """
     n_areas = scenario.n_areas
-    out = DayObservations.empty(len(scenario.obs_types), n_areas)
-    checked = {}  # id of a proportion vector -> its validated array
+    u = u.tolist()
+    checked = {}  # id of a proportion vector -> its validated values, as a list
+    obs_pos, obs_neg = [], []
     start = 0
-    for t_idx, obs_type in enumerate(scenario.obs_types):
+    for obs_type in scenario.obs_types:
         given = proportions_by_type[obs_type.id]
         s = checked.get(id(given))
         if s is None:
-            s = checked[id(given)] = check_proportions(given, n_areas)
+            s = checked[id(given)] = check_proportions(given, n_areas).tolist()
         m, rho = obs_type.m, obs_type.rho
         q = allocate_observers(u[start : start + m], s)
-        urn = u[start + m : start + m + rho * m].tolist()
-        start += m + rho * m
-        end = 0
-        for a_idx in np.flatnonzero(q).tolist():
-            capacity = rho * int(q[a_idx])
-            end += capacity
-            if n_pos[a_idx] + n_neg[a_idx] == 0:
+        start += m
+        pos, neg = [0] * n_areas, [0] * n_areas
+        for a_idx, observers in enumerate(q):
+            if not observers:
                 continue
-            pos, neg = select_observed(
-                urn[end - capacity : end],
-                n_pos[a_idx],
-                n_neg[a_idx],
-                capacity,
-                obs_type.eta_pos,
-                obs_type.eta_neg,
-            )
-            out.obs_pos[t_idx, a_idx] = pos
-            out.obs_neg[t_idx, a_idx] = neg
-    return out
+            capacity = rho * observers
+            end = start + capacity
+            if n_pos[a_idx] + n_neg[a_idx]:
+                pos[a_idx], neg[a_idx] = select_observed(
+                    u[start:end],
+                    n_pos[a_idx],
+                    n_neg[a_idx],
+                    capacity,
+                    obs_type.eta_pos,
+                    obs_type.eta_neg,
+                )
+            start = end
+        obs_pos.append(pos)
+        obs_neg.append(neg)
+    shape = (len(scenario.obs_types), n_areas)
+    return DayObservations(
+        obs_pos=np.array(obs_pos, dtype=int).reshape(shape),
+        obs_neg=np.array(obs_neg, dtype=int).reshape(shape),
+    )

@@ -7,7 +7,9 @@ and areas. These are the sequential per-area, per-day forms that code must
 match bit for bit (the tail probability to rounding); the tests compare
 against them. The observation samplers at the end are the ones the
 simulator used before the fixed-weight urn: the tests compare the urn's law
-against theirs.
+against theirs. Last come the numpy forms of the observers' allocation and
+of the proportion check that the simulator now runs on plain lists and with
+a fast path; the tests require the same counts and the same errors.
 """
 
 import math
@@ -16,7 +18,8 @@ import numpy as np
 
 from safesim.events import DegenerateHurtDistribution, sample_event_counts
 from safesim.metrics import SEVERE_AHL
-from safesim.scenario import N_HURT_LEVELS
+from safesim.observation import ProportionError
+from safesim.scenario import N_HURT_LEVELS, PROB_TOL
 
 
 def sample_ahl(rng, hl_probs) -> int:
@@ -100,3 +103,24 @@ def select_observed_dirichlet(rng, n_pos, n_neg, capacity, eta_pos, eta_neg) -> 
     chosen = np.argpartition(keys, capacity)[:capacity]
     obs_neg = int(np.count_nonzero(chosen >= n_pos))
     return capacity - obs_neg, obs_neg
+
+
+def allocate_observers_numpy(u, s) -> np.ndarray:
+    """Categorical inversion of s, one observer per uniform, as numpy calls."""
+    cumulative = np.cumsum(s)
+    areas = np.searchsorted(cumulative, u * cumulative[-1], side="right")
+    return np.bincount(areas, minlength=len(s))
+
+
+def check_proportions(s, n_areas: int) -> np.ndarray:
+    """The proportion check as four separate tests, each with its own message."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (n_areas,):
+        raise ProportionError(f"expected {n_areas} proportions, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ProportionError("proportions must be finite")
+    if np.any(s < 0.0):
+        raise ProportionError("proportions must be nonnegative")
+    if abs(float(s.sum()) - 1.0) > PROB_TOL:
+        raise ProportionError(f"proportions must sum to 1, got {float(s.sum())}")
+    return s

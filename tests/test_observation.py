@@ -7,8 +7,8 @@ from scipy.stats import chisquare, hypergeom, nchypergeom_wallenius
 import scalar_reference
 from conftest import make_area, make_obs_type, make_scenario
 from stat_utils import two_sample_chisquare
+from safesim.scenario import PROB_TOL
 from safesim.observation import (
-    DayObservations,
     ProportionError,
     allocate_observers,
     check_proportions,
@@ -29,17 +29,17 @@ class TestAllocateObservers:
         rng = np.random.default_rng(0)
         s = np.array([1.0, 0.0, 0.0, 0.0])
         for m in (1, 3, 10):
-            assert allocate_observers(rng.random(m), s).tolist() == [m, 0, 0, 0]
+            assert np.asarray(allocate_observers(rng.random(m), s)).tolist() == [m, 0, 0, 0]
 
     def test_zero_observers(self):
         rng = np.random.default_rng(0)
-        assert allocate_observers(rng.random(0), np.full(7, 1 / 7)).tolist() == [0] * 7
+        assert np.asarray(allocate_observers(rng.random(0), np.full(7, 1 / 7))).tolist() == [0] * 7
 
     def test_total_preserved(self):
         rng = np.random.default_rng(1)
         s = np.array([0.2, 0.5, 0.3])
         for _ in range(200):
-            assert allocate_observers(rng.random(5), s).sum() == 5
+            assert np.asarray(allocate_observers(rng.random(5), s)).sum() == 5
 
     def test_uniform_mean_allocation(self):
         # oracle: multinomial mean m * s_i = 2/7 per area
@@ -48,7 +48,7 @@ class TestAllocateObservers:
         total = np.zeros(7)
         n = 100_000
         for _ in range(n):
-            total += allocate_observers(rng.random(2), s)
+            total += np.asarray(allocate_observers(rng.random(2), s))
         assert np.max(np.abs(total / n - 2 / 7)) < 0.01
 
 
@@ -61,7 +61,7 @@ class TestAllocateObservers:
             np.array([0.3, 0.0, 0.7 + 1e-10]),
             np.array([0.0, 0.0, 1.0]),
         ):
-            q = allocate_observers(u, s)
+            q = np.asarray(allocate_observers(u, s))
             assert len(q) == len(s) and q.sum() == len(u)
             assert np.all(q[s == 0.0] == 0)
 
@@ -70,11 +70,36 @@ class TestAllocateObservers:
         s = np.array([0.1, 0.0, 0.25, 0.4, 0.25])
         rng, oracle_rng = np.random.default_rng(12), np.random.default_rng(13)
         n = 20_000
-        ours = [tuple(allocate_observers(rng.random(4), s)) for _ in range(n)]
+        ours = [tuple(np.asarray(allocate_observers(rng.random(4), s))) for _ in range(n)]
         oracle = [tuple(scalar_reference.allocate_observers_multinomial(oracle_rng, 4, s)) for _ in range(n)]
         _, p_value, n_cells = two_sample_chisquare(ours, oracle)
         assert n_cells > 20
         assert p_value >= 0.001
+
+
+@st.composite
+def proportion_vectors(draw):
+    """Proportions with zero entries, summing to 1 or to 1 -/+ PROB_TOL."""
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=24))
+    if not any(weights):
+        weights[draw(st.integers(0, len(weights) - 1))] = 1.0
+    s = np.array(weights) / sum(weights)
+    return s * draw(st.sampled_from([1.0, 1.0 - PROB_TOL, 1.0 + PROB_TOL]))
+
+
+class TestAllocationMatchesNumpyOracle:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        proportion_vectors(),
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1 - 2**-53]), st.floats(0.0, 1.0, exclude_max=True)),
+            max_size=50,
+        ),
+    )
+    def test_count_for_count(self, s, uniforms):
+        expected = scalar_reference.allocate_observers_numpy(np.array(uniforms), s).tolist()
+        assert allocate_observers(np.array(uniforms), s) == expected
+        assert allocate_observers(uniforms, s.tolist()) == expected
 
 
 def brute_force_select(rng, n_pos, n_neg, capacity, eta_pos, eta_neg):
@@ -326,7 +351,7 @@ class TestStepObservations:
             out = step_observations(u, scenario, [p for p, _ in evs], [n for _, n in evs], decision)
             start = 0
             for t_idx, obs in enumerate(types):
-                q = allocate_observers(u[start : start + obs.m], decision[obs.id])
+                q = np.asarray(allocate_observers(u[start : start + obs.m], decision[obs.id]))
                 urn = u[start + obs.m : start + obs.m * (1 + obs.rho)]
                 start += obs.m * (1 + obs.rho)
                 edges = np.concatenate([[0], np.cumsum(obs.rho * q)])
@@ -372,8 +397,39 @@ class TestCheckProportions:
             check_proportions([0.5, 0.5], 3)
 
 
-def test_day_observations_empty_shape():
-    obs = DayObservations.empty(3, 7)
-    assert obs.obs_pos.shape == (3, 7)
-    assert obs.obs_pos.sum() + obs.obs_neg.sum() == 0
-    assert obs.obs_neg[:, 2].tolist() == [0, 0, 0]
+
+def _outcome(check, s, n_areas):
+    """check's result as a list, or the message of the ProportionError it raised."""
+    try:
+        return check(s, n_areas).tolist()
+    except ProportionError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize(
+    "s,n_areas",
+    [
+        ([0.25, 0.75], 2),
+        ([0.0, -0.0, 1.0], 3),
+        ([np.nan, 0.5, 0.5], 3),
+        ([np.inf, 0.5, 0.5], 3),
+        ([-np.inf, 0.5, 0.5], 3),
+        ([np.inf, -np.inf, 1.0], 3),
+        ([np.nan, -0.5, 1.5], 3),
+        ([-0.25, 1.25], 2),
+        ([-1e-300, 1.0], 2),
+        ([0.5, 0.5], 3),
+        ([[0.5, 0.5]], 2),
+        (0.5, 1),
+        ([], 0),
+        ([0.5, 0.5 + 2 * PROB_TOL], 2),
+        ([0.5, 0.5 - 2 * PROB_TOL], 2),
+        ([0.5, 0.5 + PROB_TOL / 2], 2),
+        ([0.5, 0.5 - PROB_TOL / 2], 2),
+        ([0.7, 0.7], 2),
+    ],
+)
+def test_check_proportions_matches_four_check_reference(s, n_areas):
+    assert _outcome(check_proportions, s, n_areas) == _outcome(
+        scalar_reference.check_proportions, s, n_areas
+    )
