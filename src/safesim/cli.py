@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+# summarize_trajectories is not called here; it is imported because the
+# benchmark's span tracer (bench/spans.py) wraps safesim.cli:summarize_trajectories.
 from .engine import HorizonError, run_ensemble, run_simulation, summarize_trajectories
 from .policies import FixedWeightsPolicy, Policy, PolicyError, make_policy, policy_names
 from .reports import (
@@ -146,15 +148,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     compare_csvs: list[tuple[str, Path]] = []
     severity_rows = []
     for spec, policy in policies:
-        trajectories = [
-            run_simulation(scenario, policy, seed=args.seed + i, horizon=args.horizon)
-            for i in range(args.reps)
-        ]
-        summary = summarize_trajectories(trajectories, args.seed)
+        summary = run_ensemble(
+            scenario, policy, n_reps=args.reps, base_seed=args.seed, horizon=args.horizon
+        )
         csv_path = out_dir / f"compare_{_safe_label(spec)}.csv"
         write_compare_csv(summary, csv_path)
         compare_csvs.append((spec, csv_path))
-        severity_rows.append((spec, trajectories[0].incident_totals().sum(axis=0)))
+        severity_rows.append((spec, summary.incident_totals[0].sum(axis=0)))  # the base seed
         print(f"wrote {csv_path}")
 
     write_severity_csv(severity_rows, out_dir / "severity_counts.csv")

@@ -1,18 +1,23 @@
-"""The benchmark's hold on the program: every function it wraps or marks exists.
+"""The benchmark's hold on the program: every function it wraps or marks exists
+and is reached.
 
 bench/spans.py traces the functions named in its TARGETS, and bench/child.py
 marks the end of set-up at the first call to run_simulation or run_ensemble.
-A rename in safesim would otherwise surface only when the benchmark runs.
-The benchmark's files are read and executed here, never written: no module
-of bench/ is imported, so no bytecode cache is left there.
+A rename in safesim would otherwise surface only when the benchmark runs, and
+a function that still exists but is no longer called would let its layer read
+zero. The benchmark's files are read and executed here, never written: no
+module of bench/ is imported, so no bytecode cache is left there.
 """
 
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from safesim import cli, engine
+from safesim import cli, engine, observation
+from safesim.policies import make_policy
+from safesim.scenario import case_study_path
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -41,3 +46,33 @@ def test_counters_hook_traced_targets():
 def test_set_up_markers_exist(module):
     for name in ("run_simulation", "run_ensemble"):
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[f"{module.__name__}.{name}"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_compare_enters_the_engine_through_run_ensemble(monkeypatch, tmp_path):
+    # bench/child.py's set-up marker fires on cli.run_ensemble.
+    calls = Counter()
+    for module, name in ((cli, "run_ensemble"), (cli, "run_simulation"), (engine, "run_simulation")):
+        count_calls(monkeypatch, module, name, calls)
+    argv = ["compare", "--scenario", str(case_study_path()), "--horizon", "3", "--reps", "2"]
+    argv += ["--policy", "uniform", "--policy", "counts", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert calls == Counter({"safesim.cli.run_ensemble": 3})  # none, uniform, counts
+
+
+def test_observing_run_reaches_the_traced_observation_functions(monkeypatch, case_study):
+    calls = Counter()
+    for name in ("allocate_observers", "select_observed"):
+        count_calls(monkeypatch, observation, name, calls)
+    engine.run_simulation(case_study, make_policy("uniform"), seed=1, horizon=3)
+    assert calls["safesim.observation.allocate_observers"] > 0
+    assert calls["safesim.observation.select_observed"] > 0
