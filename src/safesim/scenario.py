@@ -122,11 +122,11 @@ class Scenario:
     def n_areas(self) -> int:
         return len(self.areas)
 
-    @property
+    @cached_property
     def area_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.areas)
 
-    @property
+    @cached_property
     def obs_type_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.obs_types)
 
