@@ -72,7 +72,7 @@ class Streams(NamedTuple):
         return cls(environment, observer, policy)
 
 
-NO_INCIDENTS = np.zeros((0, 3), dtype=int)  # a day's incident rows: area, AHL, PHL
+NO_INCIDENTS = np.zeros(0, dtype=int)  # a day's incident column when it has none
 NO_INCIDENTS.flags.writeable = False
 
 
@@ -206,11 +206,10 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
     reps.theta[d], reps.xi[d] = theta, xi
     reps.n_e[d], reps.n_neg[d], reps.n_pos[d] = n_e, n_neg, n_pos
 
-    log = NO_INCIDENTS
+    areas = ahl = phl = NO_INCIDENTS
     if any(n_e):
         areas = np.repeat(reps.column_area, n_e)
         ahl, phl = hurt_levels(scenario.arrays.hl_sums, areas, np.concatenate(uniforms, axis=1))
-        log = np.column_stack((areas, ahl, phl))
 
     observing = []  # (columns, observed unsafe counts) of each replication with observers
     end = 0
@@ -227,7 +226,7 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
             reps.proportions[d, :, columns] = proportions
             observing.append((columns, observed.obs_neg))
         start, end = end, end + sum(n_e[columns])
-        run.history.append_day(log[start:end], observed)
+        run.history.append_day(areas[start:end], ahl[start:end], phl[start:end], observed)
 
     # A replication without observers gets zero observed counts. Their terms
     # add up to 0.0, and 0.0 + x is x, so its drive has the bits of the

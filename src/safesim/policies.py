@@ -71,22 +71,23 @@ class ObservableHistory:
         """The incident log of all closed days; columns DAY, AREA, AHL, PHL."""
         return _read_only(self._log[: self._day_end[self._n_days]])
 
-    def append_day(self, incidents, observed=None) -> None:
-        """Close the current day: log its incidents, an (n, 3) array of
-        (area, ahl, phl) rows, and, if observers were deployed, its
+    def append_day(self, areas, ahl, phl, observed=None) -> None:
+        """Close the current day: log its incidents, given as three equal-length
+        columns (area, AHL, PHL), and, if observers were deployed, its
         DayObservations."""
         if observed is not None:
             self._obs_pos[self._n_days] = observed.obs_pos
             self._obs_neg[self._n_days] = observed.obs_neg
         start = self._day_end[self._n_days]
-        end = start + len(incidents)
+        end = start + len(areas)
         if end > len(self._log):
             grown = np.zeros((max(end, 2 * len(self._log)), 4), dtype=int)
             grown[:start] = self._log[:start]
             self._log = grown
         if end > start:
-            self._log[start:end, DAY] = self.current_day
-            self._log[start:end, AREA:] = incidents
+            rows = self._log[start:end]
+            rows[:, DAY] = self.current_day
+            rows[:, AREA], rows[:, AHL], rows[:, PHL] = areas, ahl, phl
         self._n_days += 1
         self._day_end[self._n_days] = end
 

@@ -26,7 +26,9 @@ def history_with_incidents(n_areas, incident_days, current_day=None):
     last = current_day - 1 if current_day else max(incident_days, default=0)
     history = ObservableHistory(n_areas, TYPE_IDS, horizon=last)
     for day in range(1, last + 1):
-        history.append_day([(a, ahl, ahl) for a, ahl in incident_days.get(day, [])])
+        areas = [a for a, _ in incident_days.get(day, [])]
+        ahls = [ahl for _, ahl in incident_days.get(day, [])]
+        history.append_day(areas, ahls, ahls)
     return history
 
 
@@ -255,7 +257,7 @@ class TestObservableHistory:
     def test_append_only_growth(self):
         history = ObservableHistory(2, TYPE_IDS, horizon=1)
         assert history.current_day == 1
-        history.append_day([])
+        history.append_day([], [], [])
         assert len(history) == 1
         assert history.current_day == 2
 
