@@ -7,7 +7,6 @@ from scipy.stats import chisquare, hypergeom, nchypergeom_wallenius
 import scalar_reference
 from conftest import make_area, make_obs_type, make_scenario
 from stat_utils import two_sample_chisquare
-from safesim.scenario import PROB_TOL
 from safesim.observation import (
     ProportionError,
     allocate_observers,
@@ -16,6 +15,7 @@ from safesim.observation import (
     select_observed,
     step_observations,
 )
+from safesim.scenario import PROB_TOL
 
 
 def observe(rng, scenario, activity, decision):
