@@ -141,7 +141,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     scenario = load_scenario_file(args.scenario)
-    specs = ["none"] + [s for s in args.policies if s != "none"]
+    specs = list(dict.fromkeys(["none", *args.policies]))  # each spec once, the baseline first
     policies = [(spec, _make_policy(spec, scenario)) for spec in specs]
     out_dir = _prepare_out_dir(args.out_dir)
 

@@ -86,14 +86,15 @@ class Trajectory:
 
     theta is the start-of-day safety state that drives the day's xi, both
     shaped (days, areas), like the event counts n_e, n_neg and n_pos.
-    proportions is the policy's decision, shaped (days, obs_types, areas)
-    and NaN on days without observers. expected_loss and tail_prob are the
-    ground-truth metrics per day, shaped (days,); run_replications fills
-    them from xi after the last day, so they stay 0 in a run stepped by hand
-    with step_day. The recorded data (observation counts and the incident
-    log) live in history; obs_pos, obs_neg and incidents refer to its
-    arrays. The other arrays are views of the replication's columns in the
-    Replications that stepped it.
+    obs_pos and obs_neg are the recorded safe and unsafe counts and
+    proportions the policy's decision, all shaped (days, obs_types, areas);
+    the counts are 0 and the proportions NaN on days without observers.
+    expected_loss and tail_prob are the ground-truth metrics per day, shaped
+    (days,); run_replications fills them from xi after the last day, so they
+    stay 0 in a run stepped by hand with step_day. All of these arrays are
+    views of the replication's columns in the Replications that stepped it;
+    history reads the observation counts through read-only views of the
+    same columns and owns the incident log that incidents refers to.
     """
 
     scenario: Scenario
@@ -105,6 +106,8 @@ class Trajectory:
     n_e: np.ndarray
     n_neg: np.ndarray
     n_pos: np.ndarray
+    obs_pos: np.ndarray
+    obs_neg: np.ndarray
     proportions: np.ndarray
     expected_loss: np.ndarray
     tail_prob: np.ndarray
@@ -112,14 +115,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return len(self.theta)
-
-    @property
-    def obs_pos(self) -> np.ndarray:
-        return self.history.obs_pos
-
-    @property
-    def obs_neg(self) -> np.ndarray:
-        return self.history.obs_neg
 
     @property
     def incidents(self) -> np.ndarray:
@@ -139,12 +134,12 @@ class Replications:
     The per-run arrays of Trajectory are held here for every replication at
     once, one row per day, so that a day's writes are contiguous rows.
     Column r * areas + a is area a of replication r: theta, xi, n_e, n_neg
-    and n_pos are shaped (days, R * areas), proportions (days, obs_types,
-    R * areas); expected_loss and tail_prob are shaped (days, R). runs[r]
-    is replication r's Trajectory, whose arrays are views of its columns,
-    and streams[r] its random streams. The column_ attributes hold, per
-    column, the environment stream and area config, the area index,
-    xi_base and k_decay.
+    and n_pos are shaped (days, R * areas), obs_pos, obs_neg and proportions
+    (days, obs_types, R * areas); expected_loss and tail_prob are shaped
+    (days, R). runs[r] is replication r's Trajectory, whose arrays and
+    history read views of its columns, and streams[r] its random streams.
+    The column_ attributes hold, per column, the environment stream and area
+    config, the area index, xi_base and k_decay.
     """
 
     def __init__(self, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int):
@@ -156,30 +151,34 @@ class Replications:
             self.n_e = np.zeros(shape, dtype=int)
             self.n_neg = np.zeros(shape, dtype=int)
             self.n_pos = np.zeros(shape, dtype=int)
-            self.proportions = np.full((horizon, len(scenario.obs_types), shape[1]), np.nan)
+            by_type = (horizon, len(scenario.obs_types), shape[1])
+            self.obs_pos = np.zeros(by_type, dtype=int)
+            self.obs_neg = np.zeros(by_type, dtype=int)
+            self.proportions = np.full(by_type, np.nan)
             self.expected_loss = np.zeros((horizon, n_reps))
             self.tail_prob = np.zeros((horizon, n_reps))
-            histories = [
-                ObservableHistory(n_areas, scenario.obs_type_ids, horizon) for _ in seeds
-            ]
         except MemoryError as exc:
             raise HorizonError(
                 f"horizon of {horizon} days is too long to preallocate: {exc}"
             ) from None
         self.scenario = scenario
         self.streams = tuple(Streams.from_seed(seed) for seed in seeds)
-        per_column = ("theta", "xi", "n_e", "n_neg", "n_pos", "proportions")
+        per_column = ("theta", "xi", "n_e", "n_neg", "n_pos", "obs_pos", "obs_neg", "proportions")
+        by_run = [
+            {k: getattr(self, k)[..., r * n_areas : (r + 1) * n_areas] for k in per_column}
+            for r in range(n_reps)
+        ]
         self.runs = tuple(
             Trajectory(
                 scenario,
                 policy_name,
                 seed,
-                history,
+                ObservableHistory(scenario.obs_type_ids, views["obs_pos"], views["obs_neg"]),
                 expected_loss=self.expected_loss[:, r],
                 tail_prob=self.tail_prob[:, r],
-                **{k: getattr(self, k)[..., r * n_areas : (r + 1) * n_areas] for k in per_column},
+                **views,
             )
-            for r, (seed, history) in enumerate(zip(seeds, histories))
+            for r, (seed, views) in enumerate(zip(seeds, by_run))
         )
         self.column_events = [(s.environment, a) for s in self.streams for a in scenario.areas]
         self.column_area = np.tile(np.arange(n_areas), n_reps)
@@ -211,32 +210,24 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
         areas = np.repeat(reps.column_area, n_e)
         ahl, phl = hurt_levels(scenario.arrays.hl_sums, areas, np.concatenate(uniforms, axis=1))
 
-    observing = []  # (columns, observed unsafe counts) of each replication with observers
     end = 0
     for r, (run, streams) in enumerate(zip(reps.runs, reps.streams)):
         columns = slice(r * n_areas, (r + 1) * n_areas)
         decision = policy.decide(run.history, streams.policy)
-        observed = None
         if decision.proportions is not None:
             u = streams.observer.random(observer_draws(scenario))
-            observed = step_observations(
+            run.obs_pos[d], run.obs_neg[d] = step_observations(
                 u, scenario, n_pos[columns], n_neg[columns], decision.proportions
             )
-            proportions = [decision.proportions[t] for t in scenario.obs_type_ids]
-            reps.proportions[d, :, columns] = proportions
-            observing.append((columns, observed.obs_neg))
+            for t, type_id in enumerate(scenario.obs_type_ids):
+                run.proportions[d, t] = decision.proportions[type_id]
         start, end = end, end + sum(n_e[columns])
-        run.history.append_day(areas[start:end], ahl[start:end], phl[start:end], observed)
+        run.history.append_day(areas[start:end], ahl[start:end], phl[start:end])
 
-    # A replication without observers gets zero observed counts. Their terms
-    # add up to 0.0, and 0.0 + x is x, so its drive has the bits of the
-    # incident term alone, the drive of a day without observers.
-    n_neg_obs = ()
-    if observing:
-        n_neg_obs = np.zeros((len(scenario.obs_types), len(xi)), dtype=int)
-        for columns, obs_neg in observing:
-            n_neg_obs[:, columns] = obs_neg
-    drive = feedback_drive(n_neg_obs, reps.n_e[d], scenario)
+    # A replication without observers keeps its zero observed counts. Their
+    # terms add up to 0.0, and 0.0 + x is x, so its drive has the bits of
+    # the incident term alone, the drive of a day without observers.
+    drive = feedback_drive(reps.obs_neg[d], reps.n_e[d], scenario)
     k_decay = reps.column_k_decay
     next_theta = [step_theta(t, dr, k) for t, dr, k in zip(theta.tolist(), drive.tolist(), k_decay)]
     return np.array(next_theta)

@@ -31,8 +31,8 @@ def feedback_drive(n_neg_obs_by_type, n_e, scenario: Scenario):
     """The drive sum_X n_obs_X * delta_X + n_e * delta_e, per area.
 
     n_neg_obs_by_type is indexed [obs_type, ...] in config order, with a
-    count for one area or counts over areas after the type; it is empty on
-    a day without observers. The type terms are added left to right, then
+    count for one area or counts over areas after the type; it is empty
+    when the scenario has no observation types. The type terms are added left to right, then
     the incident term. No term is negative, so the result has the bits of a
     Python sum from 0.0 over the terms.
     """

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -39,36 +38,29 @@ class ProportionError(ValueError):
 
 
 def check_proportions(s: np.ndarray, n_areas: int) -> np.ndarray:
-    """Validate an allocation proportion vector; returns it as float array."""
+    """Validate an allocation proportion vector; returns it as float array.
+
+    A valid vector costs one minimum and one sum. A NaN fails the minimum
+    and an infinity the minimum or the sum, so the finiteness test runs
+    only on a vector that has failed one of them. The minimum goes first so
+    that inf and -inf together never reach the sum (and its warning).
+    """
     s = np.asarray(s, dtype=float)
-    # Fast path for a valid vector: a NaN fails the minimum and an infinity
-    # the sum, so what passes here passes every check below, and anything
-    # else gets the message of the check it fails. The minimum goes first so
-    # that inf and -inf together never reach the sum (and its warning).
-    if (
-        s.shape == (n_areas,)
-        and n_areas  # an empty vector has no minimum
-        and s.min() >= 0.0
-        and abs(float(s.sum()) - 1.0) <= PROB_TOL
-    ):
-        return s
     if s.shape != (n_areas,):
         raise ProportionError(f"expected {n_areas} proportions, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ProportionError("proportions must be finite")
-    if np.any(s < 0.0):
-        raise ProportionError("proportions must be nonnegative")
-    if abs(float(s.sum()) - 1.0) > PROB_TOL:
-        raise ProportionError(f"proportions must sum to 1, got {float(s.sum())}")
+    if n_areas and not s.min() >= 0.0:  # an empty vector has no minimum
+        _reject(s, "proportions must be nonnegative")
+    total = float(s.sum())
+    if not abs(total - 1.0) <= PROB_TOL:
+        _reject(s, f"proportions must sum to 1, got {total}")
     return s
 
 
-@dataclass(frozen=True)
-class DayObservations:
-    """One day's recorded safe/unsafe event counts, indexed [obs_type, area]."""
-
-    obs_pos: np.ndarray
-    obs_neg: np.ndarray
+def _reject(s: np.ndarray, message: str) -> None:
+    """Raise for a vector that failed a check: non-finite entries take precedence."""
+    if not np.isfinite(s).all():
+        message = "proportions must be finite"
+    raise ProportionError(message)
 
 
 def observer_draws(scenario: Scenario) -> int:
@@ -144,7 +136,7 @@ def step_observations(
     n_pos: Sequence[int],
     n_neg: Sequence[int],
     proportions_by_type: dict[str, np.ndarray],
-) -> DayObservations:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run one day of the observation process over every type and area.
 
     n_pos and n_neg are the day's safe and unsafe activity counts per area.
@@ -152,7 +144,8 @@ def step_observations(
     in config order, m allocation uniforms, then a block of rho * m urn
     uniforms, sliced over the areas in area order, rho * q[a] for area a.
     Each type draws its own urn, so the same event can be recorded by
-    several types but at most once per type.
+    several types but at most once per type. Returns the recorded safe and
+    unsafe counts (obs_pos, obs_neg), each indexed [obs_type, area].
     """
     n_areas = scenario.n_areas
     u = u.tolist()
@@ -185,8 +178,5 @@ def step_observations(
             start = end
         obs_pos.append(pos)
         obs_neg.append(neg)
-    shape = (len(scenario.obs_types), n_areas)
-    return DayObservations(
-        obs_pos=np.array(obs_pos, dtype=int).reshape(shape),
-        obs_neg=np.array(obs_neg, dtype=int).reshape(shape),
-    )
+    shape = (len(scenario.obs_types), n_areas)  # the reshape keeps (0, areas) for no types
+    return np.array(obs_pos, dtype=int).reshape(shape), np.array(obs_neg, dtype=int).reshape(shape)

@@ -37,8 +37,10 @@ class ObservableHistory:
     """Everything a policy is allowed to see: the run's recorded data.
 
     Holds only recorded data; latent theta/xi never enter. obs_pos and
-    obs_neg are the observation counts, indexed [day - 1, obs_type, area].
-    The incident log is indexed like a CSR matrix: the rows of day t are
+    obs_neg are the observation counts, indexed [day - 1, obs_type, area]:
+    views of the replication's columns, which the engine writes and from
+    whose shape the history reads the areas and the horizon. The incident
+    log is indexed like a CSR matrix: the rows of day t are
     log[day_end[t - 1]:day_end[t]]. The engine closes each day with
     append_day after the day's decision, so while deciding day t a policy
     sees days 1..t-1, and a window query costs O(window), not O(days).
@@ -46,14 +48,11 @@ class ObservableHistory:
     the run's record.
     """
 
-    def __init__(self, n_areas: int, obs_type_ids: tuple[str, ...], horizon: int):
-        self.n_areas = n_areas
+    def __init__(self, obs_type_ids: tuple[str, ...], obs_pos: np.ndarray, obs_neg: np.ndarray):
+        horizon, _, self.n_areas = obs_pos.shape
         self.obs_type_ids = tuple(obs_type_ids)
-        shape = (horizon, len(self.obs_type_ids), n_areas)
-        self._obs_pos = np.zeros(shape, dtype=int)
-        self._obs_neg = np.zeros(shape, dtype=int)
-        self.obs_pos = _read_only(self._obs_pos)
-        self.obs_neg = _read_only(self._obs_neg)
+        self.obs_pos = _read_only(obs_pos)
+        self.obs_neg = _read_only(obs_neg)
         self._day_end = np.zeros(horizon + 1, dtype=np.intp)
         self._log = np.zeros((64, 4), dtype=int)
         self._n_days = 0
@@ -71,13 +70,9 @@ class ObservableHistory:
         """The incident log of all closed days; columns DAY, AREA, AHL, PHL."""
         return _read_only(self._log[: self._day_end[self._n_days]])
 
-    def append_day(self, areas, ahl, phl, observed=None) -> None:
+    def append_day(self, areas, ahl, phl) -> None:
         """Close the current day: log its incidents, given as three equal-length
-        columns (area, AHL, PHL), and, if observers were deployed, its
-        DayObservations."""
-        if observed is not None:
-            self._obs_pos[self._n_days] = observed.obs_pos
-            self._obs_neg[self._n_days] = observed.obs_neg
+        columns (area, AHL, PHL)."""
         start = self._day_end[self._n_days]
         end = start + len(areas)
         if end > len(self._log):

@@ -8,8 +8,9 @@ match bit for bit (the tail probability to rounding); the tests compare
 against them. The observation samplers at the end are the ones the
 simulator used before the fixed-weight urn: the tests compare the urn's law
 against theirs. Last come the numpy forms of the observers' allocation and
-of the proportion check that the simulator now runs on plain lists and with
-a fast path; the tests require the same counts and the same errors.
+of the proportion check that the simulator now runs on plain lists and as
+one minimum and one sum; the tests require the same counts and the same
+errors.
 """
 
 import math

@@ -138,6 +138,18 @@ class TestRunCommand:
         assert err.startswith("error: horizon of 1000000000000 days")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_scenario_without_observation_types_runs(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        doc = json.loads(case_study_path().read_text(encoding="utf-8"))
+        doc["obs_types"] = []
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", str(path), "--policy", "uniform", "--horizon", "3"]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        rows = read_csv(out / "trajectory.csv")
+        assert len(rows) == 4
+        assert "theta_A" in rows[0] and not any(name.startswith("obs_") for name in rows[0])
+
     def test_unwritable_out_dir_exits_1(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -245,6 +257,19 @@ class TestCompareCommand:
                 )
             )
         assert digests[0] == digests[1]
+
+    def test_repeated_policy_runs_once(self, tmp_path, capsys):
+        code = main(
+            ["compare", "--scenario", SCENARIO, "--policy", "uniform", "--policy", "uniform",
+             "--policy", "none", "--reps", "1", "--horizon", "3", "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        written = capsys.readouterr().out
+        assert written.count("compare_none.csv") == written.count("compare_uniform.csv") == 1
+        rows = read_csv(tmp_path / "severity_counts.csv")
+        assert [r[0] for r in rows[1:]] == ["none", "uniform"]
+        for name in ("expected_loss.svg", "tail_probability.svg"):
+            assert (tmp_path / name).read_text().count("<polyline") == 2
 
     def test_requires_at_least_one_policy(self):
         assert main(["compare", "--scenario", SCENARIO]) == 2

@@ -53,6 +53,14 @@ class TestStepDay:
         assert np.array_equal(np.bincount(days, minlength=11)[1:], trajectory.n_e.sum(axis=1))
 
 
+    def test_scenario_without_observation_types(self, case_study):
+        scenario = make_scenario(areas=case_study.areas, obs_types=())
+        runs = run_replications(scenario, make_policy("uniform"), seeds=[1, 2], horizon=4)
+        for run in runs:
+            assert run.proportions.shape == run.obs_pos.shape == run.obs_neg.shape == (4, 0, 7)
+            assert run.history.obs_neg.shape == (4, 0, 7)
+
+
 class TestRunSimulation:
     def test_horizon_one(self, case_study):
         trajectory = run_simulation(case_study, make_policy("uniform"), seed=5, horizon=1)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,9 @@ from safesim.scenario import PROB_TOL
 def observe(rng, scenario, activity, decision):
     """step_observations on one (n_pos, n_neg) activity pair per area."""
     n_pos, n_neg = (list(counts) for counts in zip(*activity))
-    return step_observations(rng.random(observer_draws(scenario)), scenario, n_pos, n_neg, decision)
+    u = rng.random(observer_draws(scenario))
+    obs_pos, obs_neg = step_observations(u, scenario, n_pos, n_neg, decision)
+    return SimpleNamespace(obs_pos=obs_pos, obs_neg=obs_neg)
 
 
 class TestAllocateObservers:
@@ -348,7 +352,9 @@ class TestStepObservations:
         rng = np.random.default_rng(41)
         for _ in range(50):
             u = rng.random(observer_draws(scenario))
-            out = step_observations(u, scenario, [p for p, _ in evs], [n for _, n in evs], decision)
+            obs_pos, obs_neg = step_observations(
+                u, scenario, [p for p, _ in evs], [n for _, n in evs], decision
+            )
             start = 0
             for t_idx, obs in enumerate(types):
                 q = np.asarray(allocate_observers(u[start : start + obs.m], decision[obs.id]))
@@ -358,7 +364,7 @@ class TestStepObservations:
                 for a_idx, (n_pos, n_neg) in enumerate(evs):
                     cell = urn[edges[a_idx] : edges[a_idx + 1]]
                     expected = select_observed(cell, n_pos, n_neg, len(cell), obs.eta_pos, obs.eta_neg)
-                    got = (out.obs_pos[t_idx, a_idx], out.obs_neg[t_idx, a_idx])
+                    got = (obs_pos[t_idx, a_idx], obs_neg[t_idx, a_idx])
                     assert got == expected
 
     def test_invalid_proportions_rejected(self):
@@ -427,6 +433,7 @@ def _outcome(check, s, n_areas):
         ([0.5, 0.5 + PROB_TOL / 2], 2),
         ([0.5, 0.5 - PROB_TOL / 2], 2),
         ([0.7, 0.7], 2),
+        ([1e308, 1e308], 2),  # finite entries whose sum overflows
     ],
 )
 def test_check_proportions_matches_four_check_reference(s, n_areas):

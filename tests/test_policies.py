@@ -24,7 +24,8 @@ PRIOR_WEIGHTS = [0.12, 0.12, 0.12, 0.08, 0.08, 0.28, 0.2]
 def history_with_incidents(n_areas, incident_days, current_day=None):
     """incident_days: {day: [(area, ahl), ...]}; fills the remaining days empty."""
     last = current_day - 1 if current_day else max(incident_days, default=0)
-    history = ObservableHistory(n_areas, TYPE_IDS, horizon=last)
+    shape = (last, len(TYPE_IDS), n_areas)
+    history = ObservableHistory(TYPE_IDS, np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
     for day in range(1, last + 1):
         areas = [a for a, _ in incident_days.get(day, [])]
         ahls = [ahl for _, ahl in incident_days.get(day, [])]
@@ -255,7 +256,8 @@ class TestMakePolicy:
 
 class TestObservableHistory:
     def test_append_only_growth(self):
-        history = ObservableHistory(2, TYPE_IDS, horizon=1)
+        shape = (1, len(TYPE_IDS), 2)
+        history = ObservableHistory(TYPE_IDS, np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
         assert history.current_day == 1
         history.append_day([], [], [])
         assert len(history) == 1
