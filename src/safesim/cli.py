@@ -121,8 +121,8 @@ def _prepare_out_dir(path: str) -> Path:
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario_file(args.scenario)
     policy = _make_policy(args.policy, scenario)
-    out_dir = _prepare_out_dir(args.out_dir)
     trajectory = run_simulation(scenario, policy, seed=args.seed, horizon=args.horizon)
+    out_dir = _prepare_out_dir(args.out_dir)
     write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
     print(f"wrote {out_dir / 'trajectory.csv'}")
     return EXIT_OK
@@ -130,10 +130,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_table2(args: argparse.Namespace) -> int:
     scenario = load_scenario_file(args.scenario).without_incident_feedback()
-    out_dir = _prepare_out_dir(args.out_dir)
     summary = run_ensemble(
         scenario, make_policy("none"), n_reps=args.reps, base_seed=args.seed, horizon=args.horizon
     )
+    out_dir = _prepare_out_dir(args.out_dir)
     write_table2_csv(summary, out_dir / "table2.csv")
     print(f"wrote {out_dir / 'table2.csv'}")
     return EXIT_OK
@@ -143,14 +143,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     scenario = load_scenario_file(args.scenario)
     specs = list(dict.fromkeys(["none", *args.policies]))  # each spec once, the baseline first
     policies = [(spec, _make_policy(spec, scenario)) for spec in specs]
+    summaries = [
+        (spec, run_ensemble(scenario, policy, args.reps, base_seed=args.seed, horizon=args.horizon))
+        for spec, policy in policies
+    ]
     out_dir = _prepare_out_dir(args.out_dir)
 
     compare_csvs: list[tuple[str, Path]] = []
     severity_rows = []
-    for spec, policy in policies:
-        summary = run_ensemble(
-            scenario, policy, n_reps=args.reps, base_seed=args.seed, horizon=args.horizon
-        )
+    for spec, summary in summaries:
         csv_path = out_dir / f"compare_{_safe_label(spec)}.csv"
         write_compare_csv(summary, csv_path)
         compare_csvs.append((spec, csv_path))

@@ -50,7 +50,8 @@ def check_proportions(s: np.ndarray, n_areas: int) -> np.ndarray:
         raise ProportionError(f"expected {n_areas} proportions, got shape {s.shape}")
     if n_areas and not s.min() >= 0.0:  # an empty vector has no minimum
         _reject(s, "proportions must be nonnegative")
-    total = float(s.sum())
+    with np.errstate(over="ignore"):  # finite entries can still sum to inf
+        total = float(s.sum())
     if not abs(total - 1.0) <= PROB_TOL:
         _reject(s, f"proportions must sum to 1, got {total}")
     return s

@@ -210,8 +210,10 @@ class FixedWeightsPolicy(Policy):
             raise PolicyError("weights must be finite")
         if np.any(weights < 0.0):
             raise PolicyError("weights must be nonnegative")
-        if abs(float(weights.sum()) - 1.0) > PROB_TOL:
-            raise PolicyError(f"weights must sum to 1, got {float(weights.sum())}")
+        with np.errstate(over="ignore"):  # finite weights can still sum to inf
+            total = float(weights.sum())
+        if abs(total - 1.0) > PROB_TOL:
+            raise PolicyError(f"weights must sum to 1, got {total}")
         self.weights = weights
 
     def decide(self, history: ObservableHistory, rng: np.random.Generator) -> PolicyDecision:

@@ -3,12 +3,12 @@
 CSV is the canonical output; SVG is pure presentation derived from CSV-level
 values, so re-rendering a plot from an existing CSV reproduces identical
 geometry. Floats are printed with 6 significant digits, counts as integers.
+Each table's columns are named once, below, and one writer prints them all.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,107 +17,78 @@ from .engine import EnsembleSummary, Trajectory
 from .metrics import baseline_asymptote
 from .scenario import N_HURT_LEVELS, Scenario
 
+# trajectory.csv: Trajectory fields, as {field}_{area}, {field}_{type}_{area} and {field}
+TRAJECTORY_PER_AREA = ("theta", "xi", "n_e", "n_neg", "n_pos")
+TRAJECTORY_PER_TYPE_AREA = ("obs_pos", "obs_neg")
+TRAJECTORY_PER_DAY = ("expected_loss", "tail_prob")
+
+# compare_*.csv after "day": EnsembleSummary fields; the plots read mean_{metric}, std_{metric}
+COMPARE_COLUMNS = ("mean_expected_loss", "std_expected_loss", "mean_tail_prob", "std_tail_prob")
+
+# table2.csv after "area": per Hurt level j, ahl{j}_{label} holds EnsembleSummary.{field}[:, j]
+TABLE2_COLUMNS = (("median", "incident_p50"), ("p05", "incident_p05"), ("p95", "incident_p95"))
+
 
 def fmt(value) -> str:
-    """Canonical CSV cell: integers verbatim, floats with 6 significant digits."""
+    """Canonical CSV cell: text and integers verbatim, floats with 6 significant digits."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".6g")
 
 
-def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> None:
-    """One row per day: states, event counts, observation counts, metrics."""
-    scenario = trajectory.scenario
-    areas = scenario.area_ids
-    types = scenario.obs_type_ids
-    header = ["day"]
-    header += [f"theta_{a}" for a in areas]
-    header += [f"xi_{a}" for a in areas]
-    header += [f"n_e_{a}" for a in areas]
-    header += [f"n_neg_{a}" for a in areas]
-    header += [f"n_pos_{a}" for a in areas]
-    for type_id in types:
-        header += [f"obs_pos_{type_id}_{a}" for a in areas]
-        header += [f"obs_neg_{type_id}_{a}" for a in areas]
-    header += ["expected_loss", "tail_prob"]
-
+def _write_csv(path: str | Path, header, rows) -> None:
+    """Write a header and rows of values, each cell through fmt."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        t = trajectory
-        obs = np.stack([t.obs_pos, t.obs_neg], axis=2).reshape(t.horizon, -1)  # header order
-        for d in range(t.horizon):
-            row = [d + 1]
-            for per_area in (t.theta, t.xi, t.n_e, t.n_neg, t.n_pos, obs):
-                row += list(per_area[d])
-            writer.writerow([fmt(v) for v in row + [t.expected_loss[d], t.tail_prob[d]]])
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> None:
+    """One row per day: states, event counts, observation counts, metrics."""
+    t = trajectory
+    areas = t.scenario.area_ids
+    columns = [("day", range(1, t.horizon + 1))]
+    for field in TRAJECTORY_PER_AREA:
+        columns += [(f"{field}_{a}", getattr(t, field)[:, i]) for i, a in enumerate(areas)]
+    for k, type_id in enumerate(t.scenario.obs_type_ids):
+        for field in TRAJECTORY_PER_TYPE_AREA:
+            values = getattr(t, field)[:, k]
+            columns += [(f"{field}_{type_id}_{a}", values[:, i]) for i, a in enumerate(areas)]
+    columns += [(field, getattr(t, field)) for field in TRAJECTORY_PER_DAY]
+    header, values = zip(*columns)
+    _write_csv(path, header, zip(*values))
 
 
 def write_table2_csv(summary: EnsembleSummary, path: str | Path) -> None:
     """Per-area incident-count percentiles, one column triple per Hurt level."""
-    header = ["area"]
+    columns = [("area", summary.area_ids)]
     for j in range(N_HURT_LEVELS):
-        header += [f"ahl{j}_median", f"ahl{j}_p05", f"ahl{j}_p95"]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for a_idx, area_id in enumerate(summary.area_ids):
-            row = [area_id]
-            for j in range(N_HURT_LEVELS):
-                row += [
-                    fmt(summary.incident_p50[a_idx, j]),
-                    fmt(summary.incident_p05[a_idx, j]),
-                    fmt(summary.incident_p95[a_idx, j]),
-                ]
-            writer.writerow(row)
+        columns += [(f"ahl{j}_{label}", getattr(summary, f)[:, j]) for label, f in TABLE2_COLUMNS]
+    header, values = zip(*columns)
+    _write_csv(path, header, zip(*values))
 
 
 def write_compare_csv(summary: EnsembleSummary, path: str | Path) -> None:
     """Per-day ensemble mean and standard deviation of both safety metrics."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["day", "mean_expected_loss", "std_expected_loss", "mean_tail_prob", "std_tail_prob"]
-        )
-        for d in range(summary.horizon):
-            writer.writerow(
-                [
-                    fmt(d + 1),
-                    fmt(summary.mean_expected_loss[d]),
-                    fmt(summary.std_expected_loss[d]),
-                    fmt(summary.mean_tail_prob[d]),
-                    fmt(summary.std_tail_prob[d]),
-                ]
-            )
+    values = [range(1, summary.horizon + 1)] + [getattr(summary, c) for c in COMPARE_COLUMNS]
+    _write_csv(path, ("day", *COMPARE_COLUMNS), zip(*values))
 
 
 def read_compare_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Load a compare CSV back into arrays (used to derive the SVG plots)."""
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
-    return {
-        key: np.array([float(r[key]) for r in rows])
-        for key in ("mean_expected_loss", "std_expected_loss", "mean_tail_prob", "std_tail_prob")
-    }
+    return {key: np.array([float(r[key]) for r in rows]) for key in COMPARE_COLUMNS}
 
 
 def write_severity_csv(rows: list[tuple[str, np.ndarray]], path: str | Path) -> None:
     """Single-run incident counts by AHL (summed over areas), one row per policy."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["policy"] + [f"ahl{j}" for j in range(N_HURT_LEVELS)])
-        for name, counts in rows:
-            writer.writerow([name] + [fmt(c) for c in counts])
-
-
-@dataclass(frozen=True)
-class PlotSeries:
-    """One curve for the SVG renderer: a mean line with a +/-1 std band."""
-
-    label: str
-    mean: np.ndarray
-    std: np.ndarray
-    color: str
+    header = ["policy"] + [f"ahl{j}" for j in range(N_HURT_LEVELS)]
+    _write_csv(path, header, ([name, *counts] for name, counts in rows))
 
 
 PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
@@ -138,17 +109,15 @@ def _nice_step(raw: float) -> float:
 
 
 def render_timeseries_svg(
-    series: list[PlotSeries], asymptote: float, title: str, y_label: str
+    series: list[tuple], asymptote: float, title: str, y_label: str
 ) -> str:
-    """Render mean lines with +/-1 std bands plus a dotted asymptote line.
+    """Render (label, mean, std, color) series as mean lines with +/-1 std
+    bands, plus a dotted asymptote line.
 
     Pure function of its inputs: identical data yields identical SVG text.
     """
-    n_days = max(len(s.mean) for s in series)
-    y_max = max(
-        max(float((s.mean + s.std).max()) for s in series),
-        asymptote,
-    )
+    n_days = max(len(mean) for _, mean, _, _ in series)
+    y_max = max(max(float((mean + std).max()) for _, mean, std, _ in series), asymptote)
     y_max = y_max * 1.05 if y_max > 0 else 1.0
     plot_w = _SVG_W - _ML - _MR
     plot_h = _SVG_H - _MT - _MB
@@ -217,36 +186,36 @@ def render_timeseries_svg(
     )
 
     # bands first so every mean line stays visible
-    for s in series:
-        if float(s.std.max()) > 0.0:
-            days = np.arange(1, len(s.mean) + 1)
-            upper = [pt(x_of(d), y_of(m + sd)) for d, m, sd in zip(days, s.mean, s.std)]
+    for _, mean, std, color in series:
+        if float(std.max()) > 0.0:
+            days = np.arange(1, len(mean) + 1)
+            upper = [pt(x_of(d), y_of(m + sd)) for d, m, sd in zip(days, mean, std)]
             lower = [
                 pt(x_of(d), y_of(max(m - sd, 0.0)))
-                for d, m, sd in zip(days[::-1], s.mean[::-1], s.std[::-1])
+                for d, m, sd in zip(days[::-1], mean[::-1], std[::-1])
             ]
             parts.append(
-                f'<polygon points="{" ".join(upper + lower)}" fill="{s.color}" '
+                f'<polygon points="{" ".join(upper + lower)}" fill="{color}" '
                 f'fill-opacity="0.15" stroke="none"/>'
             )
-    for s in series:
-        days = np.arange(1, len(s.mean) + 1)
-        points = " ".join(pt(x_of(d), y_of(m)) for d, m in zip(days, s.mean))
+    for _, mean, _, color in series:
+        days = np.arange(1, len(mean) + 1)
+        points = " ".join(pt(x_of(d), y_of(m)) for d, m in zip(days, mean))
         parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{s.color}" stroke-width="1.8"/>'
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )
 
     # legend
     legend_x = _ML + plot_w + 16
     legend_y = _MT + 10
-    for i, s in enumerate(series):
+    for i, (label, _, _, color) in enumerate(series):
         y = legend_y + i * 20
         parts.append(
             f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 24}" y2="{y}" '
-            f'stroke="{s.color}" stroke-width="2.5"/>'
+            f'stroke="{color}" stroke-width="2.5"/>'
         )
         parts.append(
-            f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12">{s.label}</text>'
+            f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12">{label}</text>'
         )
     y = legend_y + len(series) * 20
     parts.append(
@@ -259,31 +228,28 @@ def render_timeseries_svg(
     return "\n".join(parts) + "\n"
 
 
+# (metric, file name, title, y label), in the order of baseline_asymptote's limits
+_METRIC_PLOTS = (
+    ("expected_loss", "expected_loss.svg", "Expected daily loss", "expected loss"),
+    ("tail_prob", "tail_probability.svg", "Severe-incident tail probability", "tail probability"),
+)
+
+
 def write_metric_svgs(
     compare_csvs: list[tuple[str, Path]],
     scenario: Scenario,
     out_dir: Path,
 ) -> None:
     """Derive the two metric plots from already-written compare CSVs."""
-    loss_limit, tail_limit = baseline_asymptote(scenario)
-    loss_series = []
-    tail_series = []
+    curves = []
     for i, (label, csv_path) in enumerate(compare_csvs):
-        data = read_compare_csv(csv_path)
         color = BASELINE_COLOR if label == "none" else PALETTE[i % len(PALETTE)]
-        loss_series.append(
-            PlotSeries(label, data["mean_expected_loss"], data["std_expected_loss"], color)
-        )
-        tail_series.append(
-            PlotSeries(label, data["mean_tail_prob"], data["std_tail_prob"], color)
-        )
-    (out_dir / "expected_loss.svg").write_text(
-        render_timeseries_svg(loss_series, loss_limit, "Expected daily loss", "expected loss"),
-        encoding="utf-8",
-    )
-    (out_dir / "tail_probability.svg").write_text(
-        render_timeseries_svg(
-            tail_series, tail_limit, "Severe-incident tail probability", "tail probability"
-        ),
-        encoding="utf-8",
-    )
+        curves.append((label, read_compare_csv(csv_path), color))
+    limits = baseline_asymptote(scenario)
+    for (metric, file_name, title, y_label), asymptote in zip(_METRIC_PLOTS, limits):
+        series = [
+            (label, data[f"mean_{metric}"], data[f"std_{metric}"], color)
+            for label, data, color in curves
+        ]
+        svg = render_timeseries_svg(series, asymptote, title, y_label)
+        (out_dir / file_name).write_text(svg, encoding="utf-8")

@@ -122,6 +122,8 @@ def check_proportions(s, n_areas: int) -> np.ndarray:
         raise ProportionError("proportions must be finite")
     if np.any(s < 0.0):
         raise ProportionError("proportions must be nonnegative")
-    if abs(float(s.sum()) - 1.0) > PROB_TOL:
-        raise ProportionError(f"proportions must sum to 1, got {float(s.sum())}")
+    with np.errstate(over="ignore"):  # finite entries can still sum to inf
+        total = float(s.sum())
+    if abs(total - 1.0) > PROB_TOL:
+        raise ProportionError(f"proportions must sum to 1, got {total}")
     return s

@@ -1,12 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import NON_FINITE_CASES, case_study_text_with
+import safesim
+from conftest import NON_FINITE_CASES, case_study_text_with, make_area, make_obs_type, make_scenario
 from safesim.cli import main
-from safesim.reports import fmt
+from safesim.engine import run_ensemble, run_simulation
+from safesim.policies import make_policy
+from safesim.reports import fmt, write_compare_csv, write_trajectory_csv
 from safesim.scenario import case_study_path
 
 SCENARIO = str(case_study_path())
@@ -15,6 +22,11 @@ SCENARIO = str(case_study_path())
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.reader(handle))
+
+
+def read_columns(path):
+    header, *rows = read_csv(path)
+    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
 
 
 class TestFmt:
@@ -137,6 +149,26 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: horizon of 1000000000000 days")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_refused_horizon_creates_no_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("run", "table2", "compare"):
+            argv = [command, "--scenario", SCENARIO, "--horizon", str(10**12), "--out-dir", str(out)]
+            assert main(argv + (["--policy", "uniform"] if command == "compare" else [])) == 2
+            assert "too long to preallocate" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_overflowing_weights_print_one_error_line(self, tmp_path):
+        # a child process, so that stderr also holds anything a numpy warning prints
+        argv = ["run", "--scenario", SCENARIO, "--policy", "weighted:1e308,1e308,0,0,0,0,0",
+                "--horizon", "2", "--out-dir", str(tmp_path / "out")]
+        env = {**os.environ, "PYTHONPATH": str(Path(safesim.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "safesim", *argv], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: weights must sum to 1, got inf\n"
+        assert not (tmp_path / "out").exists()
 
     def test_scenario_without_observation_types_runs(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -283,3 +315,43 @@ class TestCompareCommand:
         assert code == 0
         for name in ("expected_loss.svg", "tail_probability.svg"):
             assert (tmp_path / name).read_text().count("<polyline") == 5
+
+
+class TestCsvColumns:
+    """Each CSV column holds the array it names, on 3 areas and 2 observation types."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return make_scenario(
+            areas=[make_area(area_id=a) for a in "PQR"],
+            obs_types=[make_obs_type(type_id=t, m=4) for t in ("T1", "T2")],
+            horizon_days=20,
+        )
+
+    def test_trajectory_columns(self, scenario, tmp_path):
+        trajectory = run_simulation(scenario, make_policy("uniform"), seed=5)
+        assert trajectory.obs_pos.any() and trajectory.obs_neg.any()
+        write_trajectory_csv(trajectory, tmp_path / "trajectory.csv")
+        expected = {"day": range(1, 21)}
+        for i, area in enumerate("PQR"):
+            for field in ("theta", "xi", "n_e", "n_neg", "n_pos"):
+                expected[f"{field}_{area}"] = getattr(trajectory, field)[:, i]
+            for k, type_id in enumerate(("T1", "T2")):
+                for field in ("obs_pos", "obs_neg"):
+                    expected[f"{field}_{type_id}_{area}"] = getattr(trajectory, field)[:, k, i]
+        for field in ("expected_loss", "tail_prob"):
+            expected[field] = getattr(trajectory, field)
+        columns = read_columns(tmp_path / "trajectory.csv")
+        assert sorted(columns) == sorted(expected)
+        for name, values in expected.items():
+            assert columns[name] == [fmt(v) for v in values], name
+
+    def test_compare_columns(self, scenario, tmp_path):
+        summary = run_ensemble(scenario, make_policy("counts"), n_reps=3, base_seed=2)
+        write_compare_csv(summary, tmp_path / "compare.csv")
+        columns = read_columns(tmp_path / "compare.csv")
+        fields = ["mean_expected_loss", "std_expected_loss", "mean_tail_prob", "std_tail_prob"]
+        assert list(columns) == ["day", *fields]
+        assert columns["day"] == [str(d) for d in range(1, 21)]
+        for name in fields:
+            assert columns[name] == [fmt(v) for v in getattr(summary, name)], name

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -401,6 +402,12 @@ class TestCheckProportions:
     def test_wrong_length_rejected(self):
         with pytest.raises(ProportionError, match="expected 3"):
             check_proportions([0.5, 0.5], 3)
+
+    def test_overflowing_sum_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProportionError, match="sum to 1, got inf"):
+                check_proportions([1e308, 1e308], 2)
 
 
 
