@@ -49,7 +49,7 @@ import numpy as np
 from .events import hurt_levels, step_events, xi_of_theta
 from .intervention import feedback_drive, step_theta
 from .metrics import compute_day_metrics
-from .observation import observer_draws, step_observations
+from .observation import observer_draws, proportions_by_type, step_observations
 from .policies import AHL, AREA, ObservableHistory, Policy
 from .scenario import N_HURT_LEVELS, Scenario
 
@@ -184,6 +184,7 @@ class Replications:
         self.column_area = np.tile(np.arange(n_areas), n_reps)
         self.column_xi_base = np.tile(scenario.arrays.xi_base, n_reps)
         self.column_k_decay = [area.k_decay for area in scenario.areas] * n_reps
+        self.observer_draws = observer_draws(scenario)
 
 
 def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> np.ndarray:
@@ -208,19 +209,22 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
     areas = ahl = phl = NO_INCIDENTS
     if any(n_e):
         areas = np.repeat(reps.column_area, n_e)
-        ahl, phl = hurt_levels(scenario.arrays.hl_sums, areas, np.concatenate(uniforms, axis=1))
+        drawn = [u for n, u in zip(n_e, uniforms) if n]
+        ahl, phl = hurt_levels(scenario.arrays.hl_sums, areas, np.concatenate(drawn, axis=1))
 
     end = 0
     for r, (run, streams) in enumerate(zip(reps.runs, reps.streams)):
         columns = slice(r * n_areas, (r + 1) * n_areas)
         decision = policy.decide(run.history, streams.policy)
         if decision.proportions is not None:
-            u = streams.observer.random(observer_draws(scenario))
-            run.obs_pos[d], run.obs_neg[d] = step_observations(
-                u, scenario, n_pos[columns], n_neg[columns], decision.proportions
+            proportions = proportions_by_type(decision.proportions, scenario.obs_type_ids)
+            u = streams.observer.random(reps.observer_draws)
+            step_observations(
+                u, scenario, n_pos[columns], n_neg[columns], proportions,
+                run.obs_pos[d], run.obs_neg[d],
             )
-            for t, type_id in enumerate(scenario.obs_type_ids):
-                run.proportions[d, t] = decision.proportions[type_id]
+            for t, s in enumerate(proportions):
+                run.proportions[d, t] = s
         start, end = end, end + sum(n_e[columns])
         run.history.append_day(areas[start:end], ahl[start:end], phl[start:end])
 

@@ -25,7 +25,7 @@ engine draws them from the observer stream (see the engine docstring).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from itertools import accumulate
 
 import numpy as np
@@ -34,34 +34,38 @@ from .scenario import PROB_TOL, Scenario
 
 
 class ProportionError(ValueError):
-    """An allocation proportion vector is malformed."""
+    """An allocation proportion vector is malformed, or a type has none."""
 
 
-def check_proportions(s: np.ndarray, n_areas: int) -> np.ndarray:
-    """Validate an allocation proportion vector; returns it as float array.
+def check_proportions(s: Sequence[float], n_areas: int) -> list[float]:
+    """Validate an allocation proportion vector; returns its entries as floats.
 
-    A valid vector costs one minimum and one sum. A NaN fails the minimum
-    and an infinity the minimum or the sum, so the finiteness test runs
-    only on a vector that has failed one of them. The minimum goes first so
-    that inf and -inf together never reach the sum (and its warning).
+    On the list the allocation reads, in turn: the shape, the minimum, then
+    the last running sum, the total that allocate_observers scales by. A NaN
+    or an infinity fails the minimum or the total (a float sum overflows to
+    inf without a warning), so only a vector that has failed is tested for
+    finiteness, which then sets the message.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (n_areas,):
         raise ProportionError(f"expected {n_areas} proportions, got shape {s.shape}")
-    if n_areas and not s.min() >= 0.0:  # an empty vector has no minimum
-        _reject(s, "proportions must be nonnegative")
-    with np.errstate(over="ignore"):  # finite entries can still sum to inf
-        total = float(s.sum())
-    if not abs(total - 1.0) <= PROB_TOL:
-        _reject(s, f"proportions must sum to 1, got {total}")
-    return s
+    values = s.tolist()
+    *_, total = accumulate(values, initial=0.0)
+    if n_areas and not min(values) >= 0.0:  # an empty vector has no minimum
+        message = "proportions must be nonnegative"
+    elif not abs(total - 1.0) <= PROB_TOL:
+        message = f"proportions must sum to 1, got {total}"
+    else:
+        return values
+    raise ProportionError(message if np.isfinite(values).all() else "proportions must be finite")
 
 
-def _reject(s: np.ndarray, message: str) -> None:
-    """Raise for a vector that failed a check: non-finite entries take precedence."""
-    if not np.isfinite(s).all():
-        message = "proportions must be finite"
-    raise ProportionError(message)
+def proportions_by_type(proportions: Mapping, obs_type_ids: Sequence[str]) -> list:
+    """A decision's proportion vector for each observation type, in config order."""
+    try:
+        return [proportions[type_id] for type_id in obs_type_ids]
+    except KeyError as exc:
+        raise ProportionError(f"no proportions for observation type {exc.args[0]!r}") from None
 
 
 def observer_draws(scenario: Scenario) -> int:
@@ -136,39 +140,40 @@ def step_observations(
     scenario: Scenario,
     n_pos: Sequence[int],
     n_neg: Sequence[int],
-    proportions_by_type: dict[str, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
+    proportions: Sequence[Sequence[float]],
+    obs_pos: np.ndarray,
+    obs_neg: np.ndarray,
+) -> None:
     """Run one day of the observation process over every type and area.
 
-    n_pos and n_neg are the day's safe and unsafe activity counts per area.
-    u holds the day's observer_draws(scenario) uniforms: for each obs type
-    in config order, m allocation uniforms, then a block of rho * m urn
-    uniforms, sliced over the areas in area order, rho * q[a] for area a.
-    Each type draws its own urn, so the same event can be recorded by
-    several types but at most once per type. Returns the recorded safe and
-    unsafe counts (obs_pos, obs_neg), each indexed [obs_type, area].
+    n_pos and n_neg are the day's safe and unsafe activity counts per area,
+    and proportions holds one vector per obs type in config order. u holds
+    the day's observer_draws(scenario) uniforms: for each obs type in config
+    order, m allocation uniforms, then a block of rho * m urn uniforms,
+    sliced over the areas in area order, rho * q[a] for area a. Each type
+    draws its own urn, so the same event can be recorded by several types
+    but at most once per type. The recorded safe and unsafe counts go into
+    obs_pos and obs_neg, indexed [obs_type, area], which must hold zeros:
+    only the cells with observers and activity are written.
     """
     n_areas = scenario.n_areas
     u = u.tolist()
     checked = {}  # id of a proportion vector -> its validated values, as a list
-    obs_pos, obs_neg = [], []
     start = 0
-    for obs_type in scenario.obs_types:
-        given = proportions_by_type[obs_type.id]
+    for t_idx, (obs_type, given) in enumerate(zip(scenario.obs_types, proportions)):
         s = checked.get(id(given))
         if s is None:
-            s = checked[id(given)] = check_proportions(given, n_areas).tolist()
+            s = checked[id(given)] = check_proportions(given, n_areas)
         m, rho = obs_type.m, obs_type.rho
         q = allocate_observers(u[start : start + m], s)
         start += m
-        pos, neg = [0] * n_areas, [0] * n_areas
         for a_idx, observers in enumerate(q):
             if not observers:
                 continue
             capacity = rho * observers
             end = start + capacity
             if n_pos[a_idx] + n_neg[a_idx]:
-                pos[a_idx], neg[a_idx] = select_observed(
+                obs_pos[t_idx, a_idx], obs_neg[t_idx, a_idx] = select_observed(
                     u[start:end],
                     n_pos[a_idx],
                     n_neg[a_idx],
@@ -177,7 +182,3 @@ def step_observations(
                     obs_type.eta_neg,
                 )
             start = end
-        obs_pos.append(pos)
-        obs_neg.append(neg)
-    shape = (len(scenario.obs_types), n_areas)  # the reshape keeps (0, areas) for no types
-    return np.array(obs_pos, dtype=int).reshape(shape), np.array(obs_neg, dtype=int).reshape(shape)

@@ -10,6 +10,7 @@ register under a name for CLI use.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,14 @@ DEFAULT_WINDOW_DAYS = 30
 
 class PolicyError(ValueError):
     """Unknown policy name or invalid policy parameters."""
+
+
+def _check_window(window_days) -> int:
+    """A trailing window length in days: an integer of at least 1, not a bool."""
+    integer = isinstance(window_days, numbers.Integral) and not isinstance(window_days, bool)
+    if not (integer and window_days >= 1):
+        raise PolicyError(f"window_days must be an integer >= 1, got {window_days!r}")
+    return int(window_days)
 
 
 # Columns of the incident log: one row per incident, rows sorted by day.
@@ -119,8 +128,7 @@ class PolicyDecision:
 
     @classmethod
     def same_for_all_types(cls, s: np.ndarray, obs_type_ids: tuple[str, ...]) -> "PolicyDecision":
-        s = np.asarray(s, dtype=float)
-        return cls(proportions={type_id: s for type_id in obs_type_ids})
+        return cls(proportions=dict.fromkeys(obs_type_ids, np.asarray(s, dtype=float)))
 
 
 class Policy:
@@ -164,7 +172,7 @@ class IncidentCountPolicy(Policy):
     name = "counts"
 
     def __init__(self, window_days: int = DEFAULT_WINDOW_DAYS):
-        self.window_days = window_days
+        self.window_days = _check_window(window_days)
 
     def decide(self, history: ObservableHistory, rng: np.random.Generator) -> PolicyDecision:
         counts = history.incident_counts(self.window_days)
@@ -185,7 +193,7 @@ class IncidentSeverityPolicy(Policy):
     name = "severity"
 
     def __init__(self, window_days: int = DEFAULT_WINDOW_DAYS):
-        self.window_days = window_days
+        self.window_days = _check_window(window_days)
 
     def decide(self, history: ObservableHistory, rng: np.random.Generator) -> PolicyDecision:
         weights = np.power(2.0, history.max_ahl(self.window_days))

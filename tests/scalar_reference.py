@@ -8,9 +8,10 @@ match bit for bit (the tail probability to rounding); the tests compare
 against them. The observation samplers at the end are the ones the
 simulator used before the fixed-weight urn: the tests compare the urn's law
 against theirs. Last come the numpy forms of the observers' allocation and
-of the proportion check that the simulator now runs on plain lists and as
-one minimum and one sum; the tests require the same counts and the same
-errors.
+of the proportion check that the simulator now runs on plain lists, and the
+observation day that builds its counts as nested lists and converts them to
+arrays where the simulator writes them in place; the tests require the same
+counts and the same errors.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from safesim.events import DegenerateHurtDistribution, sample_event_counts
 from safesim.metrics import SEVERE_AHL
-from safesim.observation import ProportionError
+from safesim.observation import ProportionError, allocate_observers, select_observed
 from safesim.scenario import N_HURT_LEVELS, PROB_TOL
 
 
@@ -127,3 +128,38 @@ def check_proportions(s, n_areas: int) -> np.ndarray:
     if abs(total - 1.0) > PROB_TOL:
         raise ProportionError(f"proportions must sum to 1, got {total}")
     return s
+
+
+def step_observations(u, scenario, n_pos, n_neg, proportions_by_type):
+    """One observation day over every type and area, from a dict of proportion
+    vectors keyed by type id; returns (obs_pos, obs_neg), each indexed
+    [obs_type, area]."""
+    n_areas = scenario.n_areas
+    u = u.tolist()
+    obs_pos, obs_neg = [], []
+    start = 0
+    for obs_type in scenario.obs_types:
+        s = check_proportions(proportions_by_type[obs_type.id], n_areas).tolist()
+        m, rho = obs_type.m, obs_type.rho
+        q = allocate_observers(u[start : start + m], s)
+        start += m
+        pos, neg = [0] * n_areas, [0] * n_areas
+        for a_idx, observers in enumerate(q):
+            if not observers:
+                continue
+            capacity = rho * observers
+            end = start + capacity
+            if n_pos[a_idx] + n_neg[a_idx]:
+                pos[a_idx], neg[a_idx] = select_observed(
+                    u[start:end],
+                    n_pos[a_idx],
+                    n_neg[a_idx],
+                    capacity,
+                    obs_type.eta_pos,
+                    obs_type.eta_neg,
+                )
+            start = end
+        obs_pos.append(pos)
+        obs_neg.append(neg)
+    shape = (len(scenario.obs_types), n_areas)
+    return np.array(obs_pos, dtype=int).reshape(shape), np.array(obs_neg, dtype=int).reshape(shape)

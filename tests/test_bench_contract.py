@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from safesim import cli, engine, observation
-from safesim.policies import make_policy
+from safesim import cli, engine, intervention, observation
+from safesim.policies import ObservableHistory, make_policy
 from safesim.scenario import case_study_path
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -76,3 +76,27 @@ def test_observing_run_reaches_the_traced_observation_functions(monkeypatch, cas
     engine.run_simulation(case_study, make_policy("uniform"), seed=1, horizon=3)
     assert calls["safesim.observation.allocate_observers"] > 0
     assert calls["safesim.observation.select_observed"] > 0
+
+
+# (owner, attribute) of each traced function a windowed observing run must
+# reach through that attribute: the namespace its caller looks it up in.
+WINDOWED_RUN_TARGETS = [
+    (engine, "step_events"),
+    (engine, "step_theta"),
+    (intervention, "apply_feedback"),
+    (engine, "step_observations"),
+    (ObservableHistory, "window"),
+]
+
+
+@pytest.mark.parametrize(
+    "policy_name,query", [("counts", "incident_counts"), ("severity", "max_ahl")]
+)
+def test_windowed_run_reaches_the_traced_functions(monkeypatch, case_study, policy_name, query):
+    targets = WINDOWED_RUN_TARGETS + [(ObservableHistory, query)]
+    calls = Counter()
+    for owner, name in targets:
+        count_calls(monkeypatch, owner, name, calls)
+    engine.run_simulation(case_study, make_policy(policy_name), seed=1, horizon=20)
+    for owner, name in targets:
+        assert calls[f"{owner.__name__}.{name}"] > 0, f"{owner.__name__}.{name}"

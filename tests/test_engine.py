@@ -14,6 +14,7 @@ from safesim.engine import (
     summarize_trajectories,
 )
 from safesim.metrics import baseline_asymptote
+from safesim.observation import ProportionError
 from safesim.policies import AHL, DAY, PHL, Policy, PolicyDecision, make_policy
 from safesim.scenario import N_HURT_LEVELS
 
@@ -174,6 +175,30 @@ class TestStreams:
         assert streams.observer.bit_generator.state == reference.observer.bit_generator.state
 
 
+class MissingTypePolicy(Policy):
+    """Gives uniform proportions to every observation type but SAO."""
+
+    name = "missing-type"
+
+    def decide(self, history, rng):
+        s = np.full(history.n_areas, 1.0 / history.n_areas)
+        return PolicyDecision({t: s for t in history.obs_type_ids if t != "SAO"})
+
+
+class TestMissingType:
+    def test_run_names_the_missing_type(self, case_study):
+        with pytest.raises(ProportionError, match="observation type 'SAO'"):
+            run_simulation(case_study, MissingTypePolicy(), seed=1, horizon=3)
+
+    def test_nothing_drawn_from_the_observer_stream(self, case_study):
+        reps = Replications(case_study, "missing-type", seeds=[3], horizon=1)
+        theta = np.array([a.theta0 for a in case_study.areas])
+        with pytest.raises(ProportionError, match="SAO"):
+            step_day(reps, 0, theta, MissingTypePolicy())
+        reference = Streams.from_seed(3).observer
+        assert reps.streams[0].observer.bit_generator.state == reference.bit_generator.state
+
+
 class DirichletPolicy(Policy):
     """Proportions drawn from the policy stream: a flat Dirichlet each day."""
 
@@ -202,6 +227,19 @@ class OddDaysOffPolicy(Policy):
         return self.counts.decide(history, rng)
 
 
+class PerTypePolicy(Policy):
+    """Gives type j the counts policy's vector rolled by j areas: a vector per type."""
+
+    name = "per-type"
+
+    def __init__(self):
+        self.counts = make_policy("counts")
+
+    def decide(self, history, rng):
+        s = self.counts.decide(history, rng).proportions[history.obs_type_ids[0]]
+        return PolicyDecision({t: np.roll(s, j) for j, t in enumerate(history.obs_type_ids)})
+
+
 def dense_scenario(n_areas=24, seed=5):
     """A generated scenario like the dense-long benchmark's: many areas, large pools."""
     rng = np.random.default_rng(seed)
@@ -224,13 +262,16 @@ def dense_scenario(n_areas=24, seed=5):
     return make_scenario(areas=areas, obs_types=obs_types, delta_e=0.002)
 
 
-LOCKSTEP_POLICIES = ("none", "uniform", "counts", "severity", "weighted", "dirichlet", "odd")
+LOCKSTEP_POLICIES = (
+    "none", "uniform", "counts", "severity", "weighted", "dirichlet", "odd", "per-type",
+)
 
 
 def lockstep_policy(name, scenario):
     if name == "weighted":
         return make_policy("weighted:" + ",".join(["1"] + ["0"] * (scenario.n_areas - 1)))
-    return {"dirichlet": DirichletPolicy, "odd": OddDaysOffPolicy}.get(name, lambda: make_policy(name))()
+    custom = {"dirichlet": DirichletPolicy, "odd": OddDaysOffPolicy, "per-type": PerTypePolicy}
+    return custom.get(name, lambda: make_policy(name))()
 
 
 class TestLockstep:
@@ -248,6 +289,9 @@ class TestLockstep:
             alone = run_simulation(scenario, policy, seed, horizon)
             assert trajectories_equal(batched, alone)
             assert np.array_equal(batched.proportions, alone.proportions, equal_nan=True)
+        if policy_name == "per-type":
+            proportions = np.stack([t.proportions for t in lockstep])
+            assert not np.array_equal(proportions[:, :, 0], proportions[:, :, 1])
         if policy_name == "odd":
             observing = ~np.isnan(np.stack([t.proportions[:, 0, 0] for t in lockstep]))
             assert np.any(observing.any(axis=0) & ~observing.all(axis=0))

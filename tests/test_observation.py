@@ -15,17 +15,27 @@ from safesim.observation import (
     allocate_observers,
     check_proportions,
     observer_draws,
+    proportions_by_type,
     select_observed,
     step_observations,
 )
 from safesim.scenario import PROB_TOL
 
 
+def observe_into(u, scenario, n_pos, n_neg, decision):
+    """step_observations writing into zero (types, areas) arrays; returns them."""
+    shape = (len(scenario.obs_types), scenario.n_areas)
+    obs_pos, obs_neg = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
+    proportions = proportions_by_type(decision, scenario.obs_type_ids)
+    step_observations(u, scenario, n_pos, n_neg, proportions, obs_pos, obs_neg)
+    return obs_pos, obs_neg
+
+
 def observe(rng, scenario, activity, decision):
     """step_observations on one (n_pos, n_neg) activity pair per area."""
     n_pos, n_neg = (list(counts) for counts in zip(*activity))
     u = rng.random(observer_draws(scenario))
-    obs_pos, obs_neg = step_observations(u, scenario, n_pos, n_neg, decision)
+    obs_pos, obs_neg = observe_into(u, scenario, n_pos, n_neg, decision)
     return SimpleNamespace(obs_pos=obs_pos, obs_neg=obs_neg)
 
 
@@ -83,13 +93,16 @@ class TestAllocateObservers:
 
 
 @st.composite
-def proportion_vectors(draw):
-    """Proportions with zero entries, summing to 1 or to 1 -/+ PROB_TOL."""
-    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=24))
+def proportion_vectors(draw, n_areas=None, scales=(1.0, 1.0 - PROB_TOL, 1.0 + PROB_TOL)):
+    """Proportions with zero entries, summing to 1 times one of scales (by
+    default 1 or 1 -/+ PROB_TOL); 1 to 24 of them unless n_areas is given."""
+    low, high = (1, 24) if n_areas is None else (n_areas, n_areas)
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    weights = draw(st.lists(weight, min_size=low, max_size=high))
     if not any(weights):
         weights[draw(st.integers(0, len(weights) - 1))] = 1.0
     s = np.array(weights) / sum(weights)
-    return s * draw(st.sampled_from([1.0, 1.0 - PROB_TOL, 1.0 + PROB_TOL]))
+    return s * draw(st.sampled_from(scales))
 
 
 class TestAllocationMatchesNumpyOracle:
@@ -353,7 +366,7 @@ class TestStepObservations:
         rng = np.random.default_rng(41)
         for _ in range(50):
             u = rng.random(observer_draws(scenario))
-            obs_pos, obs_neg = step_observations(
+            obs_pos, obs_neg = observe_into(
                 u, scenario, [p for p, _ in evs], [n for _, n in evs], decision
             )
             start = 0
@@ -375,6 +388,12 @@ class TestStepObservations:
         with pytest.raises(ProportionError, match="sum to 1"):
             observe(rng, scenario, [(1, 1), (1, 1)], bad)
 
+    def test_missing_type_rejected_by_name(self):
+        scenario = self.scenario_3x2()
+        decision = {"WSO": np.array([0.5, 0.5]), "BPO": np.array([0.5, 0.5])}
+        with pytest.raises(ProportionError, match="observation type 'SAO'"):
+            proportions_by_type(decision, scenario.obs_type_ids)
+
     def test_each_distinct_vector_checked(self):
         # one valid vector shared by two types, a bad one for the third
         scenario = self.scenario_3x2()
@@ -385,10 +404,61 @@ class TestStepObservations:
             observe(rng, scenario, [(1, 1), (1, 1)], decision)
 
 
+@st.composite
+def observation_days(draw):
+    """(scenario, uniforms, n_pos, n_neg, decision): 1-24 areas, up to 3
+    types (m = 0 included), some areas without activity, and each type's
+    vector either shared with the types before it or its own."""
+    n_areas = draw(st.integers(1, 24))
+    obs_types = [
+        make_obs_type(
+            f"T{j}",
+            m=draw(st.integers(0, 6)),
+            rho=draw(st.integers(1, 4)),
+            eta_pos=draw(st.floats(0.1, 300.0)),
+            eta_neg=draw(st.floats(0.1, 300.0)),
+        )
+        for j in range(draw(st.integers(1, 3)))
+    ]
+    areas = [make_area(f"A{i}") for i in range(n_areas)]
+    scenario = make_scenario(areas=areas, obs_types=obs_types)
+    # scales well inside PROB_TOL: both checks accept every vector
+    vectors = proportion_vectors(n_areas, scales=(1.0, 1.0 - PROB_TOL / 4, 1.0 + PROB_TOL / 4))
+    shared = draw(vectors)
+    decision = {t.id: shared if draw(st.booleans()) else draw(vectors) for t in obs_types}
+    pools = st.one_of(st.just((0, 0)), st.tuples(st.integers(0, 30), st.integers(0, 30)))
+    n_pos, n_neg = map(list, zip(*draw(st.lists(pools, min_size=n_areas, max_size=n_areas))))
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(observer_draws(scenario))
+    return scenario, u, n_pos, n_neg, decision
+
+
+class TestStepObservationsMatchesListOracle:
+    @settings(deadline=None, max_examples=300)
+    @given(observation_days())
+    def test_same_counts_written_in_place(self, day):
+        scenario, u, n_pos, n_neg, decision = day
+        expected_pos, expected_neg = scalar_reference.step_observations(
+            u, scenario, n_pos, n_neg, decision
+        )
+        # the replication's columns of a batch row, as the engine passes them
+        n_types, n_areas = expected_pos.shape
+        batch_pos, batch_neg = np.zeros((2, n_types, 3 * n_areas), dtype=int)
+        columns = slice(n_areas, 2 * n_areas)
+        proportions = proportions_by_type(decision, scenario.obs_type_ids)
+        step_observations(
+            u, scenario, n_pos, n_neg, proportions, batch_pos[:, columns], batch_neg[:, columns]
+        )
+        assert np.array_equal(batch_pos[:, columns], expected_pos)
+        assert np.array_equal(batch_neg[:, columns], expected_neg)
+        batch_pos[:, columns] = batch_neg[:, columns] = 0
+        assert not batch_pos.any() and not batch_neg.any()
+
+
 class TestCheckProportions:
     def test_valid_vector_passes(self):
-        s = check_proportions([0.25, 0.75], 2)
-        assert s.dtype == float
+        for given in ([0.25, 0.75], np.array([0.25, 0.75])):
+            s = check_proportions(given, 2)
+            assert s == [0.25, 0.75] and all(type(x) is float for x in s)
 
     def test_negative_rejected(self):
         with pytest.raises(ProportionError, match="nonnegative"):
@@ -414,7 +484,7 @@ class TestCheckProportions:
 def _outcome(check, s, n_areas):
     """check's result as a list, or the message of the ProportionError it raised."""
     try:
-        return check(s, n_areas).tolist()
+        return np.asarray(check(s, n_areas)).tolist()
     except ProportionError as exc:
         return f"error: {exc}"
 

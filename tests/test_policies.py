@@ -126,6 +126,26 @@ class TestIncidentSeverityPolicy:
         )
 
 
+@pytest.mark.parametrize("cls", [IncidentCountPolicy, IncidentSeverityPolicy])
+class TestWindowDays:
+    @pytest.mark.parametrize("window_days", [0, -1, -30])
+    def test_window_below_one_rejected(self, cls, window_days):
+        with pytest.raises(PolicyError, match=">= 1"):
+            cls(window_days=window_days)
+
+    @pytest.mark.parametrize("window_days", [2.5, 30.0, "30", True, False, None])
+    def test_window_not_an_integer_rejected(self, cls, window_days):
+        with pytest.raises(PolicyError, match="integer"):
+            cls(window_days=window_days)
+
+    @pytest.mark.parametrize("window_days", [1, 30, np.int64(7)])
+    def test_integer_window_accepted(self, cls, window_days):
+        policy = cls(window_days=window_days)
+        assert policy.window_days == window_days and type(policy.window_days) is int
+        history = history_with_incidents(3, {1: [(2, 4)]}, current_day=3)
+        assert_decision_sums_to_one(policy.decide(history, rng()))
+
+
 class TestFixedWeightsPolicy:
     def test_reference_weights(self):
         decision = FixedWeightsPolicy(PRIOR_WEIGHTS).decide(
