@@ -62,6 +62,11 @@ def check_proportions(s: Sequence[float], n_areas: int) -> list[float]:
 
 def proportions_by_type(proportions: Mapping, obs_type_ids: Sequence[str]) -> list:
     """A decision's proportion vector for each observation type, in config order."""
+    if not isinstance(proportions, Mapping):
+        raise ProportionError(
+            "a decision's proportions must map each observation type id to a vector, "
+            f"got {type(proportions).__name__}"
+        )
     try:
         return [proportions[type_id] for type_id in obs_type_ids]
     except KeyError as exc:

@@ -4,6 +4,9 @@ CSV is the canonical output; SVG is pure presentation derived from CSV-level
 values, so re-rendering a plot from an existing CSV reproduces identical
 geometry. Floats are printed with 6 significant digits, counts as integers.
 Each table's columns are named once, below, and one writer prints them all.
+The writer takes columns and turns each array into Python numbers once; a
+plot computes a series' coordinates in one array operation and formats each
+day's x once for all its series.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ TABLE2_COLUMNS = (("median", "incident_p50"), ("p05", "incident_p05"), ("p95", "
 
 def fmt(value) -> str:
     """Canonical CSV cell: text and integers verbatim, floats with 6 significant digits."""
+    if isinstance(value, float):  # first: most cells are floats
+        return format(value, ".6g")
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -38,13 +43,13 @@ def fmt(value) -> str:
     return format(float(value), ".6g")
 
 
-def _write_csv(path: str | Path, header, rows) -> None:
-    """Write a header and rows of values, each cell through fmt."""
+def _write_csv(path: str | Path, header, columns) -> None:
+    """Write a header and equal-length columns of values, each cell through fmt."""
+    cells = [[fmt(v) for v in np.asarray(column).tolist()] for column in columns]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        writer.writerows(zip(*cells))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> None:
@@ -59,8 +64,7 @@ def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> None:
             values = getattr(t, field)[:, k]
             columns += [(f"{field}_{type_id}_{a}", values[:, i]) for i, a in enumerate(areas)]
     columns += [(field, getattr(t, field)) for field in TRAJECTORY_PER_DAY]
-    header, values = zip(*columns)
-    _write_csv(path, header, zip(*values))
+    _write_csv(path, *zip(*columns))
 
 
 def write_table2_csv(summary: EnsembleSummary, path: str | Path) -> None:
@@ -68,34 +72,36 @@ def write_table2_csv(summary: EnsembleSummary, path: str | Path) -> None:
     columns = [("area", summary.area_ids)]
     for j in range(N_HURT_LEVELS):
         columns += [(f"ahl{j}_{label}", getattr(summary, f)[:, j]) for label, f in TABLE2_COLUMNS]
-    header, values = zip(*columns)
-    _write_csv(path, header, zip(*values))
+    _write_csv(path, *zip(*columns))
 
 
 def write_compare_csv(summary: EnsembleSummary, path: str | Path) -> None:
     """Per-day ensemble mean and standard deviation of both safety metrics."""
     values = [range(1, summary.horizon + 1)] + [getattr(summary, c) for c in COMPARE_COLUMNS]
-    _write_csv(path, ("day", *COMPARE_COLUMNS), zip(*values))
+    _write_csv(path, ("day", *COMPARE_COLUMNS), values)
 
 
 def read_compare_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Load a compare CSV back into arrays (used to derive the SVG plots)."""
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    return {key: np.array([float(r[key]) for r in rows]) for key in COMPARE_COLUMNS}
+        header, *rows = csv.reader(handle)
+    index = {name: j for j, name in enumerate(header)}
+    return {key: np.array([float(r[index[key]]) for r in rows]) for key in COMPARE_COLUMNS}
 
 
 def write_severity_csv(rows: list[tuple[str, np.ndarray]], path: str | Path) -> None:
     """Single-run incident counts by AHL (summed over areas), one row per policy."""
     header = ["policy"] + [f"ahl{j}" for j in range(N_HURT_LEVELS)]
-    _write_csv(path, header, ([name, *counts] for name, counts in rows))
+    _write_csv(path, header, [[name for name, _ in rows], *np.transpose([c for _, c in rows])])
 
 
 PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 BASELINE_COLOR = "#333333"
+_ASYMPTOTE_STROKE = 'stroke="#555555" stroke-width="1.5" stroke-dasharray="5 4"'
 
 _SVG_W, _SVG_H = 880, 500
 _ML, _MR, _MT, _MB = 72, 190, 46, 54
+_PLOT_W, _PLOT_H = _SVG_W - _ML - _MR, _SVG_H - _MT - _MB
 
 
 def _nice_step(raw: float) -> float:
@@ -106,6 +112,23 @@ def _nice_step(raw: float) -> float:
         if raw <= mult * magnitude:
             return mult * magnitude
     return 10.0 * magnitude
+
+
+def _plot_x(days, n_days: int) -> list[float]:
+    """x of each day: days 1 and n_days at the plot's edges, a single day at its centre."""
+    if n_days == 1:
+        return [_ML + _PLOT_W / 2.0] * len(days)
+    return (_ML + (np.asarray(days) - 1.0) / (n_days - 1.0) * _PLOT_W).tolist()
+
+
+def _plot_y(values, y_max: float) -> list[float]:
+    """y of each value: 0 on the x axis, y_max at the plot's top."""
+    return (_MT + _PLOT_H - np.asarray(values) / y_max * _PLOT_H).tolist()
+
+
+def _points(x_text: list[str], values, y_max: float) -> str:
+    """An SVG points list: day i's text x_text[i], paired with the y of values[i] (2 decimals)."""
+    return " ".join([f"{x},{y:.2f}" for x, y in zip(x_text, _plot_y(values, y_max))])
 
 
 def render_timeseries_svg(
@@ -119,110 +142,78 @@ def render_timeseries_svg(
     n_days = max(len(mean) for _, mean, _, _ in series)
     y_max = max(max(float((mean + std).max()) for _, mean, std, _ in series), asymptote)
     y_max = y_max * 1.05 if y_max > 0 else 1.0
-    plot_w = _SVG_W - _ML - _MR
-    plot_h = _SVG_H - _MT - _MB
-
-    def x_of(day: float) -> float:
-        if n_days == 1:
-            return _ML + plot_w / 2.0
-        return _ML + (day - 1.0) / (n_days - 1.0) * plot_w
-
-    def y_of(value: float) -> float:
-        return _MT + plot_h - value / y_max * plot_h
-
-    def pt(x: float, y: float) -> str:
-        return f"{x:.2f},{y:.2f}"
+    bottom, right = _MT + _PLOT_H, _ML + _PLOT_W
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}" font-family="sans-serif">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_ML + plot_w / 2:.2f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{_ML + _PLOT_W / 2:.2f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
     ]
 
     # axes and grid
     y_step = _nice_step(y_max / 5.0)
-    tick = 0.0
-    while tick <= y_max + 1e-12:
-        y = y_of(tick)
+    y_ticks = [0.0]
+    while y_ticks[-1] + y_step <= y_max + 1e-12:
+        y_ticks.append(y_ticks[-1] + y_step)
+    for tick, y in zip(y_ticks, _plot_y(y_ticks, y_max)):
         parts.append(
-            f'<line x1="{_ML}" y1="{y:.2f}" x2="{_ML + plot_w}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
+            f'<line x1="{_ML}" y1="{y:.2f}" x2="{right}" y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="11">{tick:.6g}</text>'
         )
-        tick += y_step
     x_step = max(1, int(_nice_step(n_days / 6.0)))
-    for day in [1] + list(range(x_step, n_days + 1, x_step)):
-        x = x_of(day)
+    x_ticks = [1] + list(range(x_step, n_days + 1, x_step))
+    for day, x in zip(x_ticks, _plot_x(x_ticks, n_days)):
         parts.append(
-            f'<line x1="{x:.2f}" y1="{_MT + plot_h}" x2="{x:.2f}" y2="{_MT + plot_h + 5}" '
+            f'<line x1="{x:.2f}" y1="{bottom}" x2="{x:.2f}" y2="{bottom + 5}" '
             f'stroke="#333333" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{x:.2f}" y="{_MT + plot_h + 20}" text-anchor="middle" font-size="11">{day}</text>'
+            f'<text x="{x:.2f}" y="{bottom + 20}" text-anchor="middle" font-size="11">{day}</text>'
         )
     parts.append(
-        f'<line x1="{_ML}" y1="{_MT + plot_h}" x2="{_ML + plot_w}" y2="{_MT + plot_h}" '
-        f'stroke="#333333" stroke-width="1.5"/>'
+        f'<line x1="{_ML}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="#333333" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" stroke="#333333" stroke-width="1.5"/>'
+        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{bottom}" stroke="#333333" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<text x="{_ML + plot_w / 2:.2f}" y="{_SVG_H - 14}" text-anchor="middle" font-size="13">day</text>'
+        f'<text x="{_ML + _PLOT_W / 2:.2f}" y="{_SVG_H - 14}" text-anchor="middle" font-size="13">day</text>'
     )
     parts.append(
-        f'<text x="20" y="{_MT + plot_h / 2:.2f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 20 {_MT + plot_h / 2:.2f})">{y_label}</text>'
+        f'<text x="20" y="{_MT + _PLOT_H / 2:.2f}" text-anchor="middle" font-size="13" '
+        f'transform="rotate(-90 20 {_MT + _PLOT_H / 2:.2f})">{y_label}</text>'
     )
 
     # asymptote
-    y_asym = y_of(asymptote)
-    parts.append(
-        f'<line x1="{_ML}" y1="{y_asym:.2f}" x2="{_ML + plot_w}" y2="{y_asym:.2f}" '
-        f'stroke="#555555" stroke-width="1.5" stroke-dasharray="5 4"/>'
-    )
+    (y_asym,) = _plot_y([asymptote], y_max)
+    parts.append(f'<line x1="{_ML}" y1="{y_asym:.2f}" x2="{right}" y2="{y_asym:.2f}" {_ASYMPTOTE_STROKE}/>')
 
-    # bands first so every mean line stays visible
+    # bands first so every mean line stays visible; x of day d is x_text[d - 1]
+    x_text = [f"{x:.2f}" for x in _plot_x(range(1, n_days + 1), n_days)]
     for _, mean, std, color in series:
         if float(std.max()) > 0.0:
-            days = np.arange(1, len(mean) + 1)
-            upper = [pt(x_of(d), y_of(m + sd)) for d, m, sd in zip(days, mean, std)]
-            lower = [
-                pt(x_of(d), y_of(max(m - sd, 0.0)))
-                for d, m, sd in zip(days[::-1], mean[::-1], std[::-1])
-            ]
+            upper = _points(x_text, mean + std, y_max)
+            lower = _points(x_text[len(mean) - 1 :: -1], np.maximum(mean - std, 0.0)[::-1], y_max)
             parts.append(
-                f'<polygon points="{" ".join(upper + lower)}" fill="{color}" '
-                f'fill-opacity="0.15" stroke="none"/>'
+                f'<polygon points="{upper} {lower}" fill="{color}" fill-opacity="0.15" stroke="none"/>'
             )
     for _, mean, _, color in series:
-        days = np.arange(1, len(mean) + 1)
-        points = " ".join(pt(x_of(d), y_of(m)) for d, m in zip(days, mean))
+        points = _points(x_text, mean, y_max)
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )
 
-    # legend
-    legend_x = _ML + plot_w + 16
-    legend_y = _MT + 10
-    for i, (label, _, _, color) in enumerate(series):
-        y = legend_y + i * 20
-        parts.append(
-            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 24}" y2="{y}" '
-            f'stroke="{color}" stroke-width="2.5"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12">{label}</text>'
-        )
-    y = legend_y + len(series) * 20
-    parts.append(
-        f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 24}" y2="{y}" '
-        f'stroke="#555555" stroke-width="1.5" stroke-dasharray="5 4"/>'
-    )
-    parts.append(f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12">asymptote</text>')
+    # legend: one entry per series, then the asymptote's
+    legend = [(label, f'stroke="{color}" stroke-width="2.5"') for label, _, _, color in series]
+    legend.append(("asymptote", _ASYMPTOTE_STROKE))
+    legend_x = right + 16
+    for i, (label, stroke) in enumerate(legend):
+        y = _MT + 10 + i * 20
+        parts.append(f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 24}" y2="{y}" {stroke}/>')
+        parts.append(f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12">{label}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -11,7 +11,9 @@ against theirs. Last come the numpy forms of the observers' allocation and
 of the proportion check that the simulator now runs on plain lists, and the
 observation day that builds its counts as nested lists and converts them to
 arrays where the simulator writes them in place; the tests require the same
-counts and the same errors.
+counts and the same errors. At the very end is the plot renderer that
+computes and formats one point at a time on numpy scalars; the simulator's
+renderer, which works on whole series, must give its exact text.
 """
 
 import math
@@ -21,6 +23,7 @@ import numpy as np
 from safesim.events import DegenerateHurtDistribution, sample_event_counts
 from safesim.metrics import SEVERE_AHL
 from safesim.observation import ProportionError, allocate_observers, select_observed
+from safesim.reports import _MB, _ML, _MR, _MT, _SVG_H, _SVG_W, _nice_step
 from safesim.scenario import N_HURT_LEVELS, PROB_TOL
 
 
@@ -163,3 +166,120 @@ def step_observations(u, scenario, n_pos, n_neg, proportions_by_type):
         obs_neg.append(neg)
     shape = (len(scenario.obs_types), n_areas)
     return np.array(obs_pos, dtype=int).reshape(shape), np.array(obs_neg, dtype=int).reshape(shape)
+
+
+def render_timeseries_svg(
+    series: list[tuple], asymptote: float, title: str, y_label: str
+) -> str:
+    """The metric plot with one x_of, y_of and pt call per point, on the
+    numpy scalars of the series' days, means and standard deviations."""
+    n_days = max(len(mean) for _, mean, _, _ in series)
+    y_max = max(max(float((mean + std).max()) for _, mean, std, _ in series), asymptote)
+    y_max = y_max * 1.05 if y_max > 0 else 1.0
+    plot_w = _SVG_W - _ML - _MR
+    plot_h = _SVG_H - _MT - _MB
+
+    def x_of(day: float) -> float:
+        if n_days == 1:
+            return _ML + plot_w / 2.0
+        return _ML + (day - 1.0) / (n_days - 1.0) * plot_w
+
+    def y_of(value: float) -> float:
+        return _MT + plot_h - value / y_max * plot_h
+
+    def pt(x: float, y: float) -> str:
+        return f"{x:.2f},{y:.2f}"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
+        f'viewBox="0 0 {_SVG_W} {_SVG_H}" font-family="sans-serif">',
+        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<text x="{_ML + plot_w / 2:.2f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+    ]
+
+    # axes and grid
+    y_step = _nice_step(y_max / 5.0)
+    tick = 0.0
+    while tick <= y_max + 1e-12:
+        y = y_of(tick)
+        parts.append(
+            f'<line x1="{_ML}" y1="{y:.2f}" x2="{_ML + plot_w}" y2="{y:.2f}" '
+            f'stroke="#dddddd" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="11">{tick:.6g}</text>'
+        )
+        tick += y_step
+    x_step = max(1, int(_nice_step(n_days / 6.0)))
+    for day in [1] + list(range(x_step, n_days + 1, x_step)):
+        x = x_of(day)
+        parts.append(
+            f'<line x1="{x:.2f}" y1="{_MT + plot_h}" x2="{x:.2f}" y2="{_MT + plot_h + 5}" '
+            f'stroke="#333333" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{x:.2f}" y="{_MT + plot_h + 20}" text-anchor="middle" font-size="11">{day}</text>'
+        )
+    parts.append(
+        f'<line x1="{_ML}" y1="{_MT + plot_h}" x2="{_ML + plot_w}" y2="{_MT + plot_h}" '
+        f'stroke="#333333" stroke-width="1.5"/>'
+    )
+    parts.append(
+        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" stroke="#333333" stroke-width="1.5"/>'
+    )
+    parts.append(
+        f'<text x="{_ML + plot_w / 2:.2f}" y="{_SVG_H - 14}" text-anchor="middle" font-size="13">day</text>'
+    )
+    parts.append(
+        f'<text x="20" y="{_MT + plot_h / 2:.2f}" text-anchor="middle" font-size="13" '
+        f'transform="rotate(-90 20 {_MT + plot_h / 2:.2f})">{y_label}</text>'
+    )
+
+    # asymptote
+    y_asym = y_of(asymptote)
+    parts.append(
+        f'<line x1="{_ML}" y1="{y_asym:.2f}" x2="{_ML + plot_w}" y2="{y_asym:.2f}" '
+        f'stroke="#555555" stroke-width="1.5" stroke-dasharray="5 4"/>'
+    )
+
+    # bands first so every mean line stays visible
+    for _, mean, std, color in series:
+        if float(std.max()) > 0.0:
+            days = np.arange(1, len(mean) + 1)
+            upper = [pt(x_of(d), y_of(m + sd)) for d, m, sd in zip(days, mean, std)]
+            lower = [
+                pt(x_of(d), y_of(max(m - sd, 0.0)))
+                for d, m, sd in zip(days[::-1], mean[::-1], std[::-1])
+            ]
+            parts.append(
+                f'<polygon points="{" ".join(upper + lower)}" fill="{color}" '
+                f'fill-opacity="0.15" stroke="none"/>'
+            )
+    for _, mean, _, color in series:
+        days = np.arange(1, len(mean) + 1)
+        points = " ".join(pt(x_of(d), y_of(m)) for d, m in zip(days, mean))
+        parts.append(
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.8"/>'
+        )
+
+    # legend
+    legend_x = _ML + plot_w + 16
+    legend_y = _MT + 10
+    for i, (label, _, _, color) in enumerate(series):
+        y = legend_y + i * 20
+        parts.append(
+            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 24}" y2="{y}" '
+            f'stroke="{color}" stroke-width="2.5"/>'
+        )
+        parts.append(
+            f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12">{label}</text>'
+        )
+    y = legend_y + len(series) * 20
+    parts.append(
+        f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 24}" y2="{y}" '
+        f'stroke="#555555" stroke-width="1.5" stroke-dasharray="5 4"/>'
+    )
+    parts.append(f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12">asymptote</text>')
+
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

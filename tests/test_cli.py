@@ -306,6 +306,22 @@ class TestCompareCommand:
     def test_requires_at_least_one_policy(self):
         assert main(["compare", "--scenario", SCENARIO]) == 2
 
+    def test_single_day_plots_at_the_centre(self, tmp_path):
+        code = main(
+            ["compare", "--scenario", SCENARIO, "--policy", "counts",
+             "--reps", "3", "--seed", "7", "--horizon", "1", "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        for name in ("compare_none.csv", "compare_counts.csv"):
+            assert [row[0] for row in read_csv(tmp_path / name)] == ["day", "1"]
+        for name in ("expected_loss.svg", "tail_probability.svg"):
+            text = (tmp_path / name).read_text()
+            points = [line.split('points="')[1].split('"')[0] for line in text.splitlines()
+                      if line.startswith("<polyline")]
+            assert len(points) == 2
+            assert all(p.count(",") == 1 and p.startswith("381.00,") for p in points)
+            assert '<text x="381.00" y="466" text-anchor="middle" font-size="11">1</text>' in text
+
     def test_four_policies_plus_baseline_give_five_curves(self, tmp_path):
         code = main(
             ["compare", "--scenario", SCENARIO, "--policy", "uniform", "--policy", "counts",

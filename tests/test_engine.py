@@ -199,6 +199,29 @@ class TestMissingType:
         assert reps.streams[0].observer.bit_generator.state == reference.bit_generator.state
 
 
+class BareVectorPolicy(Policy):
+    """Returns one proportion vector, not a mapping from type id to vector."""
+
+    name = "bare-vector"
+
+    def decide(self, history, rng):
+        return PolicyDecision(np.full(history.n_areas, 1.0 / history.n_areas))
+
+
+class TestBareVector:
+    def test_run_says_what_a_decision_must_hold(self, case_study):
+        with pytest.raises(ProportionError, match="map each observation type id.*got ndarray"):
+            run_simulation(case_study, BareVectorPolicy(), seed=1, horizon=3)
+
+    def test_nothing_drawn_from_the_observer_stream(self, case_study):
+        reps = Replications(case_study, "bare-vector", seeds=[3], horizon=1)
+        theta = np.array([a.theta0 for a in case_study.areas])
+        with pytest.raises(ProportionError, match="got ndarray"):
+            step_day(reps, 0, theta, BareVectorPolicy())
+        reference = Streams.from_seed(3).observer
+        assert reps.streams[0].observer.bit_generator.state == reference.bit_generator.state
+
+
 class DirichletPolicy(Policy):
     """Proportions drawn from the policy stream: a flat Dirichlet each day."""
 

@@ -1,0 +1,55 @@
+import csv
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import scalar_reference
+from safesim.reports import COMPARE_COLUMNS, PALETTE, read_compare_csv, render_timeseries_svg
+
+
+@st.composite
+def plots(draw):
+    """1-6 series of 1-400 days (the first the longest), values scaled by
+    1e-9 to 1e6, each with a zero, a narrow or a wide band (the wide one
+    clips at 0), and an asymptote anywhere from 0 to three times the top."""
+    n_days = draw(st.integers(1, 400))
+    scale = 10.0 ** draw(st.floats(-9.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = []
+    for i in range(draw(st.integers(1, 6))):
+        length = n_days if i == 0 else draw(st.integers(1, n_days))
+        mean = rng.random(length) * scale
+        mean[rng.random(length) < 0.1] = 0.0
+        std = rng.random(length) * draw(st.sampled_from([0.0, 0.1, 2.0])) * scale
+        series.append((f"policy{i}", mean, std, PALETTE[i % len(PALETTE)]))
+    top = max(float((mean + std).max()) for _, mean, std, _ in series)
+    return series, top * draw(st.floats(0.0, 3.0))
+
+
+SINGLE_DAY = ([("one", np.array([0.5]), np.array([0.75]), PALETTE[0])], 0.3)
+
+
+class TestRenderMatchesPerPointOracle:
+    @settings(deadline=None, max_examples=250)
+    @given(plots())
+    @example(SINGLE_DAY)
+    def test_same_svg_text(self, plot):
+        series, asymptote = plot
+        expected = scalar_reference.render_timeseries_svg(series, asymptote, "title", "y")
+        assert render_timeseries_svg(series, asymptote, "title", "y") == expected
+
+
+class TestReadCompareCsv:
+    def test_columns_read_by_name_in_any_order(self, tmp_path):
+        values = {name: [0.5 * j + i for i in range(3)] for j, name in enumerate(COMPARE_COLUMNS)}
+        header = ["std_tail_prob", "day", "mean_tail_prob", "std_expected_loss", "mean_expected_loss"]
+        with open(tmp_path / "compare.csv", "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for i in range(3):
+                writer.writerow([i + 1 if name == "day" else values[name][i] for name in header])
+        columns = read_compare_csv(tmp_path / "compare.csv")
+        assert list(columns) == list(COMPARE_COLUMNS)
+        for name in COMPARE_COLUMNS:
+            assert columns[name].tolist() == values[name], name
