@@ -74,6 +74,7 @@ class Streams(NamedTuple):
 
 NO_INCIDENTS = np.zeros(0, dtype=int)  # a day's incident column when it has none
 NO_INCIDENTS.flags.writeable = False
+MAX_HORIZON = np.iinfo(np.int32).max  # the incident log's DAY column is int32
 
 
 class HorizonError(ValueError):
@@ -85,8 +86,8 @@ class Trajectory:
     """One replication as per-run arrays; row d of each array is day d + 1.
 
     theta is the start-of-day safety state that drives the day's xi, both
-    shaped (days, areas), like the event counts n_e, n_neg and n_pos.
-    obs_pos and obs_neg are the recorded safe and unsafe counts and
+    shaped (days, areas), like the int32 event counts n_e, n_neg and n_pos.
+    obs_pos and obs_neg are the recorded safe and unsafe counts (int32) and
     proportions the policy's decision, all shaped (days, obs_types, areas);
     the counts are 0 and the proportions NaN on days without observers.
     expected_loss and tail_prob are the ground-truth metrics per day, shaped
@@ -118,7 +119,7 @@ class Trajectory:
 
     @property
     def incidents(self) -> np.ndarray:
-        """Day-sorted incident log; columns DAY, AREA, AHL, PHL (see policies)."""
+        """Day-sorted int32 incident log; columns DAY, AREA, AHL, PHL (see policies)."""
         return self.history.incidents
 
     def incident_totals(self) -> np.ndarray:
@@ -145,22 +146,23 @@ class Replications:
     def __init__(self, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int):
         n_reps, n_areas = len(seeds), scenario.n_areas
         shape = (horizon, n_reps * n_areas)
+        too_long = f"horizon of {horizon} days is too long to preallocate"
+        if horizon > MAX_HORIZON:
+            raise HorizonError(f"{too_long}: days are int32, at most {MAX_HORIZON}")
         try:
             self.theta = np.zeros(shape)
             self.xi = np.zeros(shape)
-            self.n_e = np.zeros(shape, dtype=int)
-            self.n_neg = np.zeros(shape, dtype=int)
-            self.n_pos = np.zeros(shape, dtype=int)
+            self.n_e = np.zeros(shape, dtype=np.int32)
+            self.n_neg = np.zeros(shape, dtype=np.int32)
+            self.n_pos = np.zeros(shape, dtype=np.int32)
             by_type = (horizon, len(scenario.obs_types), shape[1])
-            self.obs_pos = np.zeros(by_type, dtype=int)
-            self.obs_neg = np.zeros(by_type, dtype=int)
+            self.obs_pos = np.zeros(by_type, dtype=np.int32)
+            self.obs_neg = np.zeros(by_type, dtype=np.int32)
             self.proportions = np.full(by_type, np.nan)
             self.expected_loss = np.zeros((horizon, n_reps))
             self.tail_prob = np.zeros((horizon, n_reps))
         except MemoryError as exc:
-            raise HorizonError(
-                f"horizon of {horizon} days is too long to preallocate: {exc}"
-            ) from None
+            raise HorizonError(f"{too_long}: {exc}") from None
         self.scenario = scenario
         self.streams = tuple(Streams.from_seed(seed) for seed in seeds)
         per_column = ("theta", "xi", "n_e", "n_neg", "n_pos", "obs_pos", "obs_neg", "proportions")

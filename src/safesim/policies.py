@@ -49,10 +49,10 @@ class ObservableHistory:
     obs_neg are the observation counts, indexed [day - 1, obs_type, area]:
     views of the replication's columns, which the engine writes and from
     whose shape the history reads the areas and the horizon. The incident
-    log is indexed like a CSR matrix: the rows of day t are
-    log[day_end[t - 1]:day_end[t]]. The engine closes each day with
-    append_day after the day's decision, so while deciding day t a policy
-    sees days 1..t-1, and a window query costs O(window), not O(days).
+    log is int32 (16 B an incident) and indexed like a CSR matrix: the rows
+    of day t are log[day_end[t - 1]:day_end[t]]. The engine closes each day
+    with append_day after the day's decision, so while deciding day t a
+    policy sees days 1..t-1, and a window query costs O(window), not O(days).
     Every array handed out is a read-only view, so a policy cannot alter
     the run's record.
     """
@@ -63,7 +63,7 @@ class ObservableHistory:
         self.obs_pos = _read_only(obs_pos)
         self.obs_neg = _read_only(obs_neg)
         self._day_end = np.zeros(horizon + 1, dtype=np.intp)
-        self._log = np.zeros((64, 4), dtype=int)
+        self._log = np.zeros((64, 4), dtype=np.int32)
         self._n_days = 0
 
     def __len__(self) -> int:
@@ -85,7 +85,7 @@ class ObservableHistory:
         start = self._day_end[self._n_days]
         end = start + len(areas)
         if end > len(self._log):
-            grown = np.zeros((max(end, 2 * len(self._log)), 4), dtype=int)
+            grown = np.zeros((max(end, 2 * len(self._log)), 4), dtype=np.int32)
             grown[:start] = self._log[:start]
             self._log = grown
         if end > start:
@@ -107,8 +107,8 @@ class ObservableHistory:
     def max_ahl(self, window_days: int) -> np.ndarray:
         """Highest recorded AHL per area over the trailing window; 0 where none."""
         rows = self.window(window_days)
-        worst = np.zeros(self.n_areas, dtype=int)
-        np.maximum.at(worst, rows[:, AREA], rows[:, AHL])
+        worst = np.zeros(self.n_areas, dtype=rows.dtype)
+        np.maximum.at(worst, rows[:, AREA].astype(np.intp), rows[:, AHL])
         return worst
 
 

@@ -150,6 +150,17 @@ class TestRunCommand:
         assert err.startswith("error: horizon of 1000000000000 days")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("horizon", [2**31, 10**18])
+    def test_horizon_past_the_int32_day_exits_2(self, tmp_path, capsys, horizon):
+        # past the int32 DAY column of the incident log; 10**18 days of any column
+        # are more bytes than numpy can address
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", SCENARIO, "--horizon", str(horizon), "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: horizon of {horizon} days ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_refused_horizon_creates_no_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         for command in ("run", "table2", "compare"):

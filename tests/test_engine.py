@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalar_reference
 from conftest import make_area, make_obs_type, make_scenario
 from safesim.engine import (
     Replications,
@@ -16,7 +17,7 @@ from safesim.engine import (
 from safesim.metrics import baseline_asymptote
 from safesim.observation import ProportionError
 from safesim.policies import AHL, DAY, PHL, Policy, PolicyDecision, make_policy
-from safesim.scenario import N_HURT_LEVELS
+from safesim.scenario import MAX_LAMBDA_STAR, N_HURT_LEVELS
 
 RUN_ARRAYS = (
     "theta", "xi", "n_e", "n_neg", "n_pos", "obs_pos", "obs_neg",
@@ -60,6 +61,53 @@ class TestStepDay:
         for run in runs:
             assert run.proportions.shape == run.obs_pos.shape == run.obs_neg.shape == (4, 0, 7)
             assert run.history.obs_neg.shape == (4, 0, 7)
+
+
+COUNT_COLUMNS = ("n_e", "n_neg", "n_pos", "obs_pos", "obs_neg")
+
+# What a Replications of the case study (7 areas, 3 observation types) holds per
+# replication-day: theta and xi at 8 B and the three event counts at 4 B per
+# area, 7 * 28 = 196 B; observed counts at 4 + 4 B and proportions at 8 B per
+# type and area, 21 * 16 = 336 B; the two metrics, 16 B. The per-column
+# constants add about 0.3 B at 4 replications over 365 days.
+CASE_STUDY_BYTES_PER_REP_DAY = 549
+
+
+class TestInt32Record:
+    """The run's integer record is int32; the load-time bounds keep every value in range."""
+
+    def test_count_columns_and_incident_log_are_int32(self, case_study):
+        reps = Replications(case_study, "uniform", seeds=[4, 5], horizon=200)
+        theta = np.array([a.theta0 for a in case_study.areas] * 2)
+        for d in range(200):
+            theta = step_day(reps, d, theta, make_policy("uniform"))
+        for name in COUNT_COLUMNS:
+            assert getattr(reps, name).dtype == np.int32, name
+            assert all(getattr(run, name).dtype == np.int32 for run in reps.runs), name
+        for run in reps.runs:
+            assert len(run.incidents) > 64  # grown past its first allocation
+            assert run.incidents.dtype == np.int32
+
+    def test_bytes_held_per_replication_day(self, case_study):
+        n_reps, horizon = 4, 365
+        reps = Replications(case_study, "uniform", seeds=range(n_reps), horizon=horizon)
+        held = sum(a.nbytes for a in vars(reps).values() if isinstance(a, np.ndarray))
+        assert held / (n_reps * horizon) <= CASE_STUDY_BYTES_PER_REP_DAY
+
+    def test_counts_at_the_rate_bound_match_the_scalar_sampler(self):
+        # xi = 0.05: about 5,000 incidents, 45,000 unsafe and 950,000 safe activities
+        area = make_area(lambda_star=MAX_LAMBDA_STAR, theta0=0.9)
+        scenario = make_scenario(areas=(area,))
+        run = run_simulation(scenario, make_policy("uniform"), seed=13, horizon=1)
+        rng = np.random.default_rng(13)  # the environment stream of seed 13
+        n_e, n_neg, n_pos, ahls, phls = scalar_reference.step_events(rng, area, run.xi[0, 0])
+        assert n_pos > 900_000
+        assert (run.n_e[0].tolist(), run.n_neg[0].tolist(), run.n_pos[0].tolist()) == (
+            [n_e], [n_neg], [n_pos]
+        )
+        assert run.incidents[:, AHL].tolist() == ahls and run.incidents[:, PHL].tolist() == phls
+        totals = np.bincount(ahls, minlength=N_HURT_LEVELS)
+        assert run.incident_totals().tolist() == [totals.tolist()]
 
 
 class TestRunSimulation:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from safesim.policies import (
     DAY,
@@ -296,3 +298,36 @@ class TestObservableHistory:
                 rows[..., 0] += 1
         assert history.incidents.tolist() == [[1, 0, 1, 1]]
         assert history.obs_pos.sum() == history.obs_neg.sum() == 0
+
+
+@st.composite
+def incident_days(draw):
+    """A number of areas and, per day, that day's incidents as (area, AHL) pairs."""
+    n_areas = draw(st.integers(1, 6))
+    incident = st.tuples(st.integers(0, n_areas - 1), st.integers(0, 5))
+    return n_areas, draw(st.lists(st.lists(incident, max_size=8), max_size=12))
+
+
+class TestWindowQueriesMatchPerAreaOracle:
+    """incident_counts and max_ahl over the int32 log equal a per-area scan of the days."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(incident_days(), st.integers(1, 20))
+    @example((1, []), 1)
+    @example((3, [[(0, 2)], [], [(2, 5), (0, 1)], []]), 30)
+    def test_every_day_of_the_run(self, log, window_days):
+        n_areas, days = log
+        shape = (len(days), len(TYPE_IDS), n_areas)
+        history = ObservableHistory(
+            TYPE_IDS, np.zeros(shape, dtype=np.int32), np.zeros(shape, dtype=np.int32)
+        )
+        for closed in range(len(days) + 1):  # decide day closed + 1, then close it
+            first = closed + 1 - window_days
+            seen = [i for day, rows in enumerate(days[:closed], 1) if day >= first for i in rows]
+            by_area = [[ahl for a, ahl in seen if a == area] for area in range(n_areas)]
+            assert history.incident_counts(window_days).tolist() == [len(h) for h in by_area]
+            assert history.max_ahl(window_days).tolist() == [max(h, default=0) for h in by_area]
+            if closed < len(days):
+                rows = np.array(days[closed], dtype=np.int32).reshape(-1, 2)
+                history.append_day(rows[:, 0], rows[:, 1], rows[:, 1])
+        assert history.incidents.dtype == np.int32
