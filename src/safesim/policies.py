@@ -85,7 +85,7 @@ class ObservableHistory:
         start = self._day_end[self._n_days]
         end = start + len(areas)
         if end > len(self._log):
-            grown = np.zeros((max(end, 2 * len(self._log)), 4), dtype=np.int32)
+            grown = np.zeros((max(end, 2 * len(self._log)), 4), dtype=self._log.dtype)
             grown[:start] = self._log[:start]
             self._log = grown
         if end > start:
@@ -107,7 +107,7 @@ class ObservableHistory:
     def max_ahl(self, window_days: int) -> np.ndarray:
         """Highest recorded AHL per area over the trailing window; 0 where none."""
         rows = self.window(window_days)
-        worst = np.zeros(self.n_areas, dtype=rows.dtype)
+        worst = np.zeros(self.n_areas, dtype=rows.dtype)  # no casting: np.maximum.at's fast loop
         np.maximum.at(worst, rows[:, AREA].astype(np.intp), rows[:, AHL])
         return worst
 
