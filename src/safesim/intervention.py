@@ -13,11 +13,6 @@ import numpy as np
 from .scenario import Scenario
 
 
-def decay_theta(theta: float, k_decay: float) -> float:
-    """One day of complacency decay: k_decay * theta."""
-    return k_decay * theta
-
-
 def apply_feedback(theta: float, drive: float) -> float:
     """theta + (1 - theta) * drive, clamped to [0, 1].
 
@@ -52,4 +47,4 @@ def step_theta(theta: float, drive: float, k_decay: float) -> float:
     """
     if drive > 0.0:
         return apply_feedback(theta, drive)
-    return decay_theta(theta, k_decay)
+    return k_decay * theta

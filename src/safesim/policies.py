@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -218,8 +219,8 @@ class FixedWeightsPolicy(Policy):
             raise PolicyError("weights must be finite")
         if np.any(weights < 0.0):
             raise PolicyError("weights must be nonnegative")
-        with np.errstate(over="ignore"):  # finite weights can still sum to inf
-            total = float(weights.sum())
+        # check_proportions' running sum; finite weights can still sum to inf
+        *_, total = accumulate(weights.tolist(), initial=0.0)
         if abs(total - 1.0) > PROB_TOL:
             raise PolicyError(f"weights must sum to 1, got {total}")
         self.weights = weights

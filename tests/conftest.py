@@ -58,6 +58,15 @@ def make_scenario(areas=None, obs_types=None, delta_e=0.0, horizon_days=365) -> 
     )
 
 
+# Ten weights whose running sum misses 1 by 1.0000000827e-9 and whose pairwise
+# (numpy) sum by 0.9999999861e-9: just either side of PROB_TOL.
+EDGE_WEIGHTS = [
+    0.12322240001482794, 0.06979518191374619, 0.16261741100030633, 0.11767406136682186,
+    0.1042963382836637, 0.04955971667182307, 0.16826908536167323, 0.0414922256401724,
+    0.08444301149204288, 0.07863056925492226,
+]
+
+
 # (object, index, field, value): one non-finite number in the case study that
 # a scenario must be rejected for at load time.
 NON_FINITE_CASES = [

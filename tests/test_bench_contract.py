@@ -86,6 +86,7 @@ WINDOWED_RUN_TARGETS = [
     (intervention, "apply_feedback"),
     (engine, "step_observations"),
     (ObservableHistory, "window"),
+    (engine, "compute_day_metrics"),
 ]
 
 

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import safesim
-from conftest import NON_FINITE_CASES, case_study_text_with, make_area, make_obs_type, make_scenario
+from conftest import (
+    EDGE_WEIGHTS,
+    NON_FINITE_CASES,
+    case_study_text_with,
+    make_area,
+    make_obs_type,
+    make_scenario,
+)
 from safesim.cli import main
 from safesim.engine import run_ensemble, run_simulation
 from safesim.policies import make_policy
@@ -180,6 +187,19 @@ class TestRunCommand:
         assert result.returncode == 2
         assert result.stderr == "error: weights must sum to 1, got inf\n"
         assert not (tmp_path / "out").exists()
+
+    def test_weights_at_the_sum_tolerance_exit_2_before_output(self, tmp_path, capsys):
+        # the case study widened to ten areas, one per weight
+        path = tmp_path / "scenario.json"
+        doc = json.loads(case_study_path().read_text(encoding="utf-8"))
+        doc["areas"] += [{**area, "id": area["id"] + "2"} for area in doc["areas"][:3]]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        weights = ",".join(repr(w) for w in EDGE_WEIGHTS)
+        argv = ["run", "--scenario", str(path), "--policy", f"weighted:{weights}", "--horizon", "2"]
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: weights must sum to 1, got 1.000000001\n"
+        assert not out.exists()
 
     def test_scenario_without_observation_types_runs(self, tmp_path):
         path = tmp_path / "scenario.json"

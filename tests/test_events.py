@@ -11,7 +11,7 @@ from safesim.events import (
     step_events,
     xi_of_theta,
 )
-from safesim.intervention import decay_theta
+from safesim.intervention import step_theta
 from safesim.scenario import ScenarioArrays
 from stat_utils import two_sample_chisquare
 
@@ -75,19 +75,19 @@ class TestXiOfTheta:
 
 class TestDecayTheta:
     def test_reference_value(self):
-        assert decay_theta(0.55, 0.95) == pytest.approx(0.5225, abs=1e-15)
+        assert step_theta(0.55, 0.0, 0.95) == pytest.approx(0.5225, abs=1e-15)
 
     def test_no_forgetting(self):
-        assert decay_theta(0.73, 1.0) == 0.73
+        assert step_theta(0.73, 0.0, 1.0) == 0.73
 
     def test_instant_complacency(self):
-        assert decay_theta(0.73, 0.0) == 0.0
+        assert step_theta(0.73, 0.0, 0.0) == 0.0
 
     def test_iterated_decay_is_geometric(self):
         theta, k = 0.8, 0.93
         value = theta
         for n in range(1, 50):
-            value = decay_theta(value, k)
+            value = step_theta(value, 0.0, k)
             assert value == pytest.approx(theta * k**n, rel=1e-12)
 
 

@@ -6,38 +6,51 @@ import pytest
 import scalar_reference
 from conftest import make_area, make_obs_type, make_scenario
 from safesim.events import xi_of_theta
-from safesim.metrics import (
-    baseline_asymptote,
-    compute_day_metrics,
-    expected_daily_loss,
-    expected_hl_count,
-    tail_probability,
-)
-from safesim.scenario import DEFAULT_LOSS_VECTOR, ScenarioArrays
+from safesim.metrics import baseline_asymptote, compute_day_metrics
+from safesim.scenario import DEFAULT_LOSS_VECTOR, N_HURT_LEVELS, Scenario, ScenarioArrays
 
 
 def area_state(area, theta):
     return xi_of_theta(theta, area.xi_base)
 
 
+def one_area_metrics(area, xi, loss_vector=DEFAULT_LOSS_VECTOR):
+    """(expected loss, tail probability) of a one-area scenario at a scalar xi."""
+    scenario = Scenario(areas=(area,), obs_types=(), loss_vector=tuple(loss_vector))
+    loss, tail = compute_day_metrics(ScenarioArrays.of(scenario), np.array([xi]))
+    return float(loss), float(tail)
+
+
+def level_count(area, xi, level):
+    """Expected daily incidents at one Hurt level: the loss under the one-hot
+    loss vector e_level."""
+    return one_area_metrics(area, xi, np.eye(N_HURT_LEVELS)[level])[0]
+
+
+AREA_A_HL = (0.50, 0.35, 0.13, 0.02, 0.0, 0.0)
+
+
 class TestExpectedHlCount:
     def test_reference_value(self):
         # 0.04 * 0.55 * 17 * 0.50 = 0.187
-        assert expected_hl_count(17.0, 0.55, 0.04, 0.50) == pytest.approx(0.187, abs=1e-15)
+        area = make_area(lambda_star=17.0, alpha=0.04, hl_probs=AREA_A_HL)
+        assert level_count(area, 0.55, 0) == pytest.approx(0.187, abs=1e-15)
 
     def test_zero_probability_level(self):
-        assert expected_hl_count(17.0, 0.55, 0.04, 0.0) == 0.0
+        area = make_area(lambda_star=17.0, alpha=0.04, hl_probs=AREA_A_HL)
+        assert level_count(area, 0.55, 4) == 0.0
 
     def test_matches_monte_carlo_mean(self):
         # oracle: Poisson incident counts thinned by the severity distribution
         lambda_star, xi, alpha = 22.0, 0.4, 0.01
         hl_probs = (0.30, 0.06, 0.35, 0.28, 0.01, 0.0)
+        area = make_area(lambda_star=lambda_star, alpha=alpha, hl_probs=hl_probs)
         rng = np.random.default_rng(1234)
         n_days = 1_000_000
         n_e = rng.poisson(alpha * xi * lambda_star, size=n_days)
         level_totals = rng.multinomial(int(n_e.sum()), hl_probs)
         for j, total in enumerate(level_totals):
-            analytic = expected_hl_count(lambda_star, xi, alpha, hl_probs[j])
+            analytic = level_count(area, xi, j)
             mc = total / n_days
             if analytic >= 1e-2:
                 assert mc == pytest.approx(analytic, rel=0.01)
@@ -48,7 +61,8 @@ class TestExpectedHlCount:
 class TestExpectedDailyLoss:
     def test_zero_loss_vector(self):
         area = make_area()
-        assert expected_daily_loss(area, area_state(area, 0.3), (0,) * 6) == 0.0
+        loss, _ = one_area_metrics(area, area_state(area, 0.3), (0,) * 6)
+        assert loss == 0.0
 
     def test_reference_value_area_f(self):
         # 0.02 * 0.45 * 5 * (0.06 + 0.8 + 18 + 80 + 200) = 13.4487
@@ -56,32 +70,29 @@ class TestExpectedDailyLoss:
             lambda_star=5.0, xi_base=0.45, alpha=0.02,
             hl_probs=(0.58, 0.06, 0.08, 0.18, 0.08, 0.02),
         )
-        loss = expected_daily_loss(area, area_state(area, 0.0), DEFAULT_LOSS_VECTOR)
+        loss, _ = one_area_metrics(area, area_state(area, 0.0))
         assert loss == pytest.approx(13.4487, rel=1e-12)
 
     def test_safest_state_has_zero_loss(self):
         area = make_area()
-        assert expected_daily_loss(area, area_state(area, 1.0), DEFAULT_LOSS_VECTOR) == 0.0
+        assert one_area_metrics(area, area_state(area, 1.0))[0] == 0.0
 
     def test_linear_in_xi(self):
         area = make_area()
-        low = expected_daily_loss(area, 0.2, DEFAULT_LOSS_VECTOR)
-        high = expected_daily_loss(area, 0.4, DEFAULT_LOSS_VECTOR)
+        low, _ = one_area_metrics(area, 0.2)
+        high, _ = one_area_metrics(area, 0.4)
         assert high == 2.0 * low  # doubling xi doubles the metric exactly
 
 
 class TestTailProbability:
     def test_area_without_severe_levels(self):
-        area = make_area(
-            lambda_star=17.0, xi_base=0.55, alpha=0.04,
-            hl_probs=(0.50, 0.35, 0.13, 0.02, 0.0, 0.0),
-        )
+        area = make_area(lambda_star=17.0, xi_base=0.55, alpha=0.04, hl_probs=AREA_A_HL)
         for theta in (0.0, 0.5, 1.0):
-            assert tail_probability(area, area_state(area, theta)) == 0.0
+            assert one_area_metrics(area, area_state(area, theta))[1] == 0.0
 
     def test_zero_xi(self):
         area = make_area()
-        assert tail_probability(area, area_state(area, 1.0)) == 0.0
+        assert one_area_metrics(area, area_state(area, 1.0))[1] == 0.0
 
     def test_reference_value_area_f(self):
         # severe incidents are Poisson with mean 5 * 0.02 * 0.45 * (0.08 + 0.02)
@@ -89,7 +100,7 @@ class TestTailProbability:
             lambda_star=5.0, xi_base=0.45, alpha=0.02,
             hl_probs=(0.58, 0.06, 0.08, 0.18, 0.08, 0.02),
         )
-        tail = tail_probability(area, area_state(area, 0.0))
+        _, tail = one_area_metrics(area, area_state(area, 0.0))
         assert tail == pytest.approx(1 - math.exp(-0.0045), rel=1e-12)
         assert tail == pytest.approx(0.0044898878, rel=1e-6)
 
@@ -99,7 +110,7 @@ class TestTailProbability:
             lambda_star=15.0, xi_base=0.05, alpha=0.01,
             hl_probs=(0.38, 0.26, 0.16, 0.16, 0.03, 0.01),
         )
-        tail = tail_probability(area, area_state(area, 0.0))
+        _, tail = one_area_metrics(area, area_state(area, 0.0))
         assert tail == pytest.approx(2.99955e-04, rel=1e-5)
         assert tail == pytest.approx(-math.expm1(-0.0003), rel=1e-12)
 
@@ -119,13 +130,13 @@ class TestAggregateMetrics:
         area = make_area(lambda_star=30.0, alpha=0.3)
         params = ScenarioArrays.of(make_scenario(areas=(area,)))
         loss, tail = compute_day_metrics(params, np.array([0.4]))
-        assert loss == expected_daily_loss(area, 0.4, DEFAULT_LOSS_VECTOR)
-        assert tail == tail_probability(area, 0.4)
+        assert loss == scalar_reference.expected_daily_loss(area, 0.4, DEFAULT_LOSS_VECTOR)
+        assert tail == -np.expm1(-scalar_reference.severe_count(area, 0.4))
 
     def test_complement_product(self):
         areas, params, xi = two_area_params()
         _, tail = compute_day_metrics(params, xi)
-        per_area = [tail_probability(a, x) for a, x in zip(areas, xi)]
+        per_area = [one_area_metrics(a, x)[1] for a, x in zip(areas, xi)]
         assert tail == pytest.approx(1 - (1 - per_area[0]) * (1 - per_area[1]), rel=1e-14)
         assert tail > max(per_area)
 
@@ -139,7 +150,7 @@ class TestAggregateMetrics:
         states = np.array([xi_of_theta(0.0, a.xi_base) for a in case_study.areas])
         loss, tail = compute_day_metrics(ScenarioArrays.of(case_study), states)
         by_area = [
-            expected_daily_loss(a, x, case_study.loss_vector)
+            one_area_metrics(a, x, case_study.loss_vector)[0]
             for a, x in zip(case_study.areas, states)
         ]
         assert loss == pytest.approx(sum(by_area))

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import EDGE_WEIGHTS
+from safesim.observation import ProportionError, check_proportions
 from safesim.policies import (
     DAY,
     FixedWeightsPolicy,
@@ -166,6 +168,13 @@ class TestFixedWeightsPolicy:
     def test_invalid_sum_rejected(self):
         with pytest.raises(PolicyError, match="sum to 1"):
             FixedWeightsPolicy([0.5, 0.4])
+
+    def test_sum_checked_as_the_observation_step_checks_it(self):
+        # a vector the policy accepted used to fail check_proportions on day 1
+        with pytest.raises(ProportionError, match="sum to 1, got 1.000000001"):
+            check_proportions(EDGE_WEIGHTS, len(EDGE_WEIGHTS))
+        with pytest.raises(PolicyError, match="sum to 1, got 1.000000001"):
+            FixedWeightsPolicy(EDGE_WEIGHTS)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(PolicyError, match="nonnegative"):
