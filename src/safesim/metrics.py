@@ -22,15 +22,15 @@ SEVERE_AHL = 4  # tail probability counts incidents with AHL >= this level
 def compute_day_metrics(params: ScenarioArrays, xi) -> tuple[np.ndarray, np.ndarray]:
     """Both metrics per day for xi shaped (..., areas): (expected loss, tail probability).
 
-    An area's expected daily incidents are alpha * xi * lambda_star, and
-    p_j of them are at Hurt level j. The loss adds incidents * p_j * c_j
-    over the levels left to right from 0, one level at a time so that no
-    temporary has a levels axis, then over areas along the last axis, which
-    is contiguous for a C-ordered xi such as a run's, so each day's sum is
-    the one a 1-D sum over that day's areas gives. Incidents at AHL >= 4
-    are a Poisson thinning of an area's incidents, and areas are
-    independent, so their severe counts add into one Poisson mean and the
-    tail is 1 - exp(-sum over areas), the same as 1 - prod(1 - per-area tail).
+    An area expects alpha * xi * lambda_star incidents a day, a share p_j of
+    them at Hurt level j. The loss adds incidents * p_j * c_j over the levels
+    left to right from 0, one level at a time so that no temporary has a
+    levels axis. It then sums over areas along the last axis, which is
+    contiguous for a C-ordered xi such as a run's, so each day's sum is the
+    one a 1-D sum over that day's areas gives. Incidents at AHL >= 4 are a
+    Poisson thinning of an area's incidents, and areas are independent, so
+    their severe counts add into one Poisson mean and the tail is
+    1 - exp(-sum over areas), the same as 1 - prod(1 - per-area tail).
     """
     incidents = params.alpha * xi * params.lambda_star
     loss = 0.0
