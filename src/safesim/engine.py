@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -214,11 +215,12 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
         drawn = [u for n, u in zip(n_e, uniforms) if n]
         ahl, phl = hurt_levels(scenario.arrays.hl_sums, areas, np.concatenate(drawn, axis=1))
 
-    end = 0
+    # Replication r's incidents are rows first[r]:first[r + 1] of the day's columns.
+    first = [0, *accumulate(n_e)][::n_areas]
     for r, (run, streams) in enumerate(zip(reps.runs, reps.streams)):
-        columns = slice(r * n_areas, (r + 1) * n_areas)
         decision = policy.decide(run.history, streams.policy)
         if decision.proportions is not None:
+            columns = slice(r * n_areas, (r + 1) * n_areas)
             proportions = proportions_by_type(decision.proportions, scenario.obs_type_ids)
             u = streams.observer.random(reps.observer_draws)
             step_observations(
@@ -227,7 +229,7 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
             )
             for t, s in enumerate(proportions):
                 run.proportions[d, t] = s
-        start, end = end, end + sum(n_e[columns])
+        start, end = first[r], first[r + 1]
         run.history.append_day(areas[start:end], ahl[start:end], phl[start:end])
 
     # A replication without observers keeps its zero observed counts. Their

@@ -52,12 +52,13 @@ def sample_event_counts(
 
     The three counts are independent Poissons with means alpha*xi*lambda,
     (1-alpha)*xi*lambda and (1-xi)*lambda, which is distributionally
-    identical to thinning a single Poisson(lambda) task count.
+    identical to thinning a single Poisson(lambda) task count. Each is a
+    Python int, as Generator.poisson returns for a float mean.
     """
     n_e = rng.poisson(alpha * xi * lambda_star)
     n_neg = rng.poisson((1.0 - alpha) * xi * lambda_star)
     n_pos = rng.poisson((1.0 - xi) * lambda_star)
-    return int(n_e), int(n_neg), int(n_pos)
+    return n_e, n_neg, n_pos
 
 
 def hurt_level(u: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -112,11 +113,11 @@ def step_events(rng: np.random.Generator, area: SafetyAreaConfig, xi: float) -> 
     """Generate one day of events for one area at unsafe fraction xi.
 
     Stream order: counts, then all AHL uniforms, then all PHL uniforms, as
-    one draw of 2 * n_e, which the generator yields exactly as it would
-    2 * n_e single draws. Does not touch theta; the intervention step owns
-    the dynamics.
+    one (2, n_e) draw. The generator fills it row-major, row 0 and then row
+    1, with the same doubles as 2 * n_e single draws. Does not touch theta;
+    the intervention step owns the dynamics.
     """
     n_e, n_neg, n_pos = sample_event_counts(rng, area.lambda_star, xi, area.alpha)
     if n_e == 0:
         return DayEvents(0, n_neg, n_pos, NO_DRAWS)
-    return DayEvents(n_e, n_neg, n_pos, rng.random(2 * n_e).reshape(2, n_e))
+    return DayEvents(n_e, n_neg, n_pos, rng.random((2, n_e)))

@@ -126,17 +126,15 @@ def select_observed(
     # r_neg * eta_neg / (r_pos * eta_pos + r_neg * eta_neg), divided through by
     # eta_neg so that no product of a count and a weight can overflow.
     ratio = eta_pos / eta_neg
-    neg = 0
+    r_pos, r_neg = n_pos, n_neg
     for k in range(capacity):
-        r_neg = n_neg - neg
-        r_pos = n_pos - k + neg
-        if r_pos == 0:
-            neg = capacity - n_pos
-            break
-        if r_neg == 0:
+        if not (r_pos and r_neg):
             break
         if u[k] * (r_neg + r_pos * ratio) < r_neg:
-            neg += 1
+            r_neg -= 1
+        else:
+            r_pos -= 1
+    neg = n_neg - r_neg if r_pos else capacity - n_pos
     return capacity - neg, neg
 
 
@@ -169,7 +167,8 @@ def step_observations(
         s = checked.get(id(given))
         if s is None:
             s = checked[id(given)] = check_proportions(given, n_areas)
-        m, rho = obs_type.m, obs_type.rho
+        m, rho, eta_pos, eta_neg = obs_type.m, obs_type.rho, obs_type.eta_pos, obs_type.eta_neg
+        pos_row, neg_row = obs_pos[t_idx], obs_neg[t_idx]
         q = allocate_observers(u[start : start + m], s)
         start += m
         for a_idx, observers in enumerate(q):
@@ -178,12 +177,7 @@ def step_observations(
             capacity = rho * observers
             end = start + capacity
             if n_pos[a_idx] + n_neg[a_idx]:
-                obs_pos[t_idx, a_idx], obs_neg[t_idx, a_idx] = select_observed(
-                    u[start:end],
-                    n_pos[a_idx],
-                    n_neg[a_idx],
-                    capacity,
-                    obs_type.eta_pos,
-                    obs_type.eta_neg,
+                pos_row[a_idx], neg_row[a_idx] = select_observed(
+                    u[start:end], n_pos[a_idx], n_neg[a_idx], capacity, eta_pos, eta_neg
                 )
             start = end

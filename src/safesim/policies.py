@@ -65,7 +65,7 @@ class ObservableHistory:
         self.obs_neg = _read_only(obs_neg)
         self._day_end = np.zeros(horizon + 1, dtype=np.intp)
         self._log = np.zeros((64, 4), dtype=np.int32)
-        self._n_days = 0
+        self._n_days = self._n_rows = 0
 
     def __len__(self) -> int:
         return self._n_days
@@ -78,12 +78,12 @@ class ObservableHistory:
     @property
     def incidents(self) -> np.ndarray:
         """The incident log of all closed days; columns DAY, AREA, AHL, PHL."""
-        return _read_only(self._log[: self._day_end[self._n_days]])
+        return _read_only(self._log[: self._n_rows])
 
     def append_day(self, areas, ahl, phl) -> None:
         """Close the current day: log its incidents, given as three equal-length
         columns (area, AHL, PHL)."""
-        start = self._day_end[self._n_days]
+        start = self._n_rows
         end = start + len(areas)
         if end > len(self._log):
             grown = np.zeros((max(end, 2 * len(self._log)), 4), dtype=self._log.dtype)
@@ -94,12 +94,12 @@ class ObservableHistory:
             rows[:, DAY] = self.current_day
             rows[:, AREA], rows[:, AHL], rows[:, PHL] = areas, ahl, phl
         self._n_days += 1
-        self._day_end[self._n_days] = end
+        self._day_end[self._n_days] = self._n_rows = end
 
     def window(self, window_days: int) -> np.ndarray:
         """Incident log rows of days current_day - window_days .. current_day - 1."""
         first = min(max(self._n_days - window_days, 0), self._n_days)
-        return _read_only(self._log[self._day_end[first] : self._day_end[self._n_days]])
+        return _read_only(self._log[self._day_end[first] : self._n_rows])
 
     def incident_counts(self, window_days: int) -> np.ndarray:
         """Recorded incidents per area over the trailing window (near-misses included)."""
@@ -125,11 +125,14 @@ class PolicyDecision:
 
     @classmethod
     def none(cls) -> "PolicyDecision":
-        return cls(proportions=None)
+        return NO_OBSERVATION
 
     @classmethod
     def same_for_all_types(cls, s: np.ndarray, obs_type_ids: tuple[str, ...]) -> "PolicyDecision":
         return cls(proportions=dict.fromkeys(obs_type_ids, np.asarray(s, dtype=float)))
+
+
+NO_OBSERVATION = PolicyDecision(proportions=None)  # frozen, so one instance serves every call
 
 
 class Policy:

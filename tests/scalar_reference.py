@@ -7,7 +7,8 @@ and areas. These are the sequential per-area, per-day forms that code must
 match bit for bit (the tail probability to rounding); the tests compare
 against them. The observation samplers at the end are the ones the
 simulator used before the fixed-weight urn: the tests compare the urn's law
-against theirs. Last come the numpy forms of the observers' allocation and
+against theirs. Beside them is the urn that recomputes its remaining counts
+from the pick index, which the simulator's urn must match exactly. Last come the numpy forms of the observers' allocation and
 of the proportion check that the simulator now runs on plain lists, and the
 observation day that builds its counts as nested lists and converts them to
 arrays where the simulator writes them in place; the tests require the same
@@ -108,6 +109,29 @@ def select_observed_dirichlet(rng, n_pos, n_neg, capacity, eta_pos, eta_neg) -> 
     chosen = np.argpartition(keys, capacity)[:capacity]
     obs_neg = int(np.count_nonzero(chosen >= n_pos))
     return capacity - obs_neg, obs_neg
+
+
+def select_observed_by_pick_index(u, n_pos, n_neg, capacity, eta_pos, eta_neg) -> tuple[int, int]:
+    """The fixed-weight urn with the remaining counts of pick k recomputed
+    from k and the unsafe picks so far, and the same float test per pick."""
+    total = n_pos + n_neg
+    if total == 0 or capacity <= 0:
+        return 0, 0
+    if capacity >= total:
+        return n_pos, n_neg
+    ratio = eta_pos / eta_neg
+    neg = 0
+    for k in range(capacity):
+        r_neg = n_neg - neg
+        r_pos = n_pos - k + neg
+        if r_pos == 0:
+            neg = capacity - n_pos
+            break
+        if r_neg == 0:
+            break
+        if u[k] * (r_neg + r_pos * ratio) < r_neg:
+            neg += 1
+    return capacity - neg, neg
 
 
 def allocate_observers_numpy(u, s) -> np.ndarray:

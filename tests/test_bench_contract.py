@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from safesim import cli, engine, intervention, observation
-from safesim.policies import ObservableHistory, make_policy
+from safesim.policies import NoObservationPolicy, ObservableHistory, make_policy
 from safesim.scenario import case_study_path
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -67,6 +67,23 @@ def test_compare_enters_the_engine_through_run_ensemble(monkeypatch, tmp_path):
     argv += ["--policy", "uniform", "--policy", "counts", "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 0
     assert calls == Counter({"safesim.cli.run_ensemble": 3})  # none, uniform, counts
+
+
+def test_table2_reaches_the_traced_day_functions(monkeypatch, tmp_path):
+    # The table2 workload runs only the none policy, so these spans are its layers.
+    targets = [
+        (engine, "step_events"),
+        (engine, "step_theta"),
+        (engine, "compute_day_metrics"),
+        (NoObservationPolicy, "decide"),
+    ]
+    calls = Counter()
+    for owner, name in targets:
+        count_calls(monkeypatch, owner, name, calls)
+    argv = ["table2", "--scenario", str(case_study_path()), "--horizon", "3", "--reps", "2"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    for owner, name in targets:
+        assert calls[f"{owner.__name__}.{name}"] > 0, f"{owner.__name__}.{name}"
 
 
 def test_observing_run_reaches_the_traced_observation_functions(monkeypatch, case_study):

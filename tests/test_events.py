@@ -119,6 +119,13 @@ class TestSampleEventCounts:
             n_es.append(n_e)
         assert np.mean(n_es) == pytest.approx(lam, rel=0.02)
 
+    @pytest.mark.parametrize("xi", [0.0, 0.55, 1.0])
+    def test_counts_are_python_ints(self, xi):
+        # the engine tests and sums them in Python, the benchmark's tracer too
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            assert [type(n) for n in sample_event_counts(rng, 17.0, xi, 0.3)] == [int] * 3
+
 
 class TestSampleAhl:
     def test_degenerate_low(self):
@@ -283,6 +290,14 @@ class TestStepEvents:
             events = step_events(rng, area, xi)
             ahl, phl = levels(area.hl_probs, events.uniforms)
             assert np.all(phl >= ahl)
+
+    def test_counts_are_python_ints(self):
+        rng = np.random.default_rng(4)
+        area = make_area(lambda_star=20.0, xi_base=0.9, alpha=0.1)
+        days = [step_events(rng, area, 0.9) for _ in range(50)]
+        assert {events.n_e > 0 for events in days} == {False, True}
+        for events in days:
+            assert [type(n) for n in events[:3]] == [int] * 3
 
     def test_incident_count_matches_length(self):
         rng = np.random.default_rng(8)

@@ -278,6 +278,8 @@ class TestUrnLaw:
         pos, neg = select_observed(u, n_pos, n_neg, capacity, eta_pos, eta_neg)
         assert 0 <= pos <= n_pos and 0 <= neg <= n_neg
         assert pos + neg == min(capacity, n_pos + n_neg)
+        cell = (n_pos, n_neg, capacity, eta_pos, eta_neg)
+        assert (pos, neg) == scalar_reference.select_observed_by_pick_index(u, *cell)
 
     def test_short_uniforms_rejected(self):
         with pytest.raises(ValueError, match="needs 5 uniforms"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -195,6 +197,13 @@ class TestNoObservationPolicy:
         history = history_with_incidents(7, {1: [(0, 5), (1, 4)]}, current_day=10)
         assert NoObservationPolicy().decide(history, rng()).proportions is None
 
+    def test_one_frozen_marker(self):
+        decision = NoObservationPolicy().decide(history_with_incidents(7, {}), rng())
+        assert decision is PolicyDecision.none() is PolicyDecision.none()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.proportions = {}
+        assert PolicyDecision.none().proportions is None
+
 
 class TestPolicyContracts:
     @pytest.mark.parametrize(
@@ -324,6 +333,8 @@ class TestWindowQueriesMatchPerAreaOracle:
     @given(incident_days(), st.integers(1, 20))
     @example((1, []), 1)
     @example((3, [[(0, 2)], [], [(2, 5), (0, 1)], []]), 30)
+    # 72 rows, past the log's initial 64, so every run of the test grows it
+    @example((2, [[(day % 2, day % 6)] * 8 for day in range(9)]), 4)
     def test_every_day_of_the_run(self, log, window_days):
         n_areas, days = log
         shape = (len(days), len(TYPE_IDS), n_areas)
@@ -340,3 +351,4 @@ class TestWindowQueriesMatchPerAreaOracle:
                 rows = np.array(days[closed], dtype=np.int32).reshape(-1, 2)
                 history.append_day(rows[:, 0], rows[:, 1], rows[:, 1])
         assert history.incidents.dtype == np.int32
+        assert len(history.incidents) == sum(map(len, days))
