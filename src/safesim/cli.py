@@ -178,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table2":
             return cmd_table2(args)
         return cmd_compare(args)
-    except (ScenarioError, PolicyError, HorizonError, FileNotFoundError) as exc:
+    except (ScenarioError, PolicyError, HorizonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -76,6 +76,7 @@ class Streams(NamedTuple):
 NO_INCIDENTS = np.zeros(0, dtype=int)  # a day's incident column when it has none
 NO_INCIDENTS.flags.writeable = False
 MAX_HORIZON = np.iinfo(np.int32).max  # the incident log's DAY column is int32
+METRICS_BLOCK = 1 << 9  # days compute_day_metrics evaluates per call; a 365-day run is one
 
 
 class HorizonError(ValueError):
@@ -86,8 +87,9 @@ class HorizonError(ValueError):
 class Trajectory:
     """One replication as per-run arrays; row d of each array is day d + 1.
 
-    theta is the start-of-day safety state that drives the day's xi, both
-    shaped (days, areas), like the int32 event counts n_e, n_neg and n_pos.
+    theta is the start-of-day safety state, shaped (days, areas) like the
+    int32 event counts n_e, n_neg and n_pos; xi, the unsafe fraction it
+    drives, is not stored but computed from theta on each read.
     obs_pos and obs_neg are the recorded safe and unsafe counts (int32) and
     proportions the policy's decision, all shaped (days, obs_types, areas);
     the counts are 0 and the proportions NaN on days without observers.
@@ -104,7 +106,6 @@ class Trajectory:
     seed: int
     history: ObservableHistory
     theta: np.ndarray
-    xi: np.ndarray
     n_e: np.ndarray
     n_neg: np.ndarray
     n_pos: np.ndarray
@@ -117,6 +118,11 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return len(self.theta)
+
+    @property
+    def xi(self) -> np.ndarray:
+        """The unsafe fraction per day and area: step_day's operation on theta, same bits."""
+        return xi_of_theta(self.theta, self.scenario.arrays.xi_base)
 
     @property
     def incidents(self) -> np.ndarray:
@@ -135,11 +141,12 @@ class Replications:
 
     The per-run arrays of Trajectory are held here for every replication at
     once, one row per day, so that a day's writes are contiguous rows.
-    Column r * areas + a is area a of replication r: theta, xi, n_e, n_neg
-    and n_pos are shaped (days, R * areas), obs_pos, obs_neg and proportions
+    Column r * areas + a is area a of replication r: theta, n_e, n_neg and
+    n_pos are shaped (days, R * areas), obs_pos, obs_neg and proportions
     (days, obs_types, R * areas); expected_loss and tail_prob are shaped
-    (days, R). runs[r] is replication r's Trajectory, whose arrays and
-    history read views of its columns, and streams[r] its random streams.
+    (days, R). xi is not held: it is a function of theta (see Trajectory).
+    runs[r] is replication r's Trajectory, whose arrays and history read
+    views of its columns, and streams[r] its random streams.
     The column_ attributes hold, per column, the environment stream and area
     config, the area index, xi_base and k_decay.
     """
@@ -152,7 +159,6 @@ class Replications:
             raise HorizonError(f"{too_long}: days are int32, at most {MAX_HORIZON}")
         try:
             self.theta = np.zeros(shape)
-            self.xi = np.zeros(shape)
             self.n_e = np.zeros(shape, dtype=np.int32)
             self.n_neg = np.zeros(shape, dtype=np.int32)
             self.n_pos = np.zeros(shape, dtype=np.int32)
@@ -166,7 +172,7 @@ class Replications:
             raise HorizonError(f"{too_long}: {exc}") from None
         self.scenario = scenario
         self.streams = tuple(Streams.from_seed(seed) for seed in seeds)
-        per_column = ("theta", "xi", "n_e", "n_neg", "n_pos", "obs_pos", "obs_neg", "proportions")
+        per_column = ("theta", "n_e", "n_neg", "n_pos", "obs_pos", "obs_neg", "proportions")
         by_run = [
             {k: getattr(self, k)[..., r * n_areas : (r + 1) * n_areas] for k in per_column}
             for r in range(n_reps)
@@ -200,13 +206,13 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
     Each replication draws from its own streams in the order of a run
     stepped alone; what is deterministic runs once over all columns. The
     metrics are not evaluated here: they depend on xi alone, and
-    run_replications computes them for every day at once after the last one.
+    run_replications computes them from the stored theta after the last day.
     """
     scenario, n_areas = reps.scenario, reps.scenario.n_areas
     xi = xi_of_theta(theta, reps.column_xi_base)
     events = [step_events(rng, area, x) for (rng, area), x in zip(reps.column_events, xi.tolist())]
     n_e, n_neg, n_pos, uniforms = zip(*events)
-    reps.theta[d], reps.xi[d] = theta, xi
+    reps.theta[d] = theta
     reps.n_e[d], reps.n_neg[d], reps.n_pos[d] = n_e, n_neg, n_pos
 
     areas = ahl = phl = NO_INCIDENTS
@@ -259,10 +265,14 @@ def run_replications(
     theta = np.array([area.theta0 for area in scenario.areas] * len(seeds), dtype=float)
     for d in range(horizon):
         theta = step_day(reps, d, theta, policy)
-    # One replication at a time: the metrics' temporaries then scale with one
-    # run's days and areas, not with every replication's.
+    # One replication and METRICS_BLOCK days at a time: the metrics'
+    # temporaries then scale with a block of one run's days, not with the run.
+    arrays = scenario.arrays
     for run in reps.runs:
-        run.expected_loss[:], run.tail_prob[:] = compute_day_metrics(scenario.arrays, run.xi)
+        for start in range(0, horizon, METRICS_BLOCK):
+            days = slice(start, start + METRICS_BLOCK)
+            xi = xi_of_theta(run.theta[days], arrays.xi_base)
+            run.expected_loss[days], run.tail_prob[days] = compute_day_metrics(arrays, xi)
     return list(reps.runs)
 
 

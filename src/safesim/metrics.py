@@ -6,8 +6,8 @@ policies themselves observed. Expected daily loss weights the expected
 incident count per Hurt level by a loss vector; the tail probability is the
 chance of at least one incident at Hurt level 4 or 5 on a given day.
 
-Both depend on xi alone, so the engine evaluates them once per run, over the
-run's (days, areas) xi, after the last day. xi has areas on its last axis.
+Both depend on xi alone, so the engine evaluates them after the last day,
+over one block of a run's days at a time. xi has areas on its last axis.
 """
 
 from __future__ import annotations

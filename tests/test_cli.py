@@ -81,11 +81,25 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "uniform" in err and "severity" in err
 
-    def test_missing_scenario_file_exits_2(self, tmp_path):
-        code = main(
-            ["run", "--scenario", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]
-        )
-        assert code == 2
+    @staticmethod
+    def assert_unreadable(path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read scenario file {str(path)!r}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_missing_scenario_file_exits_2(self, tmp_path, capsys):
+        self.assert_unreadable(tmp_path / "nope.json", tmp_path, capsys)
+
+    def test_scenario_directory_exits_2(self, tmp_path, capsys):
+        self.assert_unreadable(tmp_path, tmp_path, capsys)
+
+    def test_non_utf8_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"areas": [{"id": "Kühlraum"}]}'.encode("latin-1"))
+        self.assert_unreadable(path, tmp_path, capsys)
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

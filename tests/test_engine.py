@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from safesim.engine import (
     step_day,
     summarize_trajectories,
 )
-from safesim.metrics import baseline_asymptote
+from safesim.metrics import baseline_asymptote, compute_day_metrics
 from safesim.observation import ProportionError
 from safesim.policies import AHL, DAY, PHL, Policy, PolicyDecision, make_policy
 from safesim.scenario import MAX_LAMBDA_STAR, N_HURT_LEVELS
@@ -66,11 +68,12 @@ class TestStepDay:
 COUNT_COLUMNS = ("n_e", "n_neg", "n_pos", "obs_pos", "obs_neg")
 
 # What a Replications of the case study (7 areas, 3 observation types) holds per
-# replication-day: theta and xi at 8 B and the three event counts at 4 B per
-# area, 7 * 28 = 196 B; observed counts at 4 + 4 B and proportions at 8 B per
-# type and area, 21 * 16 = 336 B; the two metrics, 16 B. The per-column
-# constants add about 0.3 B at 4 replications over 365 days.
-CASE_STUDY_BYTES_PER_REP_DAY = 549
+# replication-day: theta at 8 B and the three event counts at 4 B per area,
+# 7 * 20 = 140 B; observed counts at 4 + 4 B and proportions at 8 B per type and
+# area, 21 * 16 = 336 B; the two metrics, 16 B. xi is not held: it is computed
+# from theta. The per-column constants add about 0.3 B at 4 replications over
+# 365 days.
+CASE_STUDY_BYTES_PER_REP_DAY = 493
 
 
 class TestInt32Record:
@@ -152,6 +155,32 @@ class TestRunSimulation:
         )
         assert not np.allclose(theta, decay_only)
         assert np.all(theta >= decay_only - 1e-12)
+
+
+class TestMetricsFill:
+    """run_replications fills the metrics from theta, METRICS_BLOCK days per call."""
+
+    def test_blocked_fill_matches_one_pass(self, case_study, monkeypatch):
+        # 30 days in blocks of 7: four whole blocks and a last one of 2 days
+        monkeypatch.setattr("safesim.engine.METRICS_BLOCK", 7)
+        runs = run_replications(case_study, make_policy("counts"), seeds=[3, 4], horizon=30)
+        for run in runs:
+            loss, tail = compute_day_metrics(case_study.arrays, run.xi)
+            assert np.array_equal(run.expected_loss, loss)
+            assert np.array_equal(run.tail_prob, tail)
+
+    def test_no_whole_run_temporary(self, case_study):
+        # what a run allocates beyond what it keeps stays below one (days, areas)
+        # float64 array: neither xi nor the metrics' temporaries span the run
+        horizon = 3650
+        tracemalloc.start()
+        try:
+            runs = run_replications(case_study, make_policy("none"), seeds=[1], horizon=horizon)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert runs[0].horizon == horizon
+        assert peak - current < horizon * case_study.n_areas * 8
 
 
 class HistoryProbePolicy(Policy):
