@@ -23,18 +23,18 @@ No stream draws for another, so a policy's own draws never shift the
 events or the observers, and the observers' draws never shift the events.
 Only the order within a stream matters. The three Poisson draws stay
 scalar calls per area because an area's counts come between the previous
-area's severities and its own. Everything else in a day is deterministic
-and runs as array operations over areas (or over the day's incidents, for
-mapping uniforms to Hurt levels), with the same floating-point operations
-in the same order as a per-area loop.
+area's severities and its own; the same call maps the area's incidents to
+Hurt levels. Everything else in a day is deterministic and runs as array
+operations over areas, with the same floating-point operations in the
+same order as a per-area loop.
 
 The replications of an ensemble step together (run_replications): one
 day loop advances all of them. Each still draws from its own three
 streams, in the order above, and has its own history and policy
 decision, so its trajectory is byte-identical to the run of its seed
-alone. What draws nothing (xi, storage, the Hurt-level mapping and the
-feedback drive) runs once a day over the areas of every replication.
-run_simulation is the case of one replication.
+alone. What draws nothing (xi, storage and the feedback drive) runs once
+a day over the areas of every replication. run_simulation is the case of
+one replication.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 import numpy as np
 
-from .events import hurt_levels, step_events, xi_of_theta
+from .events import step_events, xi_of_theta
 from .intervention import feedback_drive, step_theta
 from .metrics import compute_day_metrics
 from .observation import observer_draws, proportions_by_type, step_observations
@@ -73,8 +73,6 @@ class Streams(NamedTuple):
         return cls(environment, observer, policy)
 
 
-NO_INCIDENTS = np.zeros(0, dtype=int)  # a day's incident column when it has none
-NO_INCIDENTS.flags.writeable = False
 MAX_HORIZON = np.iinfo(np.int32).max  # the incident log's DAY column is int32
 METRICS_BLOCK = 1 << 9  # days compute_day_metrics evaluates per call; a 365-day run is one
 
@@ -147,8 +145,9 @@ class Replications:
     (days, R). xi is not held: it is a function of theta (see Trajectory).
     runs[r] is replication r's Trajectory, whose arrays and history read
     views of its columns, and streams[r] its random streams.
-    The column_ attributes hold, per column, the environment stream and area
-    config, the area index, xi_base and k_decay.
+    The column_ attributes hold, per column, the environment stream, area
+    config and Hurt-level running sums (the area's rows of
+    ScenarioArrays.hl_sums as lists), xi_base and k_decay.
     """
 
     def __init__(self, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int):
@@ -189,8 +188,10 @@ class Replications:
             )
             for r, (seed, views) in enumerate(zip(seeds, by_run))
         )
-        self.column_events = [(s.environment, a) for s in self.streams for a in scenario.areas]
-        self.column_area = np.tile(np.arange(n_areas), n_reps)
+        area_sums = list(zip(scenario.areas, scenario.arrays.hl_sums.tolist()))
+        self.column_events = [
+            (s.environment, area, sums) for s in self.streams for area, sums in area_sums
+        ]
         self.column_xi_base = np.tile(scenario.arrays.xi_base, n_reps)
         self.column_k_decay = [area.k_decay for area in scenario.areas] * n_reps
         self.observer_draws = observer_draws(scenario)
@@ -200,28 +201,33 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
     """Simulate day d + 1 of every replication into row d; returns the next day's theta.
 
     theta is the start-of-day state per column (see Replications). Order of
-    operations: derive xi from the carried-over theta, generate events, ask
-    the policy (which sees history through yesterday only), run the
-    observation process, close the day in the history, and update theta.
-    Each replication draws from its own streams in the order of a run
-    stepped alone; what is deterministic runs once over all columns. The
-    metrics are not evaluated here: they depend on xi alone, and
-    run_replications computes them from the stored theta after the last day.
+    operations: derive xi from the carried-over theta, generate events and
+    their Hurt levels, ask the policy (which sees history through yesterday
+    only), run the observation process, close the day in the history, and
+    update theta. Each replication draws from its own streams in the order
+    of a run stepped alone; what is deterministic runs once over all
+    columns. The metrics are not evaluated here: they depend on xi alone,
+    and run_replications computes them from the stored theta after the
+    last day.
     """
     scenario, n_areas = reps.scenario, reps.scenario.n_areas
     xi = xi_of_theta(theta, reps.column_xi_base)
-    events = [step_events(rng, area, x) for (rng, area), x in zip(reps.column_events, xi.tolist())]
-    n_e, n_neg, n_pos, uniforms = zip(*events)
+    events = [
+        step_events(rng, area, x, sums)
+        for (rng, area, sums), x in zip(reps.column_events, xi.tolist())
+    ]
+    n_e, n_neg, n_pos, ahls, phls = zip(*events)
     reps.theta[d] = theta
     reps.n_e[d], reps.n_neg[d], reps.n_pos[d] = n_e, n_neg, n_pos
 
-    areas = ahl = phl = NO_INCIDENTS
-    if any(n_e):
-        areas = np.repeat(reps.column_area, n_e)
-        drawn = [u for n, u in zip(n_e, uniforms) if n]
-        ahl, phl = hurt_levels(scenario.arrays.hl_sums, areas, np.concatenate(drawn, axis=1))
+    # The day's incidents, column by column: area index, AHL and PHL.
+    areas, ahl, phl = [], [], []
+    for c in compress(range(len(n_e)), n_e):
+        areas += [c % n_areas] * n_e[c]
+        ahl += ahls[c]
+        phl += phls[c]
 
-    # Replication r's incidents are rows first[r]:first[r + 1] of the day's columns.
+    # Replication r's incidents are items first[r]:first[r + 1] of those lists.
     first = [0, *accumulate(n_e)][::n_areas]
     for r, (run, streams) in enumerate(zip(reps.runs, reps.streams)):
         decision = policy.decide(run.history, streams.policy)

@@ -9,11 +9,13 @@ streams can run concurrently and replay bit-identically.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import SafetyAreaConfig
+from .scenario import N_HURT_LEVELS, SafetyAreaConfig
 
 
 class DegenerateHurtDistribution(ValueError):
@@ -21,23 +23,22 @@ class DegenerateHurtDistribution(ValueError):
 
 
 class DayEvents(NamedTuple):
-    """Event counts for one area on one day, plus the incidents' severity draws.
+    """Event counts for one area on one day, and the incidents' Hurt levels.
 
-    uniforms has shape (2, n_e): row 0 holds the uniforms of the incidents'
-    actual Hurt levels, row 1 those of their potential Hurt levels, in the
-    order they were drawn. hurt_levels maps them to levels.
+    ahl and phl hold n_e ints each: each incident's actual and potential
+    Hurt level, in the order the incidents were drawn. They are lists, or
+    the empty tuple on a day without incidents.
     """
 
     n_e: int
     n_neg: int
     n_pos: int
-    uniforms: np.ndarray
+    ahl: Sequence[int]
+    phl: Sequence[int]
 
 
-NO_DRAWS = np.zeros((2, 0))
-NO_DRAWS.flags.writeable = False
-
-HURT_CHUNK = 1 << 16  # incidents hurt_levels maps per pass
+HURT_CHUNK = 1 << 16  # incidents whose uniforms step_events turns into floats at once
+TOP = N_HURT_LEVELS - 1  # the highest Hurt level
 
 
 def xi_of_theta(theta, xi_base):
@@ -61,63 +62,42 @@ def sample_event_counts(
     return n_e, n_neg, n_pos
 
 
-def hurt_level(u: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """The level a sequential severity draw returns for each uniform in u.
-
-    Such a draw adds the probabilities one level at a time and returns the
-    first level whose running sum exceeds u, or the top level if no level
-    below it does. sums holds those running sums (rows of
-    ScenarioArrays.hl_sums), one row per uniform or one row for all of u.
-    """
-    below = u[:, None] < sums
-    below[:, -1] = True
-    return below.argmax(axis=1)
-
-
-def hurt_levels(
-    hl_sums: np.ndarray, areas: np.ndarray, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map incidents' severity uniforms to actual and potential Hurt levels.
-
-    hl_sums is ScenarioArrays.hl_sums, areas the incidents' area indices and
-    uniforms their draws, shaped (2, incidents) as in DayEvents. The AHL
-    follows the area's severity probabilities; the PHL follows them
-    truncated below the AHL and renormalized. Each level is the one a
-    sequential draw from the same uniform returns. Both uniforms are mapped
-    onto their row's own total, so a row that sums to slightly less than 1
-    gives its missing mass to no level. Incidents are mapped HURT_CHUNK at a
-    time, which bounds the (incidents, levels) temporaries on a day with
-    many incidents.
-    """
-    if len(areas) > HURT_CHUNK:
-        chunks = [
-            hurt_levels(hl_sums, areas[i : i + HURT_CHUNK], uniforms[:, i : i + HURT_CHUNK])
-            for i in range(0, len(areas), HURT_CHUNK)
-        ]
-        ahl, phl = zip(*chunks)
-        return np.concatenate(ahl), np.concatenate(phl)
-    u_ahl, u_phl = uniforms
-    sums = hl_sums[areas, 0]
-    ahl = hurt_level(u_ahl * sums[:, -1], sums)
-    rows = hl_sums[areas, ahl]
-    tail = rows[:, -1]
-    empty = tail <= 0.0
-    if empty.any():
-        raise DegenerateHurtDistribution(
-            f"no probability mass at Hurt level >= {ahl[empty.argmax()]}"
-        )
-    return ahl, hurt_level(u_phl * tail, rows)
-
-
-def step_events(rng: np.random.Generator, area: SafetyAreaConfig, xi: float) -> DayEvents:
+def step_events(
+    rng: np.random.Generator, area: SafetyAreaConfig, xi: float, hl_sums: list[list[float]]
+) -> DayEvents:
     """Generate one day of events for one area at unsafe fraction xi.
 
     Stream order: counts, then all AHL uniforms, then all PHL uniforms, as
     one (2, n_e) draw. The generator fills it row-major, row 0 and then row
     1, with the same doubles as 2 * n_e single draws. Does not touch theta;
     the intervention step owns the dynamics.
+
+    hl_sums holds the area's rows of ScenarioArrays.hl_sums as lists. Each
+    level is the one a sequential severity draw from the same uniform
+    returns. The AHL follows the area's severity probabilities; the PHL
+    follows them truncated below the AHL and renormalized. Both uniforms
+    are mapped onto their row's own total, so a row that sums to slightly
+    less than 1 gives its missing mass to no level. The uniforms become
+    Python floats HURT_CHUNK incidents at a time, which bounds the memory
+    of a day with many incidents.
     """
     n_e, n_neg, n_pos = sample_event_counts(rng, area.lambda_star, xi, area.alpha)
     if n_e == 0:
-        return DayEvents(0, n_neg, n_pos, NO_DRAWS)
-    return DayEvents(n_e, n_neg, n_pos, rng.random((2, n_e)))
+        return DayEvents(0, n_neg, n_pos, (), ())
+    uniforms = rng.random((2, n_e))
+    ahl, phl = [], []
+    sums = hl_sums[0]
+    total = sums[-1]
+    for start in range(0, n_e, HURT_CHUNK):
+        u_ahl, u_phl = uniforms[:, start : start + HURT_CHUNK].tolist()
+        for u_a, u_p in zip(u_ahl, u_phl):
+            # bisect_right below TOP: the first level whose running sum
+            # exceeds the scaled uniform, or TOP if none below it does
+            level = bisect_right(sums, u_a * total, 0, TOP)
+            row = hl_sums[level]
+            tail = row[-1]
+            if tail <= 0.0:
+                raise DegenerateHurtDistribution(f"no probability mass at Hurt level >= {level}")
+            ahl.append(level)
+            phl.append(bisect_right(row, u_p * tail, level, TOP))
+    return DayEvents(n_e, n_neg, n_pos, ahl, phl)

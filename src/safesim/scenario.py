@@ -251,13 +251,20 @@ def load_scenario(text: str) -> Scenario:
 
 
 def load_scenario_file(path: str | Path) -> Scenario:
-    """Read a UTF-8 scenario file and load it; a file that cannot be read is a ScenarioError."""
+    """Read a UTF-8 scenario file and load it; a file that cannot be read is a ScenarioError.
+
+    Every ScenarioError it raises names the file.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         raise ScenarioError(f"cannot read scenario file {str(path)!r}: {reason}") from exc
-    return load_scenario(text)
+    try:
+        return load_scenario(text)
+    except ScenarioError as exc:
+        exc.args = (f"scenario file {str(path)!r}: {exc}",)
+        raise
 
 
 def _field_violations(config, where: str) -> list[str]:

@@ -1,11 +1,13 @@
 """Scalar, one-area-at-a-time versions of the array code in safesim, and
 earlier samplers kept as oracles.
 
-The simulator maps severity uniforms to Hurt levels by table lookup and
-computes the metrics of all of a run's days as array operations over days
-and areas. These are the sequential per-area, per-day forms that code must
-match bit for bit (the tail probability to rounding); the tests compare
-against them. The observation samplers at the end are the ones the
+The simulator maps each incident's severity uniforms to Hurt levels by
+bisection on its area's running sums, and computes the metrics of all of a
+run's days as array operations over days and areas. These are the
+sequential per-area, per-day forms that code must match bit for bit (the
+tail probability to rounding), and the numpy table lookup that mapped a
+whole day's incidents before; the tests compare against them. The
+observation samplers at the end are the ones the
 simulator used before the fixed-weight urn: the tests compare the urn's law
 against theirs. Beside them is the urn that recomputes its remaining counts
 from the pick index, which the simulator's urn must match exactly. Last come the numpy forms of the observers' allocation and
@@ -60,6 +62,39 @@ def step_events(rng, area, xi: float):
     ahls = [sample_ahl(rng, area.hl_probs) for _ in range(n_e)]
     phls = [sample_phl(rng, area.hl_probs, ahl) for ahl in ahls]
     return n_e, n_neg, n_pos, ahls, phls
+
+
+def hurt_level(u: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The level a sequential severity draw returns for each uniform in u.
+
+    Such a draw adds the probabilities one level at a time and returns the
+    first level whose running sum exceeds u, or the top level if no level
+    below it does. sums holds those running sums (rows of
+    ScenarioArrays.hl_sums), one row per uniform or one row for all of u.
+    """
+    below = u[:, None] < sums
+    below[:, -1] = True
+    return below.argmax(axis=1)
+
+
+def hurt_levels(hl_sums: np.ndarray, areas: np.ndarray, uniforms: np.ndarray):
+    """Map incidents' severity uniforms to (AHL, PHL) arrays by table lookup.
+
+    hl_sums is ScenarioArrays.hl_sums, areas the incidents' area indices and
+    uniforms their draws, shaped (2, incidents): row 0 the AHL uniforms, row
+    1 the PHL uniforms. Each uniform is mapped onto its row's own total.
+    """
+    u_ahl, u_phl = uniforms
+    sums = hl_sums[areas, 0]
+    ahl = hurt_level(u_ahl * sums[:, -1], sums)
+    rows = hl_sums[areas, ahl]
+    tail = rows[:, -1]
+    empty = tail <= 0.0
+    if empty.any():
+        raise DegenerateHurtDistribution(
+            f"no probability mass at Hurt level >= {ahl[empty.argmax()]}"
+        )
+    return ahl, hurt_level(u_phl * tail, rows)
 
 
 def expected_daily_loss(area, xi: float, loss_vector) -> float:

@@ -101,6 +101,24 @@ class TestRunCommand:
         path.write_bytes('{"areas": [{"id": "Kühlraum"}]}'.encode("latin-1"))
         self.assert_unreadable(path, tmp_path, capsys)
 
+    @staticmethod
+    def assert_refused(path, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: scenario file {str(path)!r}: {message}\n"
+        assert not out.exists()
+
+    def test_truncated_scenario_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "trunc.json"
+        path.write_text('{"areas": [')
+        self.assert_refused(path, "line 1, column 12: Expecting value", tmp_path, capsys)
+
+    def test_empty_object_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        self.assert_refused(path, "top level: missing required field 'areas'", tmp_path, capsys)
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"areas": [], "obs_types": []}))

@@ -1,12 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import scalar_reference
 from conftest import make_area, make_scenario
 from safesim.events import (
+    HURT_CHUNK,
     DegenerateHurtDistribution,
-    hurt_level,
-    hurt_levels,
     sample_event_counts,
     step_events,
     xi_of_theta,
@@ -25,21 +26,54 @@ def hl_sums(hl_probs) -> np.ndarray:
     return ScenarioArrays.of(scenario).hl_sums[0]
 
 
-def levels(hl_probs, uniforms) -> tuple[np.ndarray, np.ndarray]:
-    """hurt_levels for incidents of one area with the given severity uniforms."""
-    uniforms = np.asarray(uniforms, dtype=float)
-    return hurt_levels(hl_sums(hl_probs)[None], np.zeros(uniforms.shape[1], dtype=int), uniforms)
+class Draws:
+    """A stand-in generator for one area-day: poisson() hands out the counts
+    (incidents, 0, 0) and random() the given (2, incidents) uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float).reshape(2, -1)
+        self.counts = [self.uniforms.shape[1], 0, 0]
+
+    def poisson(self, lam):
+        return self.counts.pop(0)
+
+    def random(self, shape):
+        assert shape == self.uniforms.shape
+        return self.uniforms
+
+
+def as_lists(events) -> tuple:
+    """DayEvents field by field, its levels as lists, as scalar_reference.step_events returns them."""
+    return (*events[:3], list(events.ahl), list(events.phl))
+
+
+def levels(hl_probs, uniforms) -> tuple[list[int], list[int]]:
+    """step_events' (AHL, PHL) lists for incidents of one area with the given uniforms."""
+    area = make_area(hl_probs=hl_probs)
+    events = step_events(Draws(uniforms), area, 1.0, hl_sums(hl_probs).tolist())
+    return list(events.ahl), list(events.phl)
+
+
+def oracle_levels(hl_probs, uniforms) -> tuple[list[int], list[int]]:
+    """The numpy table lookup's (AHL, PHL) for the same incidents."""
+    uniforms = np.asarray(uniforms, dtype=float).reshape(2, -1)
+    index = np.zeros(uniforms.shape[1], dtype=int)
+    ahl, phl = scalar_reference.hurt_levels(hl_sums(hl_probs)[None], index, uniforms)
+    return ahl.tolist(), phl.tolist()
 
 
 def draw_ahl(rng, hl_probs, n: int) -> np.ndarray:
-    """n AHLs through the sampler's lookup, from the same uniforms as n scalar draws."""
-    return hurt_level(rng.random(n), hl_sums(hl_probs)[0])
+    """n AHLs through step_events, from the same uniforms as n scalar draws."""
+    ahl, _ = levels(hl_probs, [rng.random(n), np.zeros(n)])
+    return np.array(ahl)
 
 
 def draw_phl(rng, hl_probs, ahl: int, n: int) -> np.ndarray:
-    """n PHLs above a fixed AHL, as hurt_levels maps PHL uniforms."""
-    rows = hl_sums(hl_probs)[np.full(n, ahl)]
-    return hurt_level(rng.random(n) * rows[:, -1], rows)
+    """n PHLs through step_events, each above an AHL fixed by a uniform inside its level."""
+    u_ahl = (sum(hl_probs[:ahl]) + hl_probs[ahl] / 2) / sum(hl_probs)
+    ahls, phls = levels(hl_probs, [np.full(n, u_ahl), rng.random(n)])
+    assert set(ahls) == {ahl}
+    return np.array(phls)
 
 
 class Uniforms:
@@ -174,13 +208,14 @@ class TestSamplePhl:
         probs = (0.5, 0.5 - 1e-10, 0, 0, 0, 0)
         top = np.nextafter(1.0, 0.0)
         ahl, phl = levels(probs, [[0.2, 1 - 1e-10, 1 - 5e-11, top], [0.5, 0.5, top, top]])
-        assert ahl.tolist() == [0, 1, 1, 1]
-        assert phl.tolist() == [0, 1, 1, 1]
+        assert ahl == [0, 1, 1, 1]
+        assert phl == [0, 1, 1, 1]
 
 
 class TestTableSamplerEquivalence:
-    """step_events then hurt_levels match counts, then n scalar AHL draws, then
-    n scalar PHL draws, per area: same numbers, same generator state."""
+    """step_events matches counts, then n scalar AHL draws, then n scalar PHL
+    draws, per area: same numbers, same generator state. Its levels are the
+    numpy table lookup's for the same uniforms."""
 
     DISTRIBUTIONS = (
         AREA_A_HL,  # no mass at levels 4 and 5
@@ -201,36 +236,27 @@ class TestTableSamplerEquivalence:
     def test_same_events_and_generator_state(self, probs):
         # a mean of 0.9 incidents a day gives days with 0, 1 and several
         area = make_area(lambda_star=10.0, xi_base=0.9, alpha=0.1, hl_probs=probs)
-        sums = hl_sums(probs)[None]
+        sums = hl_sums(probs).tolist()
         for seed in (1, 2, 3):
             scalar_rng, table_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(300):
-                n_e, n_neg, n_pos, ahl, phl = scalar_reference.step_events(scalar_rng, area, 0.9)
-                events = step_events(table_rng, area, 0.9)
-                assert events[:3] == (n_e, n_neg, n_pos)
-                got = hurt_levels(sums, np.zeros(n_e, dtype=int), events.uniforms)
-                assert (got[0].tolist(), got[1].tolist()) == (ahl, phl)
+                expected = scalar_reference.step_events(scalar_rng, area, 0.9)
+                assert as_lists(step_events(table_rng, area, 0.9, sums)) == expected
             assert table_rng.bit_generator.state == scalar_rng.bit_generator.state
 
-    def test_one_mapping_for_all_areas_of_a_day(self):
-        # as the engine does: every area draws in turn, then one lookup
+    def test_each_area_maps_with_its_own_rows(self):
+        # as the engine does: every area draws in turn, with its rows of
+        # ScenarioArrays.hl_sums as lists
         areas = [
             make_area(f"A{i}", lambda_star=10.0, xi_base=0.9, alpha=0.1, hl_probs=probs)
             for i, probs in enumerate(self.DISTRIBUTIONS)
         ]
-        sums = ScenarioArrays.of(make_scenario(areas=areas)).hl_sums
+        sums = ScenarioArrays.of(make_scenario(areas=areas)).hl_sums.tolist()
         scalar_rng, table_rng = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(200):
-            expected = [
-                (i, a, p)
-                for i, area in enumerate(areas)
-                for a, p in zip(*scalar_reference.step_events(scalar_rng, area, 0.9)[3:])
-            ]
-            events = [step_events(table_rng, area, 0.9) for area in areas]
-            index = np.repeat(np.arange(len(areas)), [e.n_e for e in events])
-            uniforms = np.concatenate([e.uniforms for e in events], axis=1)
-            ahl, phl = hurt_levels(sums, index, uniforms)
-            assert list(zip(index.tolist(), ahl.tolist(), phl.tolist())) == expected
+            for area, rows in zip(areas, sums):
+                expected = scalar_reference.step_events(scalar_rng, area, 0.9)
+                assert as_lists(step_events(table_rng, area, 0.9, rows)) == expected
         assert table_rng.bit_generator.state == scalar_rng.bit_generator.state
 
     @pytest.mark.parametrize("probs", DISTRIBUTIONS)
@@ -245,22 +271,20 @@ class TestTableSamplerEquivalence:
                 expected = self.scalar(Uniforms(u + uniforms[1]), probs, len(u))
             except DegenerateHurtDistribution:
                 with pytest.raises(DegenerateHurtDistribution):
+                    oracle_levels(probs, uniforms)
+                with pytest.raises(DegenerateHurtDistribution):
                     levels(probs, uniforms)
                 continue
-            ahl, phl = levels(probs, uniforms)
-            assert (ahl.tolist(), phl.tolist()) == expected
+            assert oracle_levels(probs, uniforms) == expected
+            assert levels(probs, uniforms) == expected
 
     def test_chunked_mapping_matches_one_pass(self, monkeypatch):
         # a day longer than HURT_CHUNK is mapped in pieces, to the same levels
-        areas = [make_area(f"A{i}", hl_probs=p) for i, p in enumerate(self.DISTRIBUTIONS)]
-        sums = ScenarioArrays.of(make_scenario(areas=areas)).hl_sums
-        rng = np.random.default_rng(4)
-        index = rng.integers(len(self.DISTRIBUTIONS), size=1000)
-        uniforms = rng.random((2, 1000))
-        one_pass = hurt_levels(sums, index, uniforms)
+        uniforms = np.random.default_rng(4).random((2, 1000))
+        one_pass = [levels(probs, uniforms) for probs in self.DISTRIBUTIONS]
+        assert one_pass == [oracle_levels(probs, uniforms) for probs in self.DISTRIBUTIONS]
         monkeypatch.setattr("safesim.events.HURT_CHUNK", 7)
-        chunked = hurt_levels(sums, index, uniforms)
-        assert all(np.array_equal(a, b) for a, b in zip(one_pass, chunked))
+        assert [levels(probs, uniforms) for probs in self.DISTRIBUTIONS] == one_pass
 
     def test_degenerate_raise_matches(self):
         # A uniform of 1, outside the generator's [0, 1), is the only way left
@@ -269,7 +293,14 @@ class TestTableSamplerEquivalence:
         with pytest.raises(DegenerateHurtDistribution):
             self.scalar(Uniforms([0.3, 1.0, 0.1, 0.1]), probs, 2)
         with pytest.raises(DegenerateHurtDistribution, match=">= 5"):
+            oracle_levels(probs, [[0.3, 1.0], [0.1, 0.1]])
+        with pytest.raises(DegenerateHurtDistribution, match=">= 5"):
             levels(probs, [[0.3, 1.0], [0.1, 0.1]])
+
+
+def day(rng, area, xi):
+    """step_events for one area-day, with the area's running sums as lists."""
+    return step_events(rng, area, xi, hl_sums(area.hl_probs).tolist())
 
 
 class TestStepEvents:
@@ -278,7 +309,7 @@ class TestStepEvents:
         area = make_area()
         xi = xi_of_theta(1.0, area.xi_base)
         for _ in range(200):
-            events = step_events(rng, area, xi)
+            events = day(rng, area, xi)
             assert events.n_e == 0
             assert events.n_neg == 0
 
@@ -287,14 +318,13 @@ class TestStepEvents:
         area = make_area(lambda_star=20.0, xi_base=0.9, alpha=0.5)
         xi = xi_of_theta(0.0, area.xi_base)
         for _ in range(2_000):
-            events = step_events(rng, area, xi)
-            ahl, phl = levels(area.hl_probs, events.uniforms)
-            assert np.all(phl >= ahl)
+            events = day(rng, area, xi)
+            assert all(p >= a for a, p in zip(events.ahl, events.phl))
 
     def test_counts_are_python_ints(self):
         rng = np.random.default_rng(4)
         area = make_area(lambda_star=20.0, xi_base=0.9, alpha=0.1)
-        days = [step_events(rng, area, 0.9) for _ in range(50)]
+        days = [day(rng, area, 0.9) for _ in range(50)]
         assert {events.n_e > 0 for events in days} == {False, True}
         for events in days:
             assert [type(n) for n in events[:3]] == [int] * 3
@@ -304,8 +334,8 @@ class TestStepEvents:
         area = make_area(lambda_star=20.0, xi_base=0.9, alpha=0.5)
         xi = xi_of_theta(0.2, area.xi_base)
         for _ in range(200):
-            events = step_events(rng, area, xi)
-            assert events.uniforms.shape == (2, events.n_e)
+            events = day(rng, area, xi)
+            assert len(events.ahl) == len(events.phl) == events.n_e
 
     def test_mean_incidents_match_analytic_at_fixed_theta(self):
         # oracle: analytic mean alpha * xi * lambda at theta = 0.3
@@ -313,7 +343,7 @@ class TestStepEvents:
         area = make_area(lambda_star=17.0, xi_base=0.55, alpha=0.04, theta0=0.3)
         xi = xi_of_theta(0.3, area.xi_base)
         mean_analytic = area.alpha * xi * area.lambda_star
-        total = sum(step_events(rng, area, xi).n_e for _ in range(100_000))
+        total = sum(day(rng, area, xi).n_e for _ in range(100_000))
         assert total / 100_000 == pytest.approx(mean_analytic, rel=0.01)
 
     def test_bit_reproducible_under_fixed_seed(self):
@@ -322,10 +352,25 @@ class TestStepEvents:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(123)
-            runs.append([step_events(rng, area, xi) for _ in range(50)])
-        for a, b in zip(*runs):
-            assert a[:3] == b[:3]
-            assert np.array_equal(a.uniforms, b.uniforms)
+            runs.append([day(rng, area, xi) for _ in range(50)])
+        assert runs[0] == runs[1]
+
+    def test_many_incidents_are_mapped_a_chunk_at_a_time(self):
+        # alpha = xi = 1 makes every task an incident. Beyond the levels it
+        # returns, the day holds its (2, n_e) uniforms (16 B an incident) and
+        # one chunk of them as Python floats. Turning all of them into floats
+        # at once would take 64 B an incident for the two lists alone.
+        area = make_area(lambda_star=4.1 * HURT_CHUNK, xi_base=1.0, alpha=1.0, hl_probs=AREA_C_HL)
+        rng = np.random.default_rng(5)
+        sums = hl_sums(area.hl_probs).tolist()
+        tracemalloc.start()
+        try:
+            events = step_events(rng, area, 1.0, sums)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert events.n_e >= 4 * HURT_CHUNK
+        assert peak - kept < 64 * events.n_e
 
 
 class TestSamplerEquivalence:
