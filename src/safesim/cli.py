@@ -160,9 +160,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     write_severity_csv(severity_rows, out_dir / "severity_counts.csv")
     print(f"wrote {out_dir / 'severity_counts.csv'}")
-    write_metric_svgs(compare_csvs, scenario, out_dir)
-    print(f"wrote {out_dir / 'expected_loss.svg'}")
-    print(f"wrote {out_dir / 'tail_probability.svg'}")
+    for svg_path in write_metric_svgs(compare_csvs, scenario, out_dir):
+        print(f"wrote {svg_path}")
     return EXIT_OK
 
 

@@ -233,7 +233,7 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
         decision = policy.decide(run.history, streams.policy)
         if decision.proportions is not None:
             columns = slice(r * n_areas, (r + 1) * n_areas)
-            proportions = proportions_by_type(decision.proportions, scenario.obs_type_ids)
+            proportions = proportions_by_type(decision.proportions, scenario)
             u = streams.observer.random(reps.observer_draws)
             step_observations(
                 u, scenario, n_pos[columns], n_neg[columns], proportions,

@@ -60,17 +60,28 @@ def check_proportions(s: Sequence[float], n_areas: int) -> list[float]:
     raise ProportionError(message if np.isfinite(values).all() else "proportions must be finite")
 
 
-def proportions_by_type(proportions: Mapping, obs_type_ids: Sequence[str]) -> list:
-    """A decision's proportion vector for each observation type, in config order."""
+def proportions_by_type(proportions: Mapping, scenario: Scenario) -> list[list[float]]:
+    """A decision's checked proportion vectors, one per observation type in config order.
+
+    The whole intake of a decision, before the day draws or records anything
+    for it: proportions must be a mapping with a vector for every type, and
+    each distinct vector is checked once by check_proportions. Any failure
+    raises ProportionError.
+    """
     if not isinstance(proportions, Mapping):
         raise ProportionError(
             "a decision's proportions must map each observation type id to a vector, "
             f"got {type(proportions).__name__}"
         )
     try:
-        return [proportions[type_id] for type_id in obs_type_ids]
+        given = [proportions[type_id] for type_id in scenario.obs_type_ids]
     except KeyError as exc:
         raise ProportionError(f"no proportions for observation type {exc.args[0]!r}") from None
+    checked = {}  # id -> checked values: a policy often gives every type one vector
+    for s in given:
+        if id(s) not in checked:
+            checked[id(s)] = check_proportions(s, scenario.n_areas)
+    return [checked[id(s)] for s in given]
 
 
 def observer_draws(scenario: Scenario) -> int:
@@ -150,23 +161,19 @@ def step_observations(
     """Run one day of the observation process over every type and area.
 
     n_pos and n_neg are the day's safe and unsafe activity counts per area,
-    and proportions holds one vector per obs type in config order. u holds
-    the day's observer_draws(scenario) uniforms: for each obs type in config
-    order, m allocation uniforms, then a block of rho * m urn uniforms,
-    sliced over the areas in area order, rho * q[a] for area a. Each type
-    draws its own urn, so the same event can be recorded by several types
-    but at most once per type. The recorded safe and unsafe counts go into
-    obs_pos and obs_neg, indexed [obs_type, area], which must hold zeros:
-    only the cells with observers and activity are written.
+    and proportions holds one checked vector per obs type in config order,
+    as proportions_by_type returns them; nothing here refuses a decision.
+    u holds the day's observer_draws(scenario) uniforms: for each obs type
+    in config order, m allocation uniforms, then a block of rho * m urn
+    uniforms, sliced over the areas in area order, rho * q[a] for area a.
+    Each type draws its own urn, so the same event can be recorded by
+    several types but at most once per type. The recorded safe and unsafe
+    counts go into obs_pos and obs_neg, indexed [obs_type, area], which must
+    hold zeros: only the cells with observers and activity are written.
     """
-    n_areas = scenario.n_areas
     u = u.tolist()
-    checked = {}  # id of a proportion vector -> its validated values, as a list
     start = 0
-    for t_idx, (obs_type, given) in enumerate(zip(scenario.obs_types, proportions)):
-        s = checked.get(id(given))
-        if s is None:
-            s = checked[id(given)] = check_proportions(given, n_areas)
+    for t_idx, (obs_type, s) in enumerate(zip(scenario.obs_types, proportions)):
         m, rho, eta_pos, eta_neg = obs_type.m, obs_type.rho, obs_type.eta_pos, obs_type.eta_neg
         pos_row, neg_row = obs_pos[t_idx], obs_neg[t_idx]
         q = allocate_observers(u[start : start + m], s)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from .scenario import PROB_TOL
+from .observation import ProportionError, check_proportions
 
 DEFAULT_WINDOW_DAYS = 30
 
@@ -208,25 +207,18 @@ class IncidentSeverityPolicy(Policy):
 class FixedWeightsPolicy(Policy):
     """Allocate by a fixed prior weight vector, ignoring history.
 
-    The vector needs one weight per area; the observation step rejects a
-    vector of another length on the first day with observers.
+    When built, the weights pass check_proportions, the rule for every
+    decision's vectors, and the policy keeps its own copy of them. Their
+    number is checked against the areas on the first day with observers.
     """
 
     name = "weighted"
 
     def __init__(self, weights):
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1 or len(weights) == 0:
-            raise PolicyError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(weights)):
-            raise PolicyError("weights must be finite")
-        if np.any(weights < 0.0):
-            raise PolicyError("weights must be nonnegative")
-        # check_proportions' running sum; finite weights can still sum to inf
-        *_, total = accumulate(weights.tolist(), initial=0.0)
-        if abs(total - 1.0) > PROB_TOL:
-            raise PolicyError(f"weights must sum to 1, got {total}")
-        self.weights = weights
+        try:
+            self.weights = np.array(check_proportions(weights, np.size(weights)))
+        except ProportionError as exc:
+            raise PolicyError(str(exc).replace("proportions", "weights")) from None
 
     def decide(self, history: ObservableHistory, rng: np.random.Generator) -> PolicyDecision:
         return PolicyDecision.same_for_all_types(self.weights, history.obs_type_ids)
@@ -249,11 +241,9 @@ def register_policy(name: str, cls: type[Policy]) -> None:
     _REGISTRY[name] = cls
 
 
-register_policy("uniform", UniformRandomPolicy)
-register_policy("counts", IncidentCountPolicy)
-register_policy("severity", IncidentSeverityPolicy)
-register_policy("weighted", FixedWeightsPolicy)
-register_policy("none", NoObservationPolicy)
+for _builtin in (UniformRandomPolicy, IncidentCountPolicy, IncidentSeverityPolicy,
+                 FixedWeightsPolicy, NoObservationPolicy):
+    register_policy(_builtin.name, _builtin)
 
 
 def policy_names() -> list[str]:

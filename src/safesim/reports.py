@@ -230,17 +230,19 @@ def write_metric_svgs(
     compare_csvs: list[tuple[str, Path]],
     scenario: Scenario,
     out_dir: Path,
-) -> None:
-    """Derive the two metric plots from already-written compare CSVs."""
+) -> list[Path]:
+    """Derive the two metric plots from already-written compare CSVs; returns their paths."""
     curves = []
     for i, (label, csv_path) in enumerate(compare_csvs):
         color = BASELINE_COLOR if label == "none" else PALETTE[i % len(PALETTE)]
         curves.append((label, read_compare_csv(csv_path), color))
     limits = baseline_asymptote(scenario)
-    for (metric, file_name, title, y_label), asymptote in zip(_METRIC_PLOTS, limits):
+    paths = [out_dir / file_name for _, file_name, _, _ in _METRIC_PLOTS]
+    for (metric, _, title, y_label), asymptote, path in zip(_METRIC_PLOTS, limits, paths):
         series = [
             (label, data[f"mean_{metric}"], data[f"std_{metric}"], color)
             for label, data, color in curves
         ]
         svg = render_timeseries_svg(series, asymptote, title, y_label)
-        (out_dir / file_name).write_text(svg, encoding="utf-8")
+        path.write_text(svg, encoding="utf-8")
+    return paths

@@ -360,7 +360,11 @@ class TestCompareCommand:
         )
         assert code == 0
         written = capsys.readouterr().out
-        assert written.count("compare_none.csv") == written.count("compare_uniform.csv") == 1
+        assert written == "".join(
+            f"wrote {tmp_path / name}\n"
+            for name in ("compare_none.csv", "compare_uniform.csv", "severity_counts.csv",
+                         "expected_loss.svg", "tail_probability.svg")
+        )
         rows = read_csv(tmp_path / "severity_counts.csv")
         assert [r[0] for r in rows[1:]] == ["none", "uniform"]
         for name in ("expected_loss.svg", "tail_probability.svg"):

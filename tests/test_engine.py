@@ -267,14 +267,6 @@ class TestMissingType:
         with pytest.raises(ProportionError, match="observation type 'SAO'"):
             run_simulation(case_study, MissingTypePolicy(), seed=1, horizon=3)
 
-    def test_nothing_drawn_from_the_observer_stream(self, case_study):
-        reps = Replications(case_study, "missing-type", seeds=[3], horizon=1)
-        theta = np.array([a.theta0 for a in case_study.areas])
-        with pytest.raises(ProportionError, match="SAO"):
-            step_day(reps, 0, theta, MissingTypePolicy())
-        reference = Streams.from_seed(3).observer
-        assert reps.streams[0].observer.bit_generator.state == reference.bit_generator.state
-
 
 class BareVectorPolicy(Policy):
     """Returns one proportion vector, not a mapping from type id to vector."""
@@ -290,13 +282,38 @@ class TestBareVector:
         with pytest.raises(ProportionError, match="map each observation type id.*got ndarray"):
             run_simulation(case_study, BareVectorPolicy(), seed=1, horizon=3)
 
-    def test_nothing_drawn_from_the_observer_stream(self, case_study):
-        reps = Replications(case_study, "bare-vector", seeds=[3], horizon=1)
+
+class BadLastVectorPolicy(Policy):
+    """Uniform proportions for every observation type but the last, whose sum to 1.4
+    (on seven areas)."""
+
+    name = "bad-last-vector"
+
+    def decide(self, history, rng):
+        *first, last = history.obs_type_ids
+        s = np.full(history.n_areas, 1.0 / history.n_areas)
+        return PolicyDecision({**dict.fromkeys(first, s), last: np.full(history.n_areas, 0.2)})
+
+
+class TestRefusedDecision:
+    @pytest.mark.parametrize(
+        "policy,match",
+        [
+            pytest.param(BareVectorPolicy(), "got ndarray", id="bare-vector"),
+            pytest.param(MissingTypePolicy(), "SAO", id="missing-type"),
+            pytest.param(BadLastVectorPolicy(), "sum to 1, got 1.4", id="bad-last-vector"),
+        ],
+    )
+    def test_day_left_untouched(self, case_study, policy, match):
+        # refused before the observer stream draws or the day's observations are written
+        reps = Replications(case_study, policy.name, seeds=[3], horizon=1)
         theta = np.array([a.theta0 for a in case_study.areas])
-        with pytest.raises(ProportionError, match="got ndarray"):
-            step_day(reps, 0, theta, BareVectorPolicy())
+        with pytest.raises(ProportionError, match=match):
+            step_day(reps, 0, theta, policy)
         reference = Streams.from_seed(3).observer
         assert reps.streams[0].observer.bit_generator.state == reference.bit_generator.state
+        assert not reps.obs_pos[0].any() and not reps.obs_neg[0].any()
+        assert np.isnan(reps.proportions[0]).all()
 
 
 class DirichletPolicy(Policy):

@@ -26,7 +26,7 @@ def observe_into(u, scenario, n_pos, n_neg, decision):
     """step_observations writing into zero (types, areas) arrays; returns them."""
     shape = (len(scenario.obs_types), scenario.n_areas)
     obs_pos, obs_neg = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
-    proportions = proportions_by_type(decision, scenario.obs_type_ids)
+    proportions = proportions_by_type(decision, scenario)
     step_observations(u, scenario, n_pos, n_neg, proportions, obs_pos, obs_neg)
     return obs_pos, obs_neg
 
@@ -394,7 +394,7 @@ class TestStepObservations:
         scenario = self.scenario_3x2()
         decision = {"WSO": np.array([0.5, 0.5]), "BPO": np.array([0.5, 0.5])}
         with pytest.raises(ProportionError, match="observation type 'SAO'"):
-            proportions_by_type(decision, scenario.obs_type_ids)
+            proportions_by_type(decision, scenario)
 
     def test_each_distinct_vector_checked(self):
         # one valid vector shared by two types, a bad one for the third
@@ -446,7 +446,7 @@ class TestStepObservationsMatchesListOracle:
         n_types, n_areas = expected_pos.shape
         batch_pos, batch_neg = np.zeros((2, n_types, 3 * n_areas), dtype=int)
         columns = slice(n_areas, 2 * n_areas)
-        proportions = proportions_by_type(decision, scenario.obs_type_ids)
+        proportions = proportions_by_type(decision, scenario)
         step_observations(
             u, scenario, n_pos, n_neg, proportions, batch_pos[:, columns], batch_neg[:, columns]
         )

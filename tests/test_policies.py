@@ -182,6 +182,13 @@ class TestFixedWeightsPolicy:
         with pytest.raises(PolicyError, match="nonnegative"):
             FixedWeightsPolicy([1.5, -0.5])
 
+    def test_policy_owns_its_weights(self):
+        # the vector checked when the policy was built is the one it allocates by
+        weights = np.array([0.5, 0.5])
+        policy = FixedWeightsPolicy(weights)
+        weights[:] = [0.9, 0.1]
+        assert policy.weights.tolist() == [0.5, 0.5]
+
     def test_non_finite_weight_rejected(self):
         for bad in ("nan", "inf", "-inf"):
             with pytest.raises(PolicyError, match="finite"):
