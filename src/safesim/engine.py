@@ -78,10 +78,10 @@ METRICS_BLOCK = 1 << 9  # days compute_day_metrics evaluates per call; a 365-day
 
 
 class HorizonError(ValueError):
-    """The horizon is too long for the run's arrays to be preallocated."""
+    """The run is too large to preallocate: too many days, or replications x days x areas."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One replication as per-run arrays; row d of each array is day d + 1.
 
@@ -139,23 +139,32 @@ class Replications:
 
     The per-run arrays of Trajectory are held here for every replication at
     once, one row per day, so that a day's writes are contiguous rows.
-    Column r * areas + a is area a of replication r: theta, n_e, n_neg and
-    n_pos are shaped (days, R * areas), obs_pos, obs_neg and proportions
-    (days, obs_types, R * areas); expected_loss and tail_prob are shaped
-    (days, R). xi is not held: it is a function of theta (see Trajectory).
-    runs[r] is replication r's Trajectory, whose arrays and history read
-    views of its columns, and streams[r] its random streams.
-    The column_ attributes hold, per column, the environment stream, area
-    config and Hurt-level running sums (the area's rows of
-    ScenarioArrays.hl_sums as lists), xi_base and k_decay.
+    Column r * areas + a is area a of replication r, and columns[r] slices
+    replication r's columns: theta, n_e, n_neg and n_pos are shaped
+    (days, R * areas), obs_pos, obs_neg and proportions (days, obs_types,
+    R * areas); expected_loss and tail_prob (days, R). xi is not held (see
+    Trajectory). runs[r] is replication r's Trajectory, whose arrays and
+    history are views of columns[r], and streams[r] its random streams.
+    column_events holds, per column, the environment stream, the area's
+    config and its rows of ScenarioArrays.hl_sums as lists. Every size check
+    of a run is made here, before its first day: see HorizonError.
     """
 
     def __init__(self, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int):
-        n_reps, n_areas = len(seeds), scenario.n_areas
-        shape = (horizon, n_reps * n_areas)
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        n_areas = scenario.n_areas
+        too_big = f"replications x {horizon} days x {n_areas} areas is too large to preallocate"
+        try:
+            n_reps = len(seeds)
+        except OverflowError:  # a range of seeds longer than an index can count
+            raise HorizonError(f"more than {np.iinfo(np.intp).max} {too_big}") from None
+        if n_reps < 1:
+            raise ValueError("at least one seed is required")
         too_long = f"horizon of {horizon} days is too long to preallocate"
         if horizon > MAX_HORIZON:
             raise HorizonError(f"{too_long}: days are int32, at most {MAX_HORIZON}")
+        shape = (horizon, n_reps * n_areas)
         try:
             self.theta = np.zeros(shape)
             self.n_e = np.zeros(shape, dtype=np.int32)
@@ -167,54 +176,49 @@ class Replications:
             self.proportions = np.full(by_type, np.nan)
             self.expected_loss = np.zeros((horizon, n_reps))
             self.tail_prob = np.zeros((horizon, n_reps))
-        except MemoryError as exc:
-            raise HorizonError(f"{too_long}: {exc}") from None
+        except (MemoryError, ValueError, OverflowError) as exc:  # ValueError: "array is too big"
+            raise HorizonError(f"{n_reps} {too_big}: {exc}") from None
         self.scenario = scenario
         self.streams = tuple(Streams.from_seed(seed) for seed in seeds)
+        self.columns = tuple(slice(r * n_areas, (r + 1) * n_areas) for r in range(n_reps))
         per_column = ("theta", "n_e", "n_neg", "n_pos", "obs_pos", "obs_neg", "proportions")
-        by_run = [
-            {k: getattr(self, k)[..., r * n_areas : (r + 1) * n_areas] for k in per_column}
-            for r in range(n_reps)
-        ]
         self.runs = tuple(
             Trajectory(
                 scenario,
                 policy_name,
                 seed,
-                ObservableHistory(scenario.obs_type_ids, views["obs_pos"], views["obs_neg"]),
+                ObservableHistory(scenario.obs_type_ids, self.obs_pos[..., cols], self.obs_neg[..., cols]),
                 expected_loss=self.expected_loss[:, r],
                 tail_prob=self.tail_prob[:, r],
-                **views,
+                **{k: getattr(self, k)[..., cols] for k in per_column},
             )
-            for r, (seed, views) in enumerate(zip(seeds, by_run))
+            for r, (seed, cols) in enumerate(zip(seeds, self.columns))
         )
         area_sums = list(zip(scenario.areas, scenario.arrays.hl_sums.tolist()))
         self.column_events = [
             (s.environment, area, sums) for s in self.streams for area, sums in area_sums
         ]
-        self.column_xi_base = np.tile(scenario.arrays.xi_base, n_reps)
-        self.column_k_decay = [area.k_decay for area in scenario.areas] * n_reps
         self.observer_draws = observer_draws(scenario)
 
 
 def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> np.ndarray:
     """Simulate day d + 1 of every replication into row d; returns the next day's theta.
 
-    theta is the start-of-day state per column (see Replications). Order of
-    operations: derive xi from the carried-over theta, generate events and
-    their Hurt levels, ask the policy (which sees history through yesterday
-    only), run the observation process, close the day in the history, and
-    update theta. Each replication draws from its own streams in the order
-    of a run stepped alone; what is deterministic runs once over all
-    columns. The metrics are not evaluated here: they depend on xi alone,
-    and run_replications computes them from the stored theta after the
-    last day.
+    theta is the start-of-day state per column; replication r reads and
+    writes reps.columns[r] (see Replications). Order of operations: derive
+    xi from the carried-over theta, generate events and their Hurt levels,
+    ask the policy (which sees history through yesterday only), run the
+    observation process, close the day in the history, and update theta.
+    Each replication draws from its own streams in the order of a run
+    stepped alone; what is deterministic runs once over all columns. The
+    metrics are not evaluated here: they depend on xi alone, and
+    run_replications computes them from the stored theta after the last day.
     """
     scenario, n_areas = reps.scenario, reps.scenario.n_areas
-    xi = xi_of_theta(theta, reps.column_xi_base)
+    xi = xi_of_theta(theta.reshape(-1, n_areas), scenario.arrays.xi_base)
     events = [
         step_events(rng, area, x, sums)
-        for (rng, area, sums), x in zip(reps.column_events, xi.tolist())
+        for (rng, area, sums), x in zip(reps.column_events, xi.ravel().tolist())
     ]
     n_e, n_neg, n_pos, ahls, phls = zip(*events)
     reps.theta[d] = theta
@@ -229,10 +233,9 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
 
     # Replication r's incidents are items first[r]:first[r + 1] of those lists.
     first = [0, *accumulate(n_e)][::n_areas]
-    for r, (run, streams) in enumerate(zip(reps.runs, reps.streams)):
+    for r, (run, streams, columns) in enumerate(zip(reps.runs, reps.streams, reps.columns)):
         decision = policy.decide(run.history, streams.policy)
         if decision.proportions is not None:
-            columns = slice(r * n_areas, (r + 1) * n_areas)
             proportions = proportions_by_type(decision.proportions, scenario)
             u = streams.observer.random(reps.observer_draws)
             step_observations(
@@ -248,9 +251,8 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
     # terms add up to 0.0, and 0.0 + x is x, so its drive has the bits of
     # the incident term alone, the drive of a day without observers.
     drive = feedback_drive(reps.obs_neg[d], reps.n_e[d], scenario)
-    k_decay = reps.column_k_decay
-    next_theta = [step_theta(t, dr, k) for t, dr, k in zip(theta.tolist(), drive.tolist(), k_decay)]
-    return np.array(next_theta)
+    columns = zip(theta.tolist(), drive.tolist(), reps.column_events)
+    return np.array([step_theta(t, dr, area.k_decay) for t, dr, (_, area, _) in columns])
 
 
 def run_replications(
@@ -260,15 +262,12 @@ def run_replications(
 
     Returns one trajectory per seed, in the order of seeds. Each is
     byte-identical to the run of its seed alone: the replications share one
-    day loop, not a random draw.
+    day loop, not a random draw. Replications refuses a run of the wrong
+    size before its first day; this only reads the batch it built.
     """
     horizon = scenario.horizon_days if horizon is None else horizon
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if len(seeds) < 1:
-        raise ValueError("at least one seed is required")
     reps = Replications(scenario, policy.name, seeds, horizon)
-    theta = np.array([area.theta0 for area in scenario.areas] * len(seeds), dtype=float)
+    theta = np.array([area.theta0 for _, area, _ in reps.column_events], dtype=float)
     for d in range(horizon):
         theta = step_day(reps, d, theta, policy)
     # One replication and METRICS_BLOCK days at a time: the metrics'
@@ -295,7 +294,7 @@ def nearest_rank(sorted_values: np.ndarray, percentile: float):
     return sorted_values[rank - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleSummary:
     """Cross-replication statistics of one (scenario, policy) ensemble."""
 

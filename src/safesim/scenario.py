@@ -139,7 +139,7 @@ class Scenario:
         return replace(self, delta_e=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioArrays:
     """A scenario's per-area numbers as read-only arrays over areas, in config order.
 
@@ -227,20 +227,32 @@ def _parse(cls, obj, where: str):
     return cls(**values)
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's fields as a dict; a field given twice is refused, not overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioParseError(f"field {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse a JSON scenario document and return a validated Scenario.
 
     Fields with a default are optional: rho=1 per observation type, delta_e=0,
     loss_vector=[0, 1, 10, 100, 1000, 10000], horizon_days=365. All others
-    are required, and unknown fields are rejected.
+    are required, and unknown or repeated fields are rejected.
 
     Raises ScenarioParseError on malformed input and ScenarioValidationError
     (listing every violated invariant) on invalid parameter values.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioParseError("nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ScenarioParseError("top level: expected a JSON object")
     scenario = _parse(Scenario, doc, "top level")
@@ -320,4 +332,4 @@ def case_study_path() -> Path:
 
 
 def load_case_study() -> Scenario:
-    return load_scenario(case_study_path().read_text(encoding="utf-8"))
+    return load_scenario_file(case_study_path())

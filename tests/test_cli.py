@@ -119,6 +119,19 @@ class TestRunCommand:
         path.write_text("{}")
         self.assert_refused(path, "top level: missing required field 'areas'", tmp_path, capsys)
 
+    def test_repeated_field_names_the_file(self, tmp_path, capsys):
+        # a JSON decoder keeps the last of two equal keys unless told otherwise
+        path = tmp_path / "repeated.json"
+        text = case_study_path().read_text(encoding="utf-8")
+        path.write_text(text.replace('"k_decay": 0.98', '"k_decay": 0.98, "k_decay": 0.5', 1))
+        self.assert_refused(path, "field 'k_decay' is given twice in one object", tmp_path, capsys)
+
+    def test_deep_nesting_names_the_file(self, tmp_path, capsys):
+        # past the decoder's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text('{"areas": ' + "[" * 1000 + "]" * 1000 + ', "obs_types": []}')
+        self.assert_refused(path, "nested too deeply to parse", tmp_path, capsys)
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"areas": [], "obs_types": []}))
@@ -207,6 +220,24 @@ class TestRunCommand:
             assert main(argv + (["--policy", "uniform"] if command == "compare" else [])) == 2
             assert "too long to preallocate" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,reps,message",
+        [
+            # numpy refuses the size before it asks for memory: "array is too big"
+            ("table2", 10**15, "1000000000000000 replications x 365 days x 7 areas "),
+            # past the index range: the count of seeds has no length
+            ("compare", 10**19, f"more than {np.iinfo(np.intp).max} replications x 365 days x 7 areas "),
+        ],
+        ids=["array-too-big", "past-the-index-range"],
+    )
+    def test_batch_too_large_to_preallocate_exits_2(self, tmp_path, capsys, command, reps, message):
+        out = tmp_path / "out"
+        argv = [command, "--scenario", SCENARIO, "--reps", str(reps), "--out-dir", str(out)]
+        assert main(argv + (["--policy", "uniform"] if command == "compare" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}is too large to preallocate") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_overflowing_weights_print_one_error_line(self, tmp_path):
         # a child process, so that stderr also holds anything a numpy warning prints

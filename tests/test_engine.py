@@ -71,9 +71,8 @@ COUNT_COLUMNS = ("n_e", "n_neg", "n_pos", "obs_pos", "obs_neg")
 # replication-day: theta at 8 B and the three event counts at 4 B per area,
 # 7 * 20 = 140 B; observed counts at 4 + 4 B and proportions at 8 B per type and
 # area, 21 * 16 = 336 B; the two metrics, 16 B. xi is not held: it is computed
-# from theta. The per-column constants add about 0.3 B at 4 replications over
-# 365 days.
-CASE_STUDY_BYTES_PER_REP_DAY = 493
+# from theta.
+CASE_STUDY_BYTES_PER_REP_DAY = 492
 
 
 class TestInt32Record:
@@ -475,6 +474,15 @@ class TestRunEnsemble:
     def test_invalid_reps(self, case_study):
         with pytest.raises(ValueError, match="n_reps"):
             run_ensemble(case_study, make_policy("none"), 0, base_seed=1)
+
+    def test_results_compare_and_hash_by_identity(self, case_study):
+        # their fields are arrays, whose == is elementwise and has no truth value
+        summaries = [run_ensemble(case_study, make_policy("none"), 2, base_seed=1, horizon=3)
+                     for _ in range(2)]
+        runs = run_replications(case_study, make_policy("none"), [1, 1], 3)
+        for a, b in (summaries, runs, (case_study.arrays, case_study.arrays.of(case_study))):
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
 
 
 class TestNearestRank:
