@@ -1,7 +1,7 @@
 """Stochastic workplace-safety simulator for benchmarking observer-allocation policies."""
 
 from .engine import EnsembleSummary, Trajectory, run_ensemble, run_replications, run_simulation
-from .policies import Policy, PolicyDecision, make_policy, policy_names, register_policy
+from .policies import Policy, make_policy, policy_names, register_policy
 from .scenario import (
     Scenario,
     case_study_path,
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EnsembleSummary",
     "Policy",
-    "PolicyDecision",
     "Scenario",
     "Trajectory",
     "case_study_path",

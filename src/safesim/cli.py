@@ -112,17 +112,23 @@ def _make_policy(spec: str, scenario: Scenario) -> Policy:
     return policy
 
 
-def _prepare_out_dir(path: str) -> Path:
-    out_dir = Path(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+def _check_out_dir(path: str) -> Path:
+    """The --out-dir, refused before the run unless it or its nearest existing
+    ancestor is a directory; the commands create it only after the run."""
+    existing = Path(path)
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out-dir {path!r}: {str(existing)!r} is not a directory")
+    return Path(path)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario_file(args.scenario)
     policy = _make_policy(args.policy, scenario)
+    out_dir = _check_out_dir(args.out_dir)
     trajectory = run_simulation(scenario, policy, seed=args.seed, horizon=args.horizon)
-    out_dir = _prepare_out_dir(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
     print(f"wrote {out_dir / 'trajectory.csv'}")
     return EXIT_OK
@@ -130,10 +136,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_table2(args: argparse.Namespace) -> int:
     scenario = load_scenario_file(args.scenario).without_incident_feedback()
+    out_dir = _check_out_dir(args.out_dir)
     summary = run_ensemble(
         scenario, make_policy("none"), n_reps=args.reps, base_seed=args.seed, horizon=args.horizon
     )
-    out_dir = _prepare_out_dir(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_table2_csv(summary, out_dir / "table2.csv")
     print(f"wrote {out_dir / 'table2.csv'}")
     return EXIT_OK
@@ -143,11 +150,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     scenario = load_scenario_file(args.scenario)
     specs = list(dict.fromkeys(["none", *args.policies]))  # each spec once, the baseline first
     policies = [(spec, _make_policy(spec, scenario)) for spec in specs]
+    out_dir = _check_out_dir(args.out_dir)
     summaries = [
         (spec, run_ensemble(scenario, policy, args.reps, base_seed=args.seed, horizon=args.horizon))
         for spec, policy in policies
     ]
-    out_dir = _prepare_out_dir(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     compare_csvs: list[tuple[str, Path]] = []
     severity_rows = []

@@ -235,8 +235,8 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
     first = [0, *accumulate(n_e)][::n_areas]
     for r, (run, streams, columns) in enumerate(zip(reps.runs, reps.streams, reps.columns)):
         decision = policy.decide(run.history, streams.policy)
-        if decision.proportions is not None:
-            proportions = proportions_by_type(decision.proportions, scenario)
+        if decision is not None:
+            proportions = proportions_by_type(decision, scenario)
             u = streams.observer.random(reps.observer_draws)
             step_observations(
                 u, scenario, n_pos[columns], n_neg[columns], proportions,

@@ -60,21 +60,22 @@ def check_proportions(s: Sequence[float], n_areas: int) -> list[float]:
     raise ProportionError(message if np.isfinite(values).all() else "proportions must be finite")
 
 
-def proportions_by_type(proportions: Mapping, scenario: Scenario) -> list[list[float]]:
+def proportions_by_type(decision: Mapping, scenario: Scenario) -> list[list[float]]:
     """A decision's checked proportion vectors, one per observation type in config order.
 
-    The whole intake of a decision, before the day draws or records anything
-    for it: proportions must be a mapping with a vector for every type, and
-    each distinct vector is checked once by check_proportions. Any failure
-    raises ProportionError.
+    The whole intake of a policy's decision, before the day draws or records
+    anything for it: the decision must be a mapping with a vector for every
+    type, and each distinct vector is checked once by check_proportions. Any
+    failure raises ProportionError; what is not a mapping (a bare vector, or
+    an object wrapping the mapping) is named by its type.
     """
-    if not isinstance(proportions, Mapping):
+    if not isinstance(decision, Mapping):
         raise ProportionError(
-            "a decision's proportions must map each observation type id to a vector, "
-            f"got {type(proportions).__name__}"
+            "a policy's decision must map each observation type id to a vector, "
+            f"got {type(decision).__name__}"
         )
     try:
-        given = [proportions[type_id] for type_id in scenario.obs_type_ids]
+        given = [decision[type_id] for type_id in scenario.obs_type_ids]
     except KeyError as exc:
         raise ProportionError(f"no proportions for observation type {exc.args[0]!r}") from None
     checked = {}  # id -> checked values: a policy often gives every type one vector

@@ -1,17 +1,16 @@
 """Allocation policies: map observed safety history to observer proportions.
 
 A policy sees only recorded data (observations and incident reports), never
-the latent safety state, and returns one proportion vector per observation
-type each day. The built-ins cover the benchmark set: uniform random,
-trailing incident counts, exponential incident-severity weights, fixed prior
-weights, and a no-observation baseline. Custom policies subclass Policy and
-register under a name for CLI use.
+the latent safety state. Its decision each day maps each observation type id
+to a proportion vector, or is None for no observers. The built-ins: uniform
+random, trailing incident counts, exponential incident-severity weights,
+fixed prior weights, and a no-observation baseline. Custom policies subclass
+Policy and register under a name for CLI use.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,32 +111,12 @@ class ObservableHistory:
         return worst
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
-    """One proportion vector per observation type, or the no-observation marker.
-
-    proportions is None only for the baseline policy; the engine then records
-    no observations that day.
-    """
-
-    proportions: dict[str, np.ndarray] | None
-
-    @classmethod
-    def none(cls) -> "PolicyDecision":
-        return NO_OBSERVATION
-
-    @classmethod
-    def same_for_all_types(cls, s: np.ndarray, obs_type_ids: tuple[str, ...]) -> "PolicyDecision":
-        return cls(proportions=dict.fromkeys(obs_type_ids, np.asarray(s, dtype=float)))
-
-
-NO_OBSERVATION = PolicyDecision(proportions=None)  # frozen, so one instance serves every call
-
-
 class Policy:
     """Base class for allocation policies.
 
-    decide() must be a pure function of the history and of rng: identical
+    decide() returns the day's decision: a mapping from every observation
+    type id to a proportion vector over areas, or None to field no observers.
+    It must be a pure function of the history and of rng: identical
     histories and generator states yield identical decisions. Policies
     needing randomness must draw from rng, the replication's policy stream
     (see the engine docstring), so replications stay reproducible. Nothing
@@ -152,7 +131,7 @@ class Policy:
 
     name = "policy"
 
-    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> PolicyDecision:
+    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> dict | None:
         raise NotImplementedError
 
 
@@ -161,9 +140,9 @@ class UniformRandomPolicy(Policy):
 
     name = "uniform"
 
-    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> PolicyDecision:
+    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> dict:
         s = np.full(history.n_areas, 1.0 / history.n_areas)
-        return PolicyDecision.same_for_all_types(s, history.obs_type_ids)
+        return dict.fromkeys(history.obs_type_ids, s)
 
 
 class IncidentCountPolicy(Policy):
@@ -177,14 +156,14 @@ class IncidentCountPolicy(Policy):
     def __init__(self, window_days: int = DEFAULT_WINDOW_DAYS):
         self.window_days = _check_window(window_days)
 
-    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> PolicyDecision:
+    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> dict:
         counts = history.incident_counts(self.window_days)
         total = counts.sum()
         if total == 0:
             s = np.full(history.n_areas, 1.0 / history.n_areas)
         else:
             s = counts / total
-        return PolicyDecision.same_for_all_types(s, history.obs_type_ids)
+        return dict.fromkeys(history.obs_type_ids, s)
 
 
 class IncidentSeverityPolicy(Policy):
@@ -198,10 +177,10 @@ class IncidentSeverityPolicy(Policy):
     def __init__(self, window_days: int = DEFAULT_WINDOW_DAYS):
         self.window_days = _check_window(window_days)
 
-    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> PolicyDecision:
+    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> dict:
         weights = np.power(2.0, history.max_ahl(self.window_days))
         s = weights / weights.sum()
-        return PolicyDecision.same_for_all_types(s, history.obs_type_ids)
+        return dict.fromkeys(history.obs_type_ids, s)
 
 
 class FixedWeightsPolicy(Policy):
@@ -220,8 +199,8 @@ class FixedWeightsPolicy(Policy):
         except ProportionError as exc:
             raise PolicyError(str(exc).replace("proportions", "weights")) from None
 
-    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> PolicyDecision:
-        return PolicyDecision.same_for_all_types(self.weights, history.obs_type_ids)
+    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> dict:
+        return dict.fromkeys(history.obs_type_ids, self.weights)
 
 
 class NoObservationPolicy(Policy):
@@ -229,8 +208,8 @@ class NoObservationPolicy(Policy):
 
     name = "none"
 
-    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> PolicyDecision:
-        return PolicyDecision.none()
+    def decide(self, history: ObservableHistory, rng: np.random.Generator) -> None:
+        return None
 
 
 _REGISTRY: dict[str, type[Policy]] = {}

@@ -58,7 +58,8 @@ def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> None:
     areas = t.scenario.area_ids
     columns = [("day", range(1, t.horizon + 1))]
     for field in TRAJECTORY_PER_AREA:
-        columns += [(f"{field}_{a}", getattr(t, field)[:, i]) for i, a in enumerate(areas)]
+        values = getattr(t, field)  # read once: xi is computed from theta on each read
+        columns += [(f"{field}_{a}", values[:, i]) for i, a in enumerate(areas)]
     for k, type_id in enumerate(t.scenario.obs_type_ids):
         for field in TRAJECTORY_PER_TYPE_AREA:
             values = getattr(t, field)[:, k]

@@ -110,13 +110,22 @@ class ObservationTypeConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """Complete, validated simulation configuration."""
+    """Complete, validated simulation configuration.
+
+    Built in code, by dataclasses.replace or by load_scenario, a Scenario
+    checks itself: validate_scenario's violations raise ScenarioValidationError.
+    """
 
     areas: tuple[SafetyAreaConfig, ...]
     obs_types: tuple[ObservationTypeConfig, ...]
     delta_e: float = _rule("in [0, 1]", DEFAULT_DELTA_E)
     loss_vector: tuple[float, ...] = _rule(_loss_vector_problems, DEFAULT_LOSS_VECTOR)
     horizon_days: int = _rule(">= 1", DEFAULT_HORIZON_DAYS)
+
+    def __post_init__(self):
+        violations = validate_scenario(self)
+        if violations:
+            raise ScenarioValidationError(violations)
 
     @property
     def n_areas(self) -> int:
@@ -255,11 +264,7 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioParseError("nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ScenarioParseError("top level: expected a JSON object")
-    scenario = _parse(Scenario, doc, "top level")
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ScenarioValidationError(violations)
-    return scenario
+    return _parse(Scenario, doc, "top level")
 
 
 def load_scenario_file(path: str | Path) -> Scenario:
@@ -302,7 +307,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     """Check every scenario invariant; return human-readable violations.
 
     An empty list means the scenario is valid. Violations are data, not
-    errors: callers decide whether to raise.
+    errors: Scenario raises them when it is built, so a Scenario in hand has
+    none, and other callers decide whether to raise.
     """
     violations: list[str] = []
     if not scenario.areas:

@@ -17,6 +17,7 @@ from conftest import (
     make_obs_type,
     make_scenario,
 )
+from safesim import cli
 from safesim.cli import main
 from safesim.engine import run_ensemble, run_simulation
 from safesim.policies import make_policy
@@ -283,6 +284,28 @@ class TestRunCommand:
             ["run", "--scenario", SCENARIO, "--out-dir", str(blocker / "sub")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command,out_dir",
+        [("compare", "file"), ("run", "file/sub"), ("table2", "file/sub")],
+        ids=["compare-file", "run-under-file", "table2-under-file"],
+    )
+    def test_out_dir_that_cannot_be_a_directory_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command, out_dir
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before the --out-dir was checked")
+
+        monkeypatch.setattr(cli, "run_simulation", no_run)
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        (tmp_path / "file").write_text("x")
+        argv = [command, "--scenario", SCENARIO, "--out-dir", str(tmp_path / out_dir)]
+        assert main(argv + (["--policy", "uniform"] if command == "compare" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out-dir ") and "is not a directory" in err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert (tmp_path / "file").read_text() == "x"
 
 
 class TestTable2Command:

@@ -18,7 +18,7 @@ from safesim.engine import (
 )
 from safesim.metrics import baseline_asymptote, compute_day_metrics
 from safesim.observation import ProportionError
-from safesim.policies import AHL, DAY, PHL, Policy, PolicyDecision, make_policy
+from safesim.policies import AHL, DAY, PHL, Policy, make_policy
 from safesim.scenario import MAX_LAMBDA_STAR, N_HURT_LEVELS
 
 RUN_ARRAYS = (
@@ -194,7 +194,7 @@ class HistoryProbePolicy(Policy):
         visible = history.window(history.current_day + 1)[:, DAY].copy()
         self.seen.append((history.current_day, len(history), visible))
         s = np.full(history.n_areas, 1.0 / history.n_areas)
-        return PolicyDecision.same_for_all_types(s, history.obs_type_ids)
+        return dict.fromkeys(history.obs_type_ids, s)
 
 
 class TestHistoryIsolation:
@@ -258,7 +258,7 @@ class MissingTypePolicy(Policy):
 
     def decide(self, history, rng):
         s = np.full(history.n_areas, 1.0 / history.n_areas)
-        return PolicyDecision({t: s for t in history.obs_type_ids if t != "SAO"})
+        return {t: s for t in history.obs_type_ids if t != "SAO"}
 
 
 class TestMissingType:
@@ -273,7 +273,7 @@ class BareVectorPolicy(Policy):
     name = "bare-vector"
 
     def decide(self, history, rng):
-        return PolicyDecision(np.full(history.n_areas, 1.0 / history.n_areas))
+        return np.full(history.n_areas, 1.0 / history.n_areas)
 
 
 class TestBareVector:
@@ -291,7 +291,24 @@ class BadLastVectorPolicy(Policy):
     def decide(self, history, rng):
         *first, last = history.obs_type_ids
         s = np.full(history.n_areas, 1.0 / history.n_areas)
-        return PolicyDecision({**dict.fromkeys(first, s), last: np.full(history.n_areas, 0.2)})
+        return {**dict.fromkeys(first, s), last: np.full(history.n_areas, 0.2)}
+
+
+class WrappedDecision:
+    """An object that holds a decision's mapping in an attribute but is not a mapping."""
+
+    def __init__(self, proportions):
+        self.proportions = proportions
+
+
+class WrappedDecisionPolicy(Policy):
+    """Returns its uniform proportions wrapped in an object, not as the mapping itself."""
+
+    name = "wrapped-decision"
+
+    def decide(self, history, rng):
+        s = np.full(history.n_areas, 1.0 / history.n_areas)
+        return WrappedDecision(dict.fromkeys(history.obs_type_ids, s))
 
 
 class TestRefusedDecision:
@@ -301,6 +318,7 @@ class TestRefusedDecision:
             pytest.param(BareVectorPolicy(), "got ndarray", id="bare-vector"),
             pytest.param(MissingTypePolicy(), "SAO", id="missing-type"),
             pytest.param(BadLastVectorPolicy(), "sum to 1, got 1.4", id="bad-last-vector"),
+            pytest.param(WrappedDecisionPolicy(), "got WrappedDecision", id="wrapped-decision"),
         ],
     )
     def test_day_left_untouched(self, case_study, policy, match):
@@ -322,7 +340,7 @@ class DirichletPolicy(Policy):
 
     def decide(self, history, rng):
         s = rng.dirichlet(np.ones(history.n_areas))
-        return PolicyDecision.same_for_all_types(s, history.obs_type_ids)
+        return dict.fromkeys(history.obs_type_ids, s)
 
 
 class OddDaysOffPolicy(Policy):
@@ -339,7 +357,7 @@ class OddDaysOffPolicy(Policy):
 
     def decide(self, history, rng):
         if len(history.incidents) % 2:
-            return PolicyDecision.none()
+            return None
         return self.counts.decide(history, rng)
 
 
@@ -352,8 +370,8 @@ class PerTypePolicy(Policy):
         self.counts = make_policy("counts")
 
     def decide(self, history, rng):
-        s = self.counts.decide(history, rng).proportions[history.obs_type_ids[0]]
-        return PolicyDecision({t: np.roll(s, j) for j, t in enumerate(history.obs_type_ids)})
+        s = self.counts.decide(history, rng)[history.obs_type_ids[0]]
+        return {t: np.roll(s, j) for j, t in enumerate(history.obs_type_ids)}
 
 
 def dense_scenario(n_areas=24, seed=5):

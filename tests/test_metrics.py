@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,9 +16,14 @@ def area_state(area, theta):
 
 
 def one_area_metrics(area, xi, loss_vector=DEFAULT_LOSS_VECTOR):
-    """(expected loss, tail probability) of a one-area scenario at a scalar xi."""
-    scenario = Scenario(areas=(area,), obs_types=(), loss_vector=tuple(loss_vector))
-    loss, tail = compute_day_metrics(ScenarioArrays.of(scenario), np.array([xi]))
+    """(expected loss, tail probability) of a one-area scenario at a scalar xi.
+
+    Any loss vector is put straight into the scenario's arrays, so that a
+    one-hot vector, which no valid scenario holds, reads one level's count.
+    """
+    arrays = ScenarioArrays.of(Scenario(areas=(area,), obs_types=()))
+    arrays = dataclasses.replace(arrays, loss_vector=np.array(loss_vector, dtype=float))
+    loss, tail = compute_day_metrics(arrays, np.array([xi]))
     return float(loss), float(tail)
 
 

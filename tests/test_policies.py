@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +13,6 @@ from safesim.policies import (
     NoObservationPolicy,
     ObservableHistory,
     Policy,
-    PolicyDecision,
     PolicyError,
     UniformRandomPolicy,
     make_policy,
@@ -43,21 +40,21 @@ def rng():
     return np.random.default_rng(0)
 
 
-def assert_decision_sums_to_one(decision: PolicyDecision):
-    assert decision.proportions is not None
+def assert_decision_sums_to_one(decision):
+    assert type(decision) is dict and set(decision) == set(TYPE_IDS)
     for type_id in TYPE_IDS:
-        assert abs(decision.proportions[type_id].sum() - 1.0) < 1e-9
+        assert abs(decision[type_id].sum() - 1.0) < 1e-9
 
 
 class TestUniformRandomPolicy:
     def test_seven_areas(self):
         decision = UniformRandomPolicy().decide(history_with_incidents(7, {}), rng())
         for type_id in TYPE_IDS:
-            assert np.allclose(decision.proportions[type_id], 1 / 7)
+            assert np.allclose(decision[type_id], 1 / 7)
 
     def test_single_area(self):
         decision = UniformRandomPolicy().decide(history_with_incidents(1, {}), rng())
-        assert decision.proportions["WSO"].tolist() == [1.0]
+        assert decision["WSO"].tolist() == [1.0]
 
     def test_ignores_history(self):
         empty = history_with_incidents(4, {})
@@ -66,7 +63,7 @@ class TestUniformRandomPolicy:
         a = policy.decide(empty, rng())
         b = policy.decide(busy, rng())
         for type_id in TYPE_IDS:
-            assert np.array_equal(a.proportions[type_id], b.proportions[type_id])
+            assert np.array_equal(a[type_id], b[type_id])
 
 
 class TestIncidentCountPolicy:
@@ -76,30 +73,30 @@ class TestIncidentCountPolicy:
         )
         decision = IncidentCountPolicy().decide(history, rng())
         expected = [0.75, 0.25, 0, 0, 0, 0, 0]
-        assert np.allclose(decision.proportions["WSO"], expected)
+        assert np.allclose(decision["WSO"], expected)
 
     def test_no_incidents_falls_back_to_uniform(self):
         decision = IncidentCountPolicy().decide(history_with_incidents(5, {}), rng())
-        assert np.allclose(decision.proportions["SAO"], 0.2)
+        assert np.allclose(decision["SAO"], 0.2)
 
     def test_all_incidents_in_one_area(self):
         history = history_with_incidents(3, {1: [(2, 0)], 2: [(2, 4)]}, current_day=4)
         decision = IncidentCountPolicy().decide(history, rng())
-        assert np.allclose(decision.proportions["BPO"], [0, 0, 1.0])
+        assert np.allclose(decision["BPO"], [0, 0, 1.0])
 
     def test_near_misses_count(self):
         history = history_with_incidents(2, {1: [(0, 0)]}, current_day=2)
         decision = IncidentCountPolicy().decide(history, rng())
-        assert np.allclose(decision.proportions["WSO"], [1.0, 0.0])
+        assert np.allclose(decision["WSO"], [1.0, 0.0])
 
     def test_window_excludes_old_incidents(self):
         # incident on day 1 has left the 30-day window by day 32
         history = history_with_incidents(2, {1: [(0, 2)]}, current_day=32)
         decision = IncidentCountPolicy(window_days=30).decide(history, rng())
-        assert np.allclose(decision.proportions["WSO"], 0.5)
+        assert np.allclose(decision["WSO"], 0.5)
         still_in = history_with_incidents(2, {2: [(0, 2)]}, current_day=32)
         decision = IncidentCountPolicy(window_days=30).decide(still_in, rng())
-        assert np.allclose(decision.proportions["WSO"], [1.0, 0.0])
+        assert np.allclose(decision["WSO"], [1.0, 0.0])
 
 
 class TestIncidentSeverityPolicy:
@@ -107,19 +104,19 @@ class TestIncidentSeverityPolicy:
         history = history_with_incidents(7, {2: [(0, 3)]}, current_day=5)
         decision = IncidentSeverityPolicy().decide(history, rng())
         expected = np.array([8.0, 1, 1, 1, 1, 1, 1]) / 14.0
-        assert np.allclose(decision.proportions["WSO"], expected)
+        assert np.allclose(decision["WSO"], expected)
 
     def test_equal_severities_give_uniform(self):
         history = history_with_incidents(
             4, {1: [(0, 2), (1, 2), (2, 2), (3, 2)]}, current_day=3
         )
         decision = IncidentSeverityPolicy().decide(history, rng())
-        assert np.allclose(decision.proportions["SAO"], 0.25)
+        assert np.allclose(decision["SAO"], 0.25)
 
     def test_top_severity_weight(self):
         history = history_with_incidents(7, {4: [(0, 5)]}, current_day=6)
         decision = IncidentSeverityPolicy().decide(history, rng())
-        assert decision.proportions["WSO"][0] == pytest.approx(32 / 38)
+        assert decision["WSO"][0] == pytest.approx(32 / 38)
 
     def test_max_not_sum_of_severities(self):
         # two level-2 incidents weigh the same as one level-2 incident
@@ -127,8 +124,8 @@ class TestIncidentSeverityPolicy:
         two = history_with_incidents(2, {1: [(0, 2)], 2: [(0, 2)]}, current_day=3)
         policy = IncidentSeverityPolicy()
         assert np.allclose(
-            policy.decide(one, rng()).proportions["WSO"],
-            policy.decide(two, rng()).proportions["WSO"],
+            policy.decide(one, rng())["WSO"],
+            policy.decide(two, rng())["WSO"],
         )
 
 
@@ -157,7 +154,7 @@ class TestFixedWeightsPolicy:
         decision = FixedWeightsPolicy(PRIOR_WEIGHTS).decide(
             history_with_incidents(7, {}), rng()
         )
-        assert decision.proportions["WSO"][5] == pytest.approx(0.28)
+        assert decision["WSO"][5] == pytest.approx(0.28)
         assert_decision_sums_to_one(decision)
 
     def test_uniform_weights_match_uniform_policy(self):
@@ -165,7 +162,7 @@ class TestFixedWeightsPolicy:
         fixed = FixedWeightsPolicy([0.25] * 4).decide(history, rng())
         uniform = UniformRandomPolicy().decide(history, rng())
         for type_id in TYPE_IDS:
-            assert np.allclose(fixed.proportions[type_id], uniform.proportions[type_id])
+            assert np.allclose(fixed[type_id], uniform[type_id])
 
     def test_invalid_sum_rejected(self):
         with pytest.raises(PolicyError, match="sum to 1"):
@@ -198,18 +195,11 @@ class TestFixedWeightsPolicy:
 class TestNoObservationPolicy:
     def test_returns_none_marker(self):
         decision = NoObservationPolicy().decide(history_with_incidents(7, {}), rng())
-        assert decision.proportions is None
+        assert decision is None
 
     def test_marker_regardless_of_history(self):
         history = history_with_incidents(7, {1: [(0, 5), (1, 4)]}, current_day=10)
-        assert NoObservationPolicy().decide(history, rng()).proportions is None
-
-    def test_one_frozen_marker(self):
-        decision = NoObservationPolicy().decide(history_with_incidents(7, {}), rng())
-        assert decision is PolicyDecision.none() is PolicyDecision.none()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            decision.proportions = {}
-        assert PolicyDecision.none().proportions is None
+        assert NoObservationPolicy().decide(history, rng()) is None
 
 
 class TestPolicyContracts:
@@ -242,11 +232,11 @@ class TestPolicyContracts:
 
         a = policy.decide(build(), np.random.default_rng(1))
         b = policy.decide(build(), np.random.default_rng(2))
-        if a.proportions is None:
-            assert b.proportions is None
+        if a is None:
+            assert b is None
         else:
             for type_id in TYPE_IDS:
-                assert np.array_equal(a.proportions[type_id], b.proportions[type_id])
+                assert np.array_equal(a[type_id], b[type_id])
 
     def test_history_carries_no_latent_state(self):
         history = history_with_incidents(3, {1: [(0, 1)]})
@@ -288,13 +278,13 @@ class TestMakePolicy:
             def decide(self, history, rng):
                 s = np.zeros(history.n_areas)
                 s[0] = 1.0
-                return PolicyDecision.same_for_all_types(s, history.obs_type_ids)
+                return dict.fromkeys(history.obs_type_ids, s)
 
         register_policy("first-area", FirstAreaPolicy)
         try:
             policy = make_policy("first-area")
             decision = policy.decide(history_with_incidents(3, {}), rng())
-            assert decision.proportions["WSO"].tolist() == [1.0, 0.0, 0.0]
+            assert decision["WSO"].tolist() == [1.0, 0.0, 0.0]
         finally:
             from safesim.policies import _REGISTRY
 

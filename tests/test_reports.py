@@ -5,7 +5,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference
-from safesim.reports import COMPARE_COLUMNS, PALETTE, read_compare_csv, render_timeseries_svg
+from safesim import engine
+from safesim.engine import run_simulation
+from safesim.policies import make_policy
+from safesim.reports import (
+    COMPARE_COLUMNS,
+    PALETTE,
+    read_compare_csv,
+    render_timeseries_svg,
+    write_trajectory_csv,
+)
 
 
 @st.composite
@@ -53,3 +62,14 @@ class TestReadCompareCsv:
         assert list(columns) == list(COMPARE_COLUMNS)
         for name in COMPARE_COLUMNS:
             assert columns[name].tolist() == values[name], name
+
+
+class TestWriteTrajectoryCsv:
+    def test_xi_computed_once(self, case_study, tmp_path, monkeypatch):
+        # Trajectory.xi is computed from theta on each read; the writer reads it once
+        trajectory = run_simulation(case_study, make_policy("counts"), seed=3, horizon=5)
+        calls = []
+        xi_of_theta = engine.xi_of_theta
+        monkeypatch.setattr(engine, "xi_of_theta", lambda *args: calls.append(1) or xi_of_theta(*args))
+        write_trajectory_csv(trajectory, tmp_path / "trajectory.csv")
+        assert len(calls) == 1

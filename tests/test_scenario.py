@@ -125,6 +125,42 @@ def test_loss_vector_entries_must_be_nonnegative():
     assert exc.value.violations == ["scenario: loss_vector entries must be nonnegative"]
 
 
+def _with_first_area(scenario, **changes):
+    return replace(scenario, areas=(replace(scenario.areas[0], **changes), *scenario.areas[1:]))
+
+
+@pytest.mark.parametrize(
+    "build,violation",
+    [
+        pytest.param(
+            lambda s: replace(s, loss_vector=(5, 4, 3, 2, 1, 0)),
+            "scenario: loss_vector must be nondecreasing",
+            id="decreasing-loss-vector",
+        ),
+        pytest.param(
+            lambda s: _with_first_area(s, hl_probs=(0.25, 0.25, 0, 0, 0, 0)),
+            "area 'A': hl_probs must sum to 1, got 0.5",
+            id="hl-probs-summing-to-half",
+        ),
+        pytest.param(
+            lambda s: Scenario(areas=s.areas[:1] * 2, obs_types=s.obs_types),
+            "area 'A': duplicate area id",
+            id="duplicate-area-ids",
+        ),
+        pytest.param(
+            lambda s: _with_first_area(s, k_decay=1.5),
+            "area 'A': k_decay must be in [0, 1], got 1.5",
+            id="k-decay-above-one",
+        ),
+    ],
+)
+def test_scenario_built_in_code_checks_itself(case_study, build, violation):
+    # not only load_scenario: a Scenario built or replaced in code is refused when built
+    with pytest.raises(ScenarioValidationError) as exc:
+        build(case_study)
+    assert exc.value.violations == [violation]
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [
