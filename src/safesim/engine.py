@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -224,16 +223,7 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
     reps.theta[d] = theta
     reps.n_e[d], reps.n_neg[d], reps.n_pos[d] = n_e, n_neg, n_pos
 
-    # The day's incidents, column by column: area index, AHL and PHL.
-    areas, ahl, phl = [], [], []
-    for c in compress(range(len(n_e)), n_e):
-        areas += [c % n_areas] * n_e[c]
-        ahl += ahls[c]
-        phl += phls[c]
-
-    # Replication r's incidents are items first[r]:first[r + 1] of those lists.
-    first = [0, *accumulate(n_e)][::n_areas]
-    for r, (run, streams, columns) in enumerate(zip(reps.runs, reps.streams, reps.columns)):
+    for run, streams, columns in zip(reps.runs, reps.streams, reps.columns):
         decision = policy.decide(run.history, streams.policy)
         if decision is not None:
             proportions = proportions_by_type(decision, scenario)
@@ -244,8 +234,7 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
             )
             for t, s in enumerate(proportions):
                 run.proportions[d, t] = s
-        start, end = first[r], first[r + 1]
-        run.history.append_day(areas[start:end], ahl[start:end], phl[start:end])
+        run.history.append_day(n_e[columns], ahls[columns], phls[columns])
 
     # A replication without observers keeps its zero observed counts. Their
     # terms add up to 0.0, and 0.0 + x is x, so its drive has the bits of

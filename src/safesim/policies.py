@@ -11,6 +11,7 @@ Policy and register under a name for CLI use.
 from __future__ import annotations
 
 import numbers
+from itertools import compress
 
 import numpy as np
 
@@ -78,19 +79,27 @@ class ObservableHistory:
         """The incident log of all closed days; columns DAY, AREA, AHL, PHL."""
         return _read_only(self._log[: self._n_rows])
 
-    def append_day(self, areas, ahl, phl) -> None:
-        """Close the current day: log its incidents, given as three equal-length
-        columns (area, AHL, PHL)."""
+    def append_day(self, n_e, ahl, phl) -> None:
+        """Close the current day: log its incidents, area by area.
+
+        n_e[a] is area a's incident count; ahl[a] and phl[a] hold its
+        incidents' Hurt levels in draw order, as step_events returns them.
+        """
         start = self._n_rows
-        end = start + len(areas)
+        end = start + sum(n_e)
         if end > len(self._log):
             grown = np.zeros((max(end, 2 * len(self._log)), 4), dtype=self._log.dtype)
             grown[:start] = self._log[:start]
             self._log = grown
         if end > start:
+            areas, ahls, phls = [], [], []
+            for a in compress(range(len(n_e)), n_e):
+                areas += [a] * n_e[a]
+                ahls += ahl[a]
+                phls += phl[a]
             rows = self._log[start:end]
             rows[:, DAY] = self.current_day
-            rows[:, AREA], rows[:, AHL], rows[:, PHL] = areas, ahl, phl
+            rows[:, AREA], rows[:, AHL], rows[:, PHL] = areas, ahls, phls
         self._n_days += 1
         self._day_end[self._n_days] = self._n_rows = end
 

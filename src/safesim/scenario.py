@@ -4,12 +4,13 @@ A scenario is a single JSON document describing the simulated work environment.
 It is immutable after loading and safe to share across concurrent replications.
 
 The config dataclasses are the schema: a JSON object's keys are its class's
-field names, a field's type says how its value parses, a default makes it
+field names, a field's type says what its value must be, a default makes it
 optional, and the metadata holds the rule validate_scenario checks.
 """
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
 from importlib import resources
@@ -190,34 +191,43 @@ class ScenarioArrays:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+# What a value of each field type must be, parsed or built in code, and the words a refusal quotes.
+_TYPES = {
+    str: (lambda v: isinstance(v, str) and v != "", "a nonempty string"),
+    float: (_is_number, "a number"),
+    int: (_is_integer, "an integer"),
+    tuple[float, ...]: (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == N_HURT_LEVELS and all(map(_is_number, v)),
+        f"a list of {N_HURT_LEVELS} numbers",
+    ),
+}
 
 
 def _parse_value(kind, value, name: str, where: str):
     """Parse one field's JSON value by the field's type."""
-    if kind is str:
-        if not isinstance(value, str) or not value:
-            raise ScenarioParseError(f"{where}: field '{name}' must be a nonempty string")
-        return value
+    if kind not in _TYPES:  # tuple[config class, ...]
+        if not isinstance(value, list):
+            raise ScenarioParseError(f"{where}: field '{name}' must be a list")
+        (item, _) = kind.__args__
+        return tuple(_parse(item, v, f"{name}[{i}]") for i, v in enumerate(value))
+    is_kind, what = _TYPES[kind]
+    if not is_kind(value):
+        raise ScenarioParseError(f"{where}: field '{name}' must be {what}, got {value!r}")
+    if kind == tuple[float, ...]:
+        return tuple(_parse_value(float, v, name, where) for v in value)
     if kind is float:
-        if not _is_number(value):
-            raise ScenarioParseError(f"{where}: field '{name}' must be a number, got {value!r}")
         try:
             return float(value)
         except OverflowError:  # an integer too large for a float
             return math.inf if value > 0 else -math.inf
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ScenarioParseError(f"{where}: field '{name}' must be an integer, got {value!r}")
-        return value
-    (item, _) = kind.__args__  # tuple[item, ...]
-    if item is float:
-        if not isinstance(value, list) or len(value) != N_HURT_LEVELS or not all(map(_is_number, value)):
-            raise ScenarioParseError(f"{where}: field '{name}' must be a list of {N_HURT_LEVELS} numbers")
-        return tuple(_parse_value(float, v, name, where) for v in value)
-    if not isinstance(value, list):
-        raise ScenarioParseError(f"{where}: field '{name}' must be a list")
-    return tuple(_parse(item, v, f"{name}[{i}]") for i, v in enumerate(value))
+    return value
 
 
 def _parse(cls, obj, where: str):
@@ -285,14 +295,15 @@ def load_scenario_file(path: str | Path) -> Scenario:
 
 
 def _field_violations(config, where: str) -> list[str]:
-    """Check every number field of one config object: finite, then its rule."""
+    """Check every field of one config object: its type, then finite, then its rule."""
     violations = []
     for f in fields(config):
         value = getattr(config, f.name)
         vector = f.type == tuple[float, ...]
+        is_kind, what = _TYPES.get(f.type, (None, None))
         rule = f.metadata.get("rule")
-        if vector and len(value) != N_HURT_LEVELS:
-            problems = [f"{f.name} must have {N_HURT_LEVELS} entries"]
+        if is_kind and not is_kind(value):
+            problems = [f"{f.name} must be {what}, got {value!r}"]
         elif (vector or f.type is float) and not all(map(math.isfinite, value if vector else [value])):
             problems = [f"{f.name} must be finite, got {value}"]
         elif rule in _RANGES:
@@ -320,7 +331,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         violations += _field_violations(area, where)
     for obs in scenario.obs_types:
         violations += _field_violations(obs, f"obs type {obs.id!r}")
-        if obs.m * obs.rho > MAX_RECORDING_SLOTS:
+        if _is_integer(obs.m) and _is_integer(obs.rho) and obs.m * obs.rho > MAX_RECORDING_SLOTS:
             violations.append(f"obs type {obs.id!r}: m * rho must be <= 1e6, got {obs.m * obs.rho}")
     ids = scenario.obs_type_ids
     violations += [f"obs type {t!r}: duplicate obs type id" for i, t in enumerate(ids) if t in ids[:i]]

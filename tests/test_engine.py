@@ -16,6 +16,7 @@ from safesim.engine import (
     step_day,
     summarize_trajectories,
 )
+from safesim.events import HURT_CHUNK
 from safesim.metrics import baseline_asymptote, compute_day_metrics
 from safesim.observation import ProportionError
 from safesim.policies import AHL, DAY, PHL, Policy, make_policy
@@ -56,6 +57,22 @@ class TestStepDay:
         assert np.all(np.diff(days) >= 0) and np.all((days >= 1) & (days <= 10))
         assert np.array_equal(np.bincount(days, minlength=11)[1:], trajectory.n_e.sum(axis=1))
 
+
+    def test_memory_of_a_day_of_many_incidents(self):
+        # one area at xi = alpha = 1, about 4.1 * HURT_CHUNK incidents. Beyond the
+        # int32 log it keeps (16 B an incident), the day holds step_events' draws
+        # and Hurt levels and the log's one copy of a replication's levels, not
+        # a list of the whole day's incidents and then a slice of it per replication
+        area = make_area(lambda_star=4.1 * HURT_CHUNK, xi_base=1.0, alpha=1.0, theta0=0.0)
+        reps = Replications(make_scenario(areas=(area,)), "none", seeds=[1], horizon=1)
+        tracemalloc.start()
+        try:
+            step_day(reps, 0, np.array([0.0]), make_policy("none"))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reps.n_e[0, 0] > 4 * HURT_CHUNK
+        assert (peak - current) / reps.n_e[0, 0] < 56
 
     def test_scenario_without_observation_types(self, case_study):
         scenario = make_scenario(areas=case_study.areas, obs_types=())

@@ -24,15 +24,19 @@ TYPE_IDS = ("WSO", "SAO", "BPO")
 PRIOR_WEIGHTS = [0.12, 0.12, 0.12, 0.08, 0.08, 0.28, 0.2]
 
 
+def append_incidents(history, incidents):
+    """Close a day whose incidents are (area, ahl) pairs, grouped per area; PHL = AHL."""
+    by_area = [[ahl for a, ahl in incidents if a == area] for area in range(history.n_areas)]
+    history.append_day([len(h) for h in by_area], by_area, by_area)
+
+
 def history_with_incidents(n_areas, incident_days, current_day=None):
     """incident_days: {day: [(area, ahl), ...]}; fills the remaining days empty."""
     last = current_day - 1 if current_day else max(incident_days, default=0)
     shape = (last, len(TYPE_IDS), n_areas)
     history = ObservableHistory(TYPE_IDS, np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
     for day in range(1, last + 1):
-        areas = [a for a, _ in incident_days.get(day, [])]
-        ahls = [ahl for _, ahl in incident_days.get(day, [])]
-        history.append_day(areas, ahls, ahls)
+        append_incidents(history, incident_days.get(day, []))
     return history
 
 
@@ -296,9 +300,15 @@ class TestObservableHistory:
         shape = (1, len(TYPE_IDS), 2)
         history = ObservableHistory(TYPE_IDS, np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
         assert history.current_day == 1
-        history.append_day([], [], [])
+        history.append_day([0, 0], [(), ()], [(), ()])
         assert len(history) == 1
         assert history.current_day == 2
+
+    def test_rows_in_area_then_draw_order(self):
+        shape = (1, len(TYPE_IDS), 3)
+        history = ObservableHistory(TYPE_IDS, np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
+        history.append_day((2, 0, 1), ([3, 1], (), [5]), ([4, 2], (), [5]))
+        assert history.incidents.tolist() == [[1, 0, 3, 4], [1, 0, 1, 2], [1, 2, 5, 5]]
 
     def test_window_selection(self):
         history = history_with_incidents(2, {1: [(0, 1)], 5: [(1, 2)]}, current_day=6)
@@ -345,7 +355,6 @@ class TestWindowQueriesMatchPerAreaOracle:
             assert history.incident_counts(window_days).tolist() == [len(h) for h in by_area]
             assert history.max_ahl(window_days).tolist() == [max(h, default=0) for h in by_area]
             if closed < len(days):
-                rows = np.array(days[closed], dtype=np.int32).reshape(-1, 2)
-                history.append_day(rows[:, 0], rows[:, 1], rows[:, 1])
+                append_incidents(history, days[closed])
         assert history.incidents.dtype == np.int32
         assert len(history.incidents) == sum(map(len, days))

@@ -129,6 +129,11 @@ def _with_first_area(scenario, **changes):
     return replace(scenario, areas=(replace(scenario.areas[0], **changes), *scenario.areas[1:]))
 
 
+def _with_first_obs_type(scenario, **changes):
+    first, *rest = scenario.obs_types
+    return replace(scenario, obs_types=(replace(first, **changes), *rest))
+
+
 @pytest.mark.parametrize(
     "build,violation",
     [
@@ -151,6 +156,31 @@ def _with_first_area(scenario, **changes):
             lambda s: _with_first_area(s, k_decay=1.5),
             "area 'A': k_decay must be in [0, 1], got 1.5",
             id="k-decay-above-one",
+        ),
+        pytest.param(
+            lambda s: replace(s, horizon_days=2.5),
+            "scenario: horizon_days must be an integer, got 2.5",
+            id="fractional-horizon",
+        ),
+        pytest.param(
+            lambda s: replace(s, horizon_days=True),
+            "scenario: horizon_days must be an integer, got True",
+            id="bool-horizon",
+        ),
+        pytest.param(
+            lambda s: replace(s, delta_e="x"),
+            "scenario: delta_e must be a number, got 'x'",
+            id="text-delta-e",
+        ),
+        pytest.param(
+            lambda s: _with_first_obs_type(s, m=2.0),
+            "obs type 'WSO': m must be an integer, got 2.0",
+            id="float-m",
+        ),
+        pytest.param(
+            lambda s: _with_first_obs_type(s, m="2"),
+            "obs type 'WSO': m must be an integer, got '2'",
+            id="text-m-skips-the-slot-bound",
         ),
     ],
 )
