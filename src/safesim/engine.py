@@ -6,9 +6,9 @@ determines every byte of the trajectory. With root = SeedSequence(seed) and
 its two children from root.spawn(2):
 
 - the environment stream, default_rng(root), the same generator as
-  default_rng(seed). Each day, per area in config order, it draws the
-  event counts (incidents, unsafe, safe: three Poisson draws), then the
-  incidents' severity uniforms as one draw of 2 * n_e;
+  default_rng(seed). At the start of each block of days it draws the
+  block's potential tasks and their uniforms, in the order that
+  events.EventBlocks states; no draw depends on theta or on the policy;
 - the observer stream, default_rng of the first child. Each day the
   policy fields observers, it draws m + rho * m uniforms per observation
   type, in config order: m to allocate the type's observers, then
@@ -21,20 +21,19 @@ its two children from root.spawn(2):
 
 No stream draws for another, so a policy's own draws never shift the
 events or the observers, and the observers' draws never shift the events.
-Only the order within a stream matters. The three Poisson draws stay
-scalar calls per area because an area's counts come between the previous
-area's severities and its own; the same call maps the area's incidents to
-Hurt levels. Everything else in a day is deterministic and runs as array
-operations over areas, with the same floating-point operations in the
-same order as a per-area loop.
+Only the order within a stream matters. Since the environment does not
+depend on theta, one seed gives every policy the same tasks: a potential
+task becomes real on its day if its uniform is below 1 - theta, and safe
+otherwise (events.step_events). Two policies compared at one seed then
+differ only through their decisions (common random numbers).
 
 The replications of an ensemble step together (run_replications): one
 day loop advances all of them. Each still draws from its own three
 streams, in the order above, and has its own history and policy
 decision, so its trajectory is byte-identical to the run of its seed
-alone. What draws nothing (xi, storage and the feedback drive) runs once
-a day over the areas of every replication. run_simulation is the case of
-one replication.
+alone. What draws nothing (the day's classification of tasks, storage
+and the feedback drive) runs once a day over the areas of every
+replication. run_simulation is the case of one replication.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .events import step_events, xi_of_theta
+from .events import EventBlocks, step_events, xi_of_theta
 from .intervention import feedback_drive, step_theta
 from .metrics import compute_day_metrics
 from .observation import observer_draws, proportions_by_type, step_observations
@@ -54,7 +53,7 @@ from .policies import AHL, AREA, ObservableHistory, Policy
 from .scenario import N_HURT_LEVELS, Scenario
 
 
-STREAM_CONTRACT = 2  # version of the stream contract in the module docstring
+STREAM_CONTRACT = 3  # version of the stream contract in the module docstring
 
 
 class Streams(NamedTuple):
@@ -144,9 +143,9 @@ class Replications:
     R * areas); expected_loss and tail_prob (days, R). xi is not held (see
     Trajectory). runs[r] is replication r's Trajectory, whose arrays and
     history are views of columns[r], and streams[r] its random streams.
-    column_events holds, per column, the environment stream, the area's
-    config and its rows of ScenarioArrays.hl_sums as lists. Every size check
-    of a run is made here, before its first day: see HorizonError.
+    events holds the environment draws of the days ahead, and k_decay each
+    column's decay factor. Every size check of a run is made here, before
+    its first day: see HorizonError.
     """
 
     def __init__(self, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int):
@@ -193,10 +192,8 @@ class Replications:
             )
             for r, (seed, cols) in enumerate(zip(seeds, self.columns))
         )
-        area_sums = list(zip(scenario.areas, scenario.arrays.hl_sums.tolist()))
-        self.column_events = [
-            (s.environment, area, sums) for s in self.streams for area, sums in area_sums
-        ]
+        self.events = EventBlocks(scenario, [s.environment for s in self.streams])
+        self.k_decay = [area.k_decay for area in scenario.areas] * n_reps
         self.observer_draws = observer_draws(scenario)
 
 
@@ -204,26 +201,22 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
     """Simulate day d + 1 of every replication into row d; returns the next day's theta.
 
     theta is the start-of-day state per column; replication r reads and
-    writes reps.columns[r] (see Replications). Order of operations: derive
-    xi from the carried-over theta, generate events and their Hurt levels,
-    ask the policy (which sees history through yesterday only), run the
-    observation process, close the day in the history, and update theta.
-    Each replication draws from its own streams in the order of a run
-    stepped alone; what is deterministic runs once over all columns. The
-    metrics are not evaluated here: they depend on xi alone, and
-    run_replications computes them from the stored theta after the last day.
+    writes reps.columns[r] (see Replications). Order of operations: classify
+    the day's tasks into events at theta, ask the policy (which sees history
+    through yesterday only), run the observation process, close the day in
+    the history, and update theta. Each replication draws from its own
+    streams in the order of a run stepped alone; what is deterministic runs
+    once over all columns. The metrics are not evaluated here: they depend
+    on xi alone, and run_replications computes them from the stored theta
+    after the last day.
     """
-    scenario, n_areas = reps.scenario, reps.scenario.n_areas
-    xi = xi_of_theta(theta.reshape(-1, n_areas), scenario.arrays.xi_base)
-    events = [
-        step_events(rng, area, x, sums)
-        for (rng, area, sums), x in zip(reps.column_events, xi.ravel().tolist())
-    ]
-    n_e, n_neg, n_pos, ahls, phls = zip(*events)
+    scenario = reps.scenario
+    events = step_events(reps.events, d, theta)
     reps.theta[d] = theta
-    reps.n_e[d], reps.n_neg[d], reps.n_pos[d] = n_e, n_neg, n_pos
+    reps.n_e[d], reps.n_neg[d], reps.n_pos[d] = events.counts
+    n_neg, n_pos = events.counts[1:].tolist()
 
-    for run, streams, columns in zip(reps.runs, reps.streams, reps.columns):
+    for run, streams, columns, rows in zip(reps.runs, reps.streams, reps.columns, events.rows):
         decision = policy.decide(run.history, streams.policy)
         if decision is not None:
             proportions = proportions_by_type(decision, scenario)
@@ -234,14 +227,14 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
             )
             for t, s in enumerate(proportions):
                 run.proportions[d, t] = s
-        run.history.append_day(n_e[columns], ahls[columns], phls[columns])
+        run.history.append_day(rows)
 
     # A replication without observers keeps its zero observed counts. Their
     # terms add up to 0.0, and 0.0 + x is x, so its drive has the bits of
     # the incident term alone, the drive of a day without observers.
     drive = feedback_drive(reps.obs_neg[d], reps.n_e[d], scenario)
-    columns = zip(theta.tolist(), drive.tolist(), reps.column_events)
-    return np.array([step_theta(t, dr, area.k_decay) for t, dr, (_, area, _) in columns])
+    columns = zip(theta.tolist(), drive.tolist(), reps.k_decay)
+    return np.array([step_theta(t, dr, k) for t, dr, k in columns])
 
 
 def run_replications(
@@ -256,7 +249,7 @@ def run_replications(
     """
     horizon = scenario.horizon_days if horizon is None else horizon
     reps = Replications(scenario, policy.name, seeds, horizon)
-    theta = np.array([area.theta0 for _, area, _ in reps.column_events], dtype=float)
+    theta = np.array([area.theta0 for area in scenario.areas] * len(reps.runs), dtype=float)
     for d in range(horizon):
         theta = step_day(reps, d, theta, policy)
     # One replication and METRICS_BLOCK days at a time: the metrics'

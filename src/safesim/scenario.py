@@ -314,6 +314,18 @@ def _field_violations(config, where: str) -> list[str]:
     return violations
 
 
+def _configs(scenario: Scenario, name: str, cls, violations: list[str]):
+    """The field's configs: a list or tuple of cls, as hl_probs is one of numbers.
+
+    Otherwise a violation naming the field is added, and there are none.
+    """
+    value = getattr(scenario, name)
+    if isinstance(value, (list, tuple)) and all(isinstance(v, cls) for v in value):
+        return value
+    violations.append(f"scenario: {name} must be a list of {cls.__name__}, got {value!r}")
+    return ()
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Check every scenario invariant; return human-readable violations.
 
@@ -322,25 +334,35 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     none, and other callers decide whether to raise.
     """
     violations: list[str] = []
-    if not scenario.areas:
+    if isinstance(scenario.areas, (list, tuple)) and not scenario.areas:
         violations.append("scenario: at least one safety area is required")
-    for i, area in enumerate(scenario.areas):
+    areas = _configs(scenario, "areas", SafetyAreaConfig, violations)
+    obs_types = _configs(scenario, "obs_types", ObservationTypeConfig, violations)
+    area_ids = [area.id for area in areas]
+    for i, area in enumerate(areas):
         where = f"area {area.id!r}"
-        if area.id in scenario.area_ids[:i]:
+        if area.id in area_ids[:i]:
             violations.append(f"{where}: duplicate area id")
         violations += _field_violations(area, where)
-    for obs in scenario.obs_types:
+    for obs in obs_types:
         violations += _field_violations(obs, f"obs type {obs.id!r}")
         if _is_integer(obs.m) and _is_integer(obs.rho) and obs.m * obs.rho > MAX_RECORDING_SLOTS:
             violations.append(f"obs type {obs.id!r}: m * rho must be <= 1e6, got {obs.m * obs.rho}")
-    ids = scenario.obs_type_ids
+    ids = [obs.id for obs in obs_types]
     violations += [f"obs type {t!r}: duplicate obs type id" for i, t in enumerate(ids) if t in ids[:i]]
     return violations + _field_violations(scenario, "scenario")
 
 
+def _json_scalar(value):
+    """A numpy scalar, which a Scenario built in code may hold, as its Python number."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a Scenario back to JSON text; load_scenario inverts this."""
-    return json.dumps(asdict(scenario), indent=2)
+    return json.dumps(asdict(scenario), indent=2, default=_json_scalar)
 
 
 def case_study_path() -> Path:

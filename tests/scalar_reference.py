@@ -1,12 +1,16 @@
 """Scalar, one-area-at-a-time versions of the array code in safesim, and
 earlier samplers kept as oracles.
 
-The simulator maps each incident's severity uniforms to Hurt levels by
-bisection on its area's running sums, and computes the metrics of all of a
+The simulator draws each replication's potential tasks a block of days
+ahead, maps the potential incidents' severity uniforms to Hurt levels by
+comparison with their area's running sums, classifies a day's tasks as
+array operations over the batch, and computes the metrics of all of a
 run's days as array operations over days and areas. These are the
-sequential per-area, per-day forms that code must match bit for bit (the
-tail probability to rounding), and the numpy table lookup that mapped a
-whole day's incidents before; the tests compare against them. The
+sequential per-task, per-area and per-day forms that code must match bit
+for bit (the tail probability to rounding), the three-Poisson sampler that
+drew an area-day's events directly before, whose law the thinned counts
+must match, and the numpy table lookup that mapped a whole day's incidents
+before; the tests compare against them. The
 observation samplers at the end are the ones the
 simulator used before the fixed-weight urn: the tests compare the urn's law
 against theirs. Beside them is the urn that recomputes its remaining counts
@@ -56,12 +60,64 @@ def sample_phl(rng, hl_probs, ahl: int) -> int:
     return N_HURT_LEVELS - 1
 
 
-def step_events(rng, area, xi: float):
-    """One area-day: counts, then each incident's AHL, then each PHL."""
+def three_poisson_day(rng, area, xi: float):
+    """One area-day of the three-Poisson sampler at unsafe fraction xi:
+    counts, then each incident's AHL, then each PHL."""
     n_e, n_neg, n_pos = sample_event_counts(rng, area.lambda_star, xi, area.alpha)
     ahls = [sample_ahl(rng, area.hl_probs) for _ in range(n_e)]
     phls = [sample_phl(rng, area.hl_probs, ahl) for ahl in ahls]
     return n_e, n_neg, n_pos, ahls, phls
+
+
+class PerTaskEnvironment:
+    """Stream contract 3 for one replication, one task at a time.
+
+    At the start of each block of n_days days it draws from rng the
+    potential counts (sample_event_counts at xi_base, shaped (days, areas)),
+    then one thinning uniform per potential incident, then every potential
+    incident's AHL and then every PHL by sequential severity draws, then one
+    thinning uniform per potential unsafe task, each in day, area and draw
+    order. day(theta) classifies the next day's tasks one by one.
+    """
+
+    def __init__(self, rng, scenario, n_days: int):
+        self.rng, self.scenario, self.n_days = rng, scenario, n_days
+        self.pending = []
+
+    def draw_block(self):
+        rng, areas, arrays = self.rng, self.scenario.areas, self.scenario.arrays
+        lam = np.broadcast_to(arrays.lambda_star, (self.n_days, len(areas)))
+        potential, unsafe, safe = sample_event_counts(rng, lam, arrays.xi_base, arrays.alpha)
+        cells = [(b, a) for b in range(self.n_days) for a in range(len(areas))]
+        u_e = [[rng.random() for _ in range(potential[c])] for c in cells]
+        ahl = [[sample_ahl(rng, areas[a].hl_probs) for _ in range(potential[b, a])] for b, a in cells]
+        phl = [
+            [sample_phl(rng, areas[a].hl_probs, level) for level in levels]
+            for (_, a), levels in zip(cells, ahl)
+        ]
+        u_g = [[rng.random() for _ in range(unsafe[c])] for c in cells]
+        tasks = [
+            (list(zip(*cell)), u, int(safe[c]))
+            for c, cell, u in zip(cells, zip(u_e, ahl, phl), u_g)
+        ]
+        n_areas = len(areas)
+        self.pending += [tasks[b * n_areas : (b + 1) * n_areas] for b in range(self.n_days)]
+
+    def day(self, theta):
+        """The next day at start-of-day theta per area: (n_e, n_neg, n_pos)
+        per area and the incident rows (area, ahl, phl) in log order."""
+        if not self.pending:
+            self.draw_block()
+        n_e, n_neg, n_pos, rows = [], [], [], []
+        for a, (incidents, unsafe, safe) in enumerate(self.pending.pop(0)):
+            keep = 1.0 - theta[a]
+            real = [(a, ahl, phl) for u, ahl, phl in incidents if u < keep]
+            neg = sum(u < keep for u in unsafe)
+            n_e.append(len(real))
+            n_neg.append(neg)
+            n_pos.append(safe + len(incidents) - len(real) + len(unsafe) - neg)
+            rows += real
+        return n_e, n_neg, n_pos, rows
 
 
 def hurt_level(u: np.ndarray, sums: np.ndarray) -> np.ndarray:

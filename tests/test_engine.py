@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from safesim.engine import (
     step_day,
     summarize_trajectories,
 )
-from safesim.events import HURT_CHUNK
-from safesim.metrics import baseline_asymptote, compute_day_metrics
+from safesim.events import HURT_CHUNK, block_days, sample_event_counts
+from safesim.metrics import SEVERE_AHL, baseline_asymptote, compute_day_metrics
 from safesim.observation import ProportionError
-from safesim.policies import AHL, DAY, PHL, Policy, make_policy
+from safesim.policies import AHL, AREA, DAY, PHL, Policy, make_policy
 from safesim.scenario import MAX_LAMBDA_STAR, N_HURT_LEVELS
 
 RUN_ARRAYS = (
@@ -60,9 +61,9 @@ class TestStepDay:
 
     def test_memory_of_a_day_of_many_incidents(self):
         # one area at xi = alpha = 1, about 4.1 * HURT_CHUNK incidents. Beyond the
-        # int32 log it keeps (16 B an incident), the day holds step_events' draws
-        # and Hurt levels and the log's one copy of a replication's levels, not
-        # a list of the whole day's incidents and then a slice of it per replication
+        # int32 log it keeps (16 B an incident), the day holds its block's draws
+        # and Hurt levels, dropped after its only day, and the day's rows, not a
+        # list of the whole day's incidents and then a slice of it per replication
         area = make_area(lambda_star=4.1 * HURT_CHUNK, xi_base=1.0, alpha=1.0, theta0=0.0)
         reps = Replications(make_scenario(areas=(area,)), "none", seeds=[1], horizon=1)
         tracemalloc.start()
@@ -114,18 +115,18 @@ class TestInt32Record:
         assert held / (n_reps * horizon) <= CASE_STUDY_BYTES_PER_REP_DAY
 
     def test_counts_at_the_rate_bound_match_the_scalar_sampler(self):
-        # xi = 0.05: about 5,000 incidents, 45,000 unsafe and 950,000 safe activities
+        # theta = 0.9, xi = 0.05: of about 50,000 potential incidents and 450,000
+        # potential unsafe tasks a tenth are real; about 950,000 safe activities
         area = make_area(lambda_star=MAX_LAMBDA_STAR, theta0=0.9)
         scenario = make_scenario(areas=(area,))
         run = run_simulation(scenario, make_policy("uniform"), seed=13, horizon=1)
         rng = np.random.default_rng(13)  # the environment stream of seed 13
-        n_e, n_neg, n_pos, ahls, phls = scalar_reference.step_events(rng, area, run.xi[0, 0])
-        assert n_pos > 900_000
-        assert (run.n_e[0].tolist(), run.n_neg[0].tolist(), run.n_pos[0].tolist()) == (
-            [n_e], [n_neg], [n_pos]
-        )
-        assert run.incidents[:, AHL].tolist() == ahls and run.incidents[:, PHL].tolist() == phls
-        totals = np.bincount(ahls, minlength=N_HURT_LEVELS)
+        env = scalar_reference.PerTaskEnvironment(rng, scenario, block_days(scenario))
+        n_e, n_neg, n_pos, rows = env.day(run.theta[0].tolist())
+        assert n_pos[0] > 900_000
+        assert (run.n_e[0].tolist(), run.n_neg[0].tolist(), run.n_pos[0].tolist()) == (n_e, n_neg, n_pos)
+        assert run.incidents[:, AREA:].tolist() == [list(row) for row in rows]
+        totals = np.bincount([ahl for _, ahl, _ in rows], minlength=N_HURT_LEVELS)
         assert run.incident_totals().tolist() == [totals.tolist()]
 
 
@@ -266,6 +267,74 @@ class TestStreams:
         per_day = sum(t.m * (1 + t.rho) for t in case_study.obs_types)
         reference.observer.random(per_day * days_observed)
         assert streams.observer.bit_generator.state == reference.observer.bit_generator.state
+
+
+BUILT_IN_POLICIES = ("none", "uniform", "counts", "severity", "weighted:0.12,0.12,0.12,0.08,0.08,0.28,0.2")
+
+
+def severe_totals(runs) -> np.ndarray:
+    """Each run's incidents with AHL >= SEVERE_AHL over its horizon."""
+    return np.array([np.count_nonzero(run.incidents[:, AHL] >= SEVERE_AHL) for run in runs])
+
+
+class TestStreamContract:
+    """The environment does not depend on theta: every policy sees one seed's tasks."""
+
+    def test_every_policy_sees_the_same_tasks(self, case_study):
+        runs = [run_simulation(case_study, make_policy(spec), seed=17, horizon=365) for spec in BUILT_IN_POLICIES]
+        tasks = [run.n_e + run.n_neg + run.n_pos for run in runs]
+        assert all(np.array_equal(tasks[0], other) for other in tasks[1:])
+        # while the policies' theta, and so their events, differ
+        assert len({run.theta.tobytes() for run in runs}) == len(runs)
+
+    def test_paired_severe_incidents_vary_less_than_independent(self, case_study):
+        # common random numbers: at one seed two policies differ only through
+        # their decisions, so the paired difference varies far less than the
+        # difference of independent runs, var(uniform) + var(counts)
+        seeds = range(1000, 1060)
+        uniform = severe_totals(run_replications(case_study, make_policy("uniform"), seeds))
+        counts = severe_totals(run_replications(case_study, make_policy("counts"), seeds))
+        paired = np.var(uniform - counts, ddof=1)
+        independent = np.var(uniform, ddof=1) + np.var(counts, ddof=1)
+        assert paired < independent / 4, (paired, independent)
+
+    def test_shorter_run_is_a_prefix(self, case_study):
+        short = run_simulation(case_study, make_policy("counts"), seed=5, horizon=200)
+        full = run_simulation(case_study, make_policy("counts"), seed=5, horizon=365)
+        for name in ("theta", "n_e", "n_neg", "n_pos", "obs_pos", "obs_neg"):
+            assert np.array_equal(getattr(short, name), getattr(full, name)[:200]), name
+        assert np.array_equal(short.incidents, full.incidents[full.incidents[:, DAY] <= 200])
+
+    def test_at_theta_zero_day_one_is_the_potential_counts(self, case_study):
+        # every potential task is real when its uniform is below 1 - 0
+        areas = tuple(replace(area, theta0=0.0) for area in case_study.areas)
+        scenario = replace(case_study, areas=areas)
+        run = run_simulation(scenario, make_policy("none"), seed=23, horizon=1)
+        arrays = scenario.arrays
+        lambda_star = np.broadcast_to(arrays.lambda_star, (block_days(scenario), scenario.n_areas))
+        rng = np.random.default_rng(23)
+        potential = sample_event_counts(rng, lambda_star, arrays.xi_base, arrays.alpha)
+        assert [run.n_e[0].tolist(), run.n_neg[0].tolist(), run.n_pos[0].tolist()] == [
+            counts[0].tolist() for counts in potential
+        ]
+
+    @pytest.mark.parametrize("group_tasks", [1, 3_000, 1 << 20], ids=["one-per-group", "two-per-group", "one-group"])
+    def test_batch_matches_the_per_task_reference(self, case_study, monkeypatch, group_tasks):
+        # three blocks of 32 days, the replications drawn and classified in groups
+        monkeypatch.setattr("safesim.events.GROUP_TASKS", group_tasks)
+        seeds = [3, 4, 5]
+        runs = run_replications(case_study, make_policy("counts"), seeds, horizon=70)
+        for seed, run in zip(seeds, runs):
+            reference = scalar_reference.PerTaskEnvironment(
+                np.random.default_rng(seed), case_study, block_days(case_study)
+            )
+            rows = []
+            for d in range(run.horizon):
+                n_e, n_neg, n_pos, day_rows = reference.day(run.theta[d].tolist())
+                assert [run.n_e[d].tolist(), run.n_neg[d].tolist(), run.n_pos[d].tolist()] == [n_e, n_neg, n_pos]
+                rows += [[d + 1, *row] for row in day_rows]
+            assert run.incidents.tolist() == rows
+            assert trajectories_equal(run, run_simulation(case_study, make_policy("counts"), seed, 70))
 
 
 class MissingTypePolicy(Policy):

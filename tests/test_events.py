@@ -6,8 +6,13 @@ import pytest
 import scalar_reference
 from conftest import make_area, make_scenario
 from safesim.events import (
+    AHL,
+    AREA,
     HURT_CHUNK,
+    PHL,
     DegenerateHurtDistribution,
+    EventBlocks,
+    hurt_levels,
     sample_event_counts,
     step_events,
     xi_of_theta,
@@ -26,32 +31,14 @@ def hl_sums(hl_probs) -> np.ndarray:
     return ScenarioArrays.of(scenario).hl_sums[0]
 
 
-class Draws:
-    """A stand-in generator for one area-day: poisson() hands out the counts
-    (incidents, 0, 0) and random() the given (2, incidents) uniforms."""
-
-    def __init__(self, uniforms):
-        self.uniforms = np.asarray(uniforms, dtype=float).reshape(2, -1)
-        self.counts = [self.uniforms.shape[1], 0, 0]
-
-    def poisson(self, lam):
-        return self.counts.pop(0)
-
-    def random(self, shape):
-        assert shape == self.uniforms.shape
-        return self.uniforms
-
-
-def as_lists(events) -> tuple:
-    """DayEvents field by field, its levels as lists, as scalar_reference.step_events returns them."""
-    return (*events[:3], list(events.ahl), list(events.phl))
-
-
 def levels(hl_probs, uniforms) -> tuple[list[int], list[int]]:
-    """step_events' (AHL, PHL) lists for incidents of one area with the given uniforms."""
-    area = make_area(hl_probs=hl_probs)
-    events = step_events(Draws(uniforms), area, 1.0, hl_sums(hl_probs).tolist())
-    return list(events.ahl), list(events.phl)
+    """hurt_levels' (AHL, PHL) lists for incidents of one area with the given (2, n) uniforms."""
+    u_ahl, u_phl = np.asarray(uniforms, dtype=float).reshape(2, -1)
+    rows = np.zeros((len(u_ahl), 3), dtype=np.int32)
+    sums = hl_sums(hl_probs)[None]
+    hurt_levels(sums, rows, AHL, u_ahl)
+    hurt_levels(sums, rows, PHL, u_phl)
+    return rows[:, AHL].tolist(), rows[:, PHL].tolist()
 
 
 def oracle_levels(hl_probs, uniforms) -> tuple[list[int], list[int]]:
@@ -63,17 +50,31 @@ def oracle_levels(hl_probs, uniforms) -> tuple[list[int], list[int]]:
 
 
 def draw_ahl(rng, hl_probs, n: int) -> np.ndarray:
-    """n AHLs through step_events, from the same uniforms as n scalar draws."""
+    """n AHLs through hurt_levels, from the same uniforms as n scalar draws."""
     ahl, _ = levels(hl_probs, [rng.random(n), np.zeros(n)])
     return np.array(ahl)
 
 
 def draw_phl(rng, hl_probs, ahl: int, n: int) -> np.ndarray:
-    """n PHLs through step_events, each above an AHL fixed by a uniform inside its level."""
+    """n PHLs through hurt_levels, each above an AHL fixed by a uniform inside its level."""
     u_ahl = (sum(hl_probs[:ahl]) + hl_probs[ahl] / 2) / sum(hl_probs)
     ahls, phls = levels(hl_probs, [np.full(n, u_ahl), rng.random(n)])
     assert set(ahls) == {ahl}
     return np.array(phls)
+
+
+def as_lists(events, r: int = 0, n_areas: int = 1) -> tuple:
+    """Replication r's day from step_events, as PerTaskEnvironment.day returns it."""
+    columns = slice(r * n_areas, (r + 1) * n_areas)
+    counts = events.counts[:, columns].tolist()
+    return (*counts, [tuple(row) for row in events.rows[r].tolist()])
+
+
+def event_days(scenario, seeds, n_days: int, theta: float):
+    """n_days of step_events for one replication per seed, at a fixed theta."""
+    blocks = EventBlocks(scenario, [np.random.default_rng(seed) for seed in seeds])
+    theta = np.full(len(seeds) * scenario.n_areas, theta)
+    return [step_events(blocks, d, theta) for d in range(n_days)]
 
 
 class Uniforms:
@@ -213,9 +214,9 @@ class TestSamplePhl:
 
 
 class TestTableSamplerEquivalence:
-    """step_events matches counts, then n scalar AHL draws, then n scalar PHL
-    draws, per area: same numbers, same generator state. Its levels are the
-    numpy table lookup's for the same uniforms."""
+    """step_events matches the per-task reference of the stream contract:
+    same counts and incident rows, same generator state. Its levels are the
+    sequential draws' and the numpy table lookup's for the same uniforms."""
 
     DISTRIBUTIONS = (
         AREA_A_HL,  # no mass at levels 4 and 5
@@ -232,32 +233,37 @@ class TestTableSamplerEquivalence:
         ahl = [scalar_reference.sample_ahl(rng, probs) for _ in range(n)]
         return ahl, [scalar_reference.sample_phl(rng, probs, a) for a in ahl]
 
+    @staticmethod
+    def assert_same_as_per_task(scenario, seeds, n_days):
+        # theta moves every day, so that every day thins at its own threshold
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        blocks = EventBlocks(scenario, rngs)
+        references = [
+            scalar_reference.PerTaskEnvironment(np.random.default_rng(seed), scenario, blocks.days)
+            for seed in seeds
+        ]
+        n_areas = scenario.n_areas
+        for d in range(n_days):
+            theta = np.linspace(0.0, 1.0, len(seeds) * n_areas) * (d % 7) / 6
+            events = step_events(blocks, d, theta)
+            for r, reference in enumerate(references):
+                expected = reference.day(theta[r * n_areas : (r + 1) * n_areas].tolist())
+                assert as_lists(events, r, n_areas) == expected
+        for rng, reference in zip(rngs, references):
+            assert rng.bit_generator.state == reference.rng.bit_generator.state
+
     @pytest.mark.parametrize("probs", DISTRIBUTIONS)
     def test_same_events_and_generator_state(self, probs):
-        # a mean of 0.9 incidents a day gives days with 0, 1 and several
+        # 0.9 potential incidents a day gives days with 0, 1 and several
         area = make_area(lambda_star=10.0, xi_base=0.9, alpha=0.1, hl_probs=probs)
-        sums = hl_sums(probs).tolist()
-        for seed in (1, 2, 3):
-            scalar_rng, table_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(300):
-                expected = scalar_reference.step_events(scalar_rng, area, 0.9)
-                assert as_lists(step_events(table_rng, area, 0.9, sums)) == expected
-            assert table_rng.bit_generator.state == scalar_rng.bit_generator.state
+        self.assert_same_as_per_task(make_scenario(areas=(area,)), [1, 2, 3], 300)
 
     def test_each_area_maps_with_its_own_rows(self):
-        # as the engine does: every area draws in turn, with its rows of
-        # ScenarioArrays.hl_sums as lists
         areas = [
             make_area(f"A{i}", lambda_star=10.0, xi_base=0.9, alpha=0.1, hl_probs=probs)
             for i, probs in enumerate(self.DISTRIBUTIONS)
         ]
-        sums = ScenarioArrays.of(make_scenario(areas=areas)).hl_sums.tolist()
-        scalar_rng, table_rng = np.random.default_rng(9), np.random.default_rng(9)
-        for _ in range(200):
-            for area, rows in zip(areas, sums):
-                expected = scalar_reference.step_events(scalar_rng, area, 0.9)
-                assert as_lists(step_events(table_rng, area, 0.9, rows)) == expected
-        assert table_rng.bit_generator.state == scalar_rng.bit_generator.state
+        self.assert_same_as_per_task(make_scenario(areas=areas), [9, 10], 100)
 
     @pytest.mark.parametrize("probs", DISTRIBUTIONS)
     def test_same_levels_on_boundaries(self, probs):
@@ -298,79 +304,79 @@ class TestTableSamplerEquivalence:
             levels(probs, [[0.3, 1.0], [0.1, 0.1]])
 
 
-def day(rng, area, xi):
-    """step_events for one area-day, with the area's running sums as lists."""
-    return step_events(rng, area, xi, hl_sums(area.hl_probs).tolist())
-
-
 class TestStepEvents:
     def test_safest_state_yields_no_unsafe_activity(self):
-        rng = np.random.default_rng(0)
-        area = make_area()
-        xi = xi_of_theta(1.0, area.xi_base)
-        for _ in range(200):
-            events = day(rng, area, xi)
+        scenario = make_scenario(areas=(make_area(),))
+        for events in event_days(scenario, [0], 200, theta=1.0):
+            assert events.counts[:2].tolist() == [[0], [0]]
             assert events.n_e == 0
-            assert events.n_neg == 0
 
     def test_phl_never_below_ahl(self):
-        rng = np.random.default_rng(7)
-        area = make_area(lambda_star=20.0, xi_base=0.9, alpha=0.5)
-        xi = xi_of_theta(0.0, area.xi_base)
-        for _ in range(2_000):
-            events = day(rng, area, xi)
-            assert all(p >= a for a, p in zip(events.ahl, events.phl))
+        scenario = make_scenario(areas=(make_area(lambda_star=20.0, xi_base=0.9, alpha=0.5),))
+        for events in event_days(scenario, [7], 2_000, theta=0.0):
+            assert np.all(events.rows[0][:, PHL] >= events.rows[0][:, AHL])
 
-    def test_counts_are_python_ints(self):
-        rng = np.random.default_rng(4)
-        area = make_area(lambda_star=20.0, xi_base=0.9, alpha=0.1)
-        days = [day(rng, area, 0.9) for _ in range(50)]
+    def test_incident_total_is_a_python_int(self):
+        # the benchmark's tracer adds it up as the day's incidents
+        scenario = make_scenario(areas=(make_area(lambda_star=20.0, xi_base=0.9, alpha=0.1),))
+        days = event_days(scenario, [4, 5], 50, theta=0.1)
         assert {events.n_e > 0 for events in days} == {False, True}
         for events in days:
-            assert [type(n) for n in events[:3]] == [int] * 3
+            assert type(events.n_e) is int
+            assert events.n_e == events.counts[0].sum()
 
     def test_incident_count_matches_length(self):
-        rng = np.random.default_rng(8)
-        area = make_area(lambda_star=20.0, xi_base=0.9, alpha=0.5)
-        xi = xi_of_theta(0.2, area.xi_base)
-        for _ in range(200):
-            events = day(rng, area, xi)
-            assert len(events.ahl) == len(events.phl) == events.n_e
+        scenario = make_scenario(areas=(make_area("A", lambda_star=20.0, xi_base=0.9, alpha=0.5),
+                                        make_area("B", lambda_star=5.0, xi_base=0.5, alpha=0.5)))
+        for events in event_days(scenario, [8, 9, 10], 200, theta=0.2):
+            for r, rows in enumerate(events.rows):
+                n_e = events.counts[0, 2 * r : 2 * r + 2]
+                assert rows[:, AREA].tolist() == [0] * n_e[0] + [1] * n_e[1]
 
     def test_mean_incidents_match_analytic_at_fixed_theta(self):
-        # oracle: analytic mean alpha * xi * lambda at theta = 0.3
-        rng = np.random.default_rng(99)
-        area = make_area(lambda_star=17.0, xi_base=0.55, alpha=0.04, theta0=0.3)
-        xi = xi_of_theta(0.3, area.xi_base)
-        mean_analytic = area.alpha * xi * area.lambda_star
-        total = sum(day(rng, area, xi).n_e for _ in range(100_000))
-        assert total / 100_000 == pytest.approx(mean_analytic, rel=0.01)
+        # oracle: analytic mean alpha * xi * lambda at theta = 0.3, over 100 x 1,000 days
+        area = make_area(lambda_star=17.0, xi_base=0.55, alpha=0.04)
+        days = event_days(make_scenario(areas=(area,)), range(99, 199), 1_000, theta=0.3)
+        mean_analytic = area.alpha * xi_of_theta(0.3, area.xi_base) * area.lambda_star
+        assert sum(events.n_e for events in days) / 100_000 == pytest.approx(mean_analytic, rel=0.01)
 
     def test_bit_reproducible_under_fixed_seed(self):
-        area = make_area()
-        xi = xi_of_theta(0.4, area.xi_base)
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(123)
-            runs.append([day(rng, area, xi) for _ in range(50)])
+        scenario = make_scenario(areas=(make_area(),))
+        runs = [[as_lists(events) for events in event_days(scenario, [123], 50, 0.4)] for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_many_incidents_are_mapped_a_chunk_at_a_time(self):
-        # alpha = xi = 1 makes every task an incident. Beyond the levels it
-        # returns, the day holds its (2, n_e) uniforms (16 B an incident) and
-        # one chunk of them as Python floats. Turning all of them into floats
-        # at once would take 64 B an incident for the two lists alone.
+        # alpha = xi = 1 makes every task an incident. Beyond the rows it
+        # returns (12 B an incident), the day holds its block (thinning
+        # uniforms, keys and rows, 28 B an incident), the block's severity
+        # uniforms (8 B) and one chunk of the mapping's temporaries.
+        # Mapping all incidents at once would take over 100 B an incident.
         area = make_area(lambda_star=4.1 * HURT_CHUNK, xi_base=1.0, alpha=1.0, hl_probs=AREA_C_HL)
-        rng = np.random.default_rng(5)
-        sums = hl_sums(area.hl_probs).tolist()
+        blocks = EventBlocks(make_scenario(areas=(area,)), [np.random.default_rng(5)])
         tracemalloc.start()
         try:
-            events = step_events(rng, area, 1.0, sums)
+            events = step_events(blocks, 0, np.zeros(1))
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert events.n_e >= 4 * HURT_CHUNK
         assert peak - kept < 64 * events.n_e
+
+
+class TestThinnedCounts:
+    """The thinned counts have the law of the three-Poisson sampler."""
+
+    @pytest.mark.parametrize("theta", [0.3, 0.9])
+    def test_indistinguishable_from_three_poissons(self, theta):
+        area = make_area(lambda_star=17.0, xi_base=0.55, alpha=0.04)
+        days = event_days(make_scenario(areas=(area,)), range(100), 1_000, theta)
+        thinned = [tuple(column) for events in days for column in events.counts.T.tolist()]
+        rng = np.random.default_rng(2024)
+        xi = xi_of_theta(theta, area.xi_base)
+        direct = [scalar_reference.three_poisson_day(rng, area, xi)[:3] for _ in range(len(thinned))]
+        _, p_value, n_cells = two_sample_chisquare(thinned, direct)
+        assert n_cells > 20
+        assert p_value >= 0.001
 
 
 class TestSamplerEquivalence:

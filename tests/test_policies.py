@@ -25,9 +25,9 @@ PRIOR_WEIGHTS = [0.12, 0.12, 0.12, 0.08, 0.08, 0.28, 0.2]
 
 
 def append_incidents(history, incidents):
-    """Close a day whose incidents are (area, ahl) pairs, grouped per area; PHL = AHL."""
-    by_area = [[ahl for a, ahl in incidents if a == area] for area in range(history.n_areas)]
-    history.append_day([len(h) for h in by_area], by_area, by_area)
+    """Close a day whose incidents are (area, ahl) pairs, in log order by area; PHL = AHL."""
+    by_area = sorted(incidents, key=lambda incident: incident[0])
+    history.append_day([(a, ahl, ahl) for a, ahl in by_area])
 
 
 def history_with_incidents(n_areas, incident_days, current_day=None):
@@ -300,14 +300,14 @@ class TestObservableHistory:
         shape = (1, len(TYPE_IDS), 2)
         history = ObservableHistory(TYPE_IDS, np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
         assert history.current_day == 1
-        history.append_day([0, 0], [(), ()], [(), ()])
+        history.append_day([])
         assert len(history) == 1
         assert history.current_day == 2
 
-    def test_rows_in_area_then_draw_order(self):
+    def test_rows_logged_in_order_under_the_day(self):
         shape = (1, len(TYPE_IDS), 3)
         history = ObservableHistory(TYPE_IDS, np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
-        history.append_day((2, 0, 1), ([3, 1], (), [5]), ([4, 2], (), [5]))
+        history.append_day(np.array([(0, 3, 4), (0, 1, 2), (2, 5, 5)], dtype=np.int32))
         assert history.incidents.tolist() == [[1, 0, 3, 4], [1, 0, 1, 2], [1, 2, 5, 5]]
 
     def test_window_selection(self):

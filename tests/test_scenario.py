@@ -182,6 +182,21 @@ def _with_first_obs_type(scenario, **changes):
             "obs type 'WSO': m must be an integer, got '2'",
             id="text-m-skips-the-slot-bound",
         ),
+        pytest.param(
+            lambda s: replace(s, areas=[1]),
+            "scenario: areas must be a list of SafetyAreaConfig, got [1]",
+            id="int-in-areas",
+        ),
+        pytest.param(
+            lambda s: replace(s, areas=s.areas[0]),
+            f"scenario: areas must be a list of SafetyAreaConfig, got {load_case_study().areas[0]!r}",
+            id="one-area-not-in-a-list",
+        ),
+        pytest.param(
+            lambda s: replace(s, obs_types=None),
+            "scenario: obs_types must be a list of ObservationTypeConfig, got None",
+            id="no-obs-types",
+        ),
     ],
 )
 def test_scenario_built_in_code_checks_itself(case_study, build, violation):
@@ -254,6 +269,21 @@ def test_round_trip_of_non_default_fields():
     assert again == scenario
     assert again.delta_e == 0.05
     assert again.horizon_days == 10
+
+
+def test_round_trip_of_numpy_scalars(case_study):
+    # numbers built in code may be numpy scalars; they are written as Python numbers
+    area = replace(case_study.areas[0], lambda_star=np.float32(12.5), theta0=np.float64(0.25))
+    obs_type = replace(case_study.obs_types[0], m=np.int32(3), rho=np.int64(2))
+    scenario = replace(
+        case_study, areas=(area,) + case_study.areas[1:], obs_types=(obs_type,) + case_study.obs_types[1:],
+        horizon_days=np.int64(30), delta_e=np.float32(0.5),
+    )
+    text = serialize_scenario(scenario)
+    again = load_scenario(text)
+    assert again == scenario
+    assert serialize_scenario(again) == text
+    assert (again.horizon_days, again.obs_types[0].m, again.areas[0].lambda_star) == (30, 3, 12.5)
 
 
 def test_loaded_scenarios_pass_validation(case_study):
