@@ -1,7 +1,7 @@
 """Command-line front end: single runs, percentile tables, policy comparisons.
 
-Exit codes: 0 success, 1 runtime failure (e.g. unwritable output),
-2 usage or configuration error.
+Exit codes: 0 success, 1 runtime failure (e.g. unwritable output or a
+refused policy decision), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from pathlib import Path
 # summarize_trajectories is not called here; it is imported because the
 # benchmark's span tracer (bench/spans.py) wraps safesim.cli:summarize_trajectories.
 from .engine import HorizonError, run_ensemble, run_simulation, summarize_trajectories
+from .observation import ProportionError
 from .policies import FixedWeightsPolicy, Policy, PolicyError, make_policy, policy_names
 from .reports import (
     write_compare_csv,
@@ -188,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, PolicyError, HorizonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, ProportionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -10,12 +10,10 @@ its two children from root.spawn(2):
   block's potential tasks and their uniforms, in the order that
   events.EventBlocks states; no draw depends on theta or on the policy;
 - the observer stream, default_rng of the first child. Each day the
-  policy fields observers, it draws m + rho * m uniforms per observation
-  type, in config order: m to allocate the type's observers, then
-  rho * m for the recording urns of its cells (see
-  observation.step_observations). The count is fixed: it depends neither
-  on the day's events nor on the allocation. On a day without observers
-  (the none policy's every day) it draws nothing;
+  policy fields observers, observation.step_observations takes in the
+  decision and then draws the day's uniforms from it, in the count and
+  layout its docstring states. On a day without observers (the none
+  policy's every day) it draws nothing;
 - the policy stream, default_rng of the second child, handed to
   Policy.decide.
 
@@ -48,7 +46,7 @@ import numpy as np
 from .events import EventBlocks, step_events, xi_of_theta
 from .intervention import feedback_drive, step_theta
 from .metrics import compute_day_metrics
-from .observation import observer_draws, proportions_by_type, step_observations
+from .observation import step_observations
 from .policies import AHL, AREA, ObservableHistory, Policy
 from .scenario import N_HURT_LEVELS, Scenario
 
@@ -194,7 +192,6 @@ class Replications:
         )
         self.events = EventBlocks(scenario, [s.environment for s in self.streams])
         self.k_decay = [area.k_decay for area in scenario.areas] * n_reps
-        self.observer_draws = observer_draws(scenario)
 
 
 def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> np.ndarray:
@@ -219,14 +216,10 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
     for run, streams, columns, rows in zip(reps.runs, reps.streams, reps.columns, events.rows):
         decision = policy.decide(run.history, streams.policy)
         if decision is not None:
-            proportions = proportions_by_type(decision, scenario)
-            u = streams.observer.random(reps.observer_draws)
             step_observations(
-                u, scenario, n_pos[columns], n_neg[columns], proportions,
-                run.obs_pos[d], run.obs_neg[d],
+                decision, streams.observer, scenario, n_pos[columns], n_neg[columns],
+                run.proportions[d], run.obs_pos[d], run.obs_neg[d],
             )
-            for t, s in enumerate(proportions):
-                run.proportions[d, t] = s
         run.history.append_day(rows)
 
     # A replication without observers keeps its zero observed counts. Their

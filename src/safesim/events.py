@@ -134,9 +134,6 @@ class BatchEvents(NamedTuple):
     n_e: int
 
 
-NO_INCIDENTS = np.zeros((0, 3), dtype=np.int32)
-
-
 class EventBlocks:
     """The environment draws of a batch of replications, a block of days at a time.
 
@@ -243,8 +240,6 @@ class EventBlocks:
         counts[:2, columns] = found
         counts[2, columns] = block.tasks[b] - found[0] - found[1]
         lo, hi = block.incident_start[b : b + 2]
-        if lo == hi:
-            return [NO_INCIDENTS] * len(rngs)
         incidents = block.incidents[lo:hi][real[: hi - lo]]
         end = np.cumsum(found[0])[self.n_areas - 1 :: self.n_areas].tolist()
         return [incidents[s:e] for s, e in zip([0] + end[:-1], end)]

@@ -18,8 +18,9 @@ Wallenius' noncentral hypergeometric (Fog, Comm. Stat. Sim. Comp. 37(2),
 2008), and the central hypergeometric when eta_pos == eta_neg.
 select_observed draws that urn directly, one uniform per pick.
 
-Every function here is a deterministic map of the uniforms it is given; the
-engine draws them from the observer stream (see the engine docstring).
+step_observations takes in a replication's decision, then draws the day's
+uniforms from the observer stream it is handed; every other function here
+is a deterministic map of the uniforms it is given.
 """
 
 from __future__ import annotations
@@ -151,30 +152,33 @@ def select_observed(
 
 
 def step_observations(
-    u: np.ndarray,
+    decision: Mapping,
+    rng: np.random.Generator,
     scenario: Scenario,
     n_pos: Sequence[int],
     n_neg: Sequence[int],
-    proportions: Sequence[Sequence[float]],
+    proportions: np.ndarray,
     obs_pos: np.ndarray,
     obs_neg: np.ndarray,
 ) -> None:
-    """Run one day of the observation process over every type and area.
+    """Run one replication's observation day over every type and area.
 
-    n_pos and n_neg are the day's safe and unsafe activity counts per area,
-    and proportions holds one checked vector per obs type in config order,
-    as proportions_by_type returns them; nothing here refuses a decision.
-    u holds the day's observer_draws(scenario) uniforms: for each obs type
-    in config order, m allocation uniforms, then a block of rho * m urn
-    uniforms, sliced over the areas in area order, rho * q[a] for area a.
-    Each type draws its own urn, so the same event can be recorded by
-    several types but at most once per type. The recorded safe and unsafe
-    counts go into obs_pos and obs_neg, indexed [obs_type, area], which must
-    hold zeros: only the cells with observers and activity are written.
+    The decision is taken in first (proportions_by_type), so a refusal
+    raises before rng, the observer stream, draws. rng then draws the day's
+    observer_draws(scenario) uniforms, whatever the events and allocation:
+    per obs type in config order, m allocation uniforms, then rho * m urn
+    uniforms sliced over the areas in area order, rho * q[a] for area a.
+    Each type draws its own urn, so an event can be recorded by several
+    types but at most once per type. n_pos and n_neg are the day's safe and
+    unsafe activity counts per area. Each type's checked vector and recorded
+    counts go into proportions, obs_pos and obs_neg, indexed [obs_type,
+    area]; obs_pos and obs_neg must hold zeros: only the cells with
+    observers and activity are written.
     """
-    u = u.tolist()
+    checked = proportions_by_type(decision, scenario)
+    u = rng.random(observer_draws(scenario)).tolist()
     start = 0
-    for t_idx, (obs_type, s) in enumerate(zip(scenario.obs_types, proportions)):
+    for t_idx, (obs_type, s) in enumerate(zip(scenario.obs_types, checked)):
         m, rho, eta_pos, eta_neg = obs_type.m, obs_type.rho, obs_type.eta_pos, obs_type.eta_neg
         pos_row, neg_row = obs_pos[t_idx], obs_neg[t_idx]
         q = allocate_observers(u[start : start + m], s)
@@ -189,3 +193,4 @@ def step_observations(
                     u[start:end], n_pos[a_idx], n_neg[a_idx], capacity, eta_pos, eta_neg
                 )
             start = end
+        proportions[t_idx] = s

@@ -118,3 +118,26 @@ def test_windowed_run_reaches_the_traced_functions(monkeypatch, case_study, poli
     engine.run_simulation(case_study, make_policy(policy_name), seed=1, horizon=20)
     for owner, name in targets:
         assert calls[f"{owner.__name__}.{name}"] > 0, f"{owner.__name__}.{name}"
+
+
+def test_decision_intake_runs_inside_the_traced_observation_call(monkeypatch, case_study):
+    # bench/spans.py traces engine.step_observations as the observation
+    # layer: the intake's time must fall inside that span, not the engine's.
+    active, intakes = [], []
+    traced, intake = engine.step_observations, observation.proportions_by_type
+
+    def traced_step(*args, **kwargs):
+        active.append(True)
+        try:
+            return traced(*args, **kwargs)
+        finally:
+            active.pop()
+
+    def counted_intake(*args, **kwargs):
+        intakes.append(bool(active))
+        return intake(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "step_observations", traced_step)
+    monkeypatch.setattr(observation, "proportions_by_type", counted_intake)
+    engine.run_simulation(case_study, make_policy("counts"), seed=1, horizon=20)
+    assert intakes and all(intakes)

@@ -17,10 +17,10 @@ from conftest import (
     make_obs_type,
     make_scenario,
 )
-from safesim import cli
+from safesim import cli, policies
 from safesim.cli import main
 from safesim.engine import run_ensemble, run_simulation
-from safesim.policies import make_policy
+from safesim.policies import Policy, make_policy
 from safesim.reports import fmt, write_compare_csv, write_trajectory_csv
 from safesim.scenario import case_study_path
 
@@ -35,6 +35,16 @@ def read_csv(path):
 def read_columns(path):
     header, *rows = read_csv(path)
     return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+
+
+class RefusedFromDay3(Policy):
+    """Uniform observers on days 1 and 2, then 0.5 for every area: 3.5 in all on the case study."""
+
+    name = "bad"
+
+    def decide(self, history, rng):
+        share = 0.5 if history.current_day >= 3 else 1 / history.n_areas
+        return dict.fromkeys(history.obs_type_ids, np.full(history.n_areas, share))
 
 
 class TestFmt:
@@ -306,6 +316,15 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
         assert (tmp_path / "file").read_text() == "x"
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_decision_refused_mid_run_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setitem(policies._REGISTRY, "bad", RefusedFromDay3)
+        out = tmp_path / "out"
+        argv = [command, "--scenario", SCENARIO, "--policy", "bad", "--horizon", "5", "--out-dir", str(out)]
+        assert main(argv + (["--reps", "2"] if command == "compare" else [])) == 1
+        assert capsys.readouterr().err == "error: proportions must sum to 1, got 3.5\n"
+        assert not out.exists()
 
 
 class TestTable2Command:

@@ -18,6 +18,7 @@ from safesim.events import (
     xi_of_theta,
 )
 from safesim.intervention import step_theta
+from safesim.policies import ObservableHistory
 from safesim.scenario import ScenarioArrays
 from stat_utils import two_sample_chisquare
 
@@ -332,6 +333,21 @@ class TestStepEvents:
             for r, rows in enumerate(events.rows):
                 n_e = events.counts[0, 2 * r : 2 * r + 2]
                 assert rows[:, AREA].tolist() == [0] * n_e[0] + [1] * n_e[1]
+
+    def test_day_without_potential_incidents_gives_empty_rows(self):
+        # alpha = 0: no potential incident on any day, only unsafe and safe tasks
+        areas = (make_area("A", alpha=0.0), make_area("B", alpha=0.0))
+        scenario = make_scenario(areas=areas)
+        histories = [ObservableHistory((), *np.zeros((2, 40, 0, 2), dtype=np.int32)) for _ in range(3)]
+        days = event_days(scenario, [1, 2, 3], 40, theta=0.2)
+        assert sum(int(events.counts[1].sum()) for events in days) > 0
+        for d, events in enumerate(days):
+            assert events.n_e == 0 and len(events.rows) == 3
+            for history, rows in zip(histories, events.rows):
+                assert rows.shape == (0, 3) and rows.dtype == np.int32
+                history.append_day(rows)
+                assert len(history) == d + 1
+                assert history.incidents.shape == (0, 4)
 
     def test_mean_incidents_match_analytic_at_fixed_theta(self):
         # oracle: analytic mean alpha * xi * lambda at theta = 0.3, over 100 x 1,000 days

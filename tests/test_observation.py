@@ -22,21 +22,18 @@ from safesim.observation import (
 from safesim.scenario import PROB_TOL
 
 
-def observe_into(u, scenario, n_pos, n_neg, decision):
-    """step_observations writing into zero (types, areas) arrays; returns them."""
-    shape = (len(scenario.obs_types), scenario.n_areas)
-    obs_pos, obs_neg = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
-    proportions = proportions_by_type(decision, scenario)
-    step_observations(u, scenario, n_pos, n_neg, proportions, obs_pos, obs_neg)
-    return obs_pos, obs_neg
-
-
 def observe(rng, scenario, activity, decision):
-    """step_observations on one (n_pos, n_neg) activity pair per area."""
+    """step_observations on one (n_pos, n_neg) activity pair per area, into
+    zero counts and a NaN proportions row shaped (types, areas)."""
     n_pos, n_neg = (list(counts) for counts in zip(*activity))
-    u = rng.random(observer_draws(scenario))
-    obs_pos, obs_neg = observe_into(u, scenario, n_pos, n_neg, decision)
-    return SimpleNamespace(obs_pos=obs_pos, obs_neg=obs_neg)
+    shape = (len(scenario.obs_types), scenario.n_areas)
+    out = SimpleNamespace(
+        obs_pos=np.zeros(shape, dtype=int),
+        obs_neg=np.zeros(shape, dtype=int),
+        proportions=np.full(shape, np.nan),
+    )
+    step_observations(decision, rng, scenario, n_pos, n_neg, out.proportions, out.obs_pos, out.obs_neg)
+    return out
 
 
 class TestAllocateObservers:
@@ -365,12 +362,11 @@ class TestStepObservations:
         scenario = make_scenario(areas=areas, obs_types=types)
         evs = [(9, 4), (0, 0), (12, 7)]
         decision = {"T1": np.array([0.5, 0.2, 0.3]), "T2": np.array([0.1, 0.4, 0.5])}
-        rng = np.random.default_rng(41)
+        rng, twin = np.random.default_rng(41), np.random.default_rng(41)
         for _ in range(50):
-            u = rng.random(observer_draws(scenario))
-            obs_pos, obs_neg = observe_into(
-                u, scenario, [p for p, _ in evs], [n for _, n in evs], decision
-            )
+            out = observe(rng, scenario, evs, decision)
+            obs_pos, obs_neg = out.obs_pos, out.obs_neg
+            u = twin.random(observer_draws(scenario))
             start = 0
             for t_idx, obs in enumerate(types):
                 q = np.asarray(allocate_observers(u[start : start + obs.m], decision[obs.id]))
@@ -405,10 +401,36 @@ class TestStepObservations:
         with pytest.raises(ProportionError, match="sum to 1"):
             observe(rng, scenario, [(1, 1), (1, 1)], decision)
 
+    @pytest.mark.parametrize(
+        "decision,message",
+        [
+            ([0.5, 0.5], "got list"),
+            ({"WSO": [0.5, 0.5], "BPO": [0.5, 0.5]}, "observation type 'SAO'"),
+            ({"WSO": [0.5, 0.5], "SAO": [0.5, 0.5], "BPO": [0.7, 0.7]}, "sum to 1"),
+        ],
+        ids=["bare-vector", "missing-type", "bad-last-vector"],
+    )
+    def test_refused_decision_draws_and_writes_nothing(self, decision, message):
+        scenario = self.scenario_3x2()
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        obs_pos, obs_neg = np.zeros((2, 3, 2), dtype=int)
+        proportions = np.full((3, 2), np.nan)
+        with pytest.raises(ProportionError, match=message):
+            step_observations(decision, rng, scenario, [4, 4], [4, 4], proportions, obs_pos, obs_neg)
+        assert rng.bit_generator.state == state
+        assert not obs_pos.any() and not obs_neg.any() and np.isnan(proportions).all()
+
+    def test_checked_vectors_written_type_by_type(self):
+        scenario = self.scenario_3x2()
+        decision = {"WSO": [0.25, 0.75], "SAO": np.array([1.0, 0.0]), "BPO": (0.5, 0.5)}
+        out = observe(np.random.default_rng(2), scenario, [(3, 1), (2, 2)], decision)
+        assert out.proportions.tolist() == [[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]]
+
 
 @st.composite
 def observation_days(draw):
-    """(scenario, uniforms, n_pos, n_neg, decision): 1-24 areas, up to 3
+    """(scenario, observer seed, n_pos, n_neg, decision): 1-24 areas, up to 3
     types (m = 0 included), some areas without activity, and each type's
     vector either shared with the types before it or its own."""
     n_areas = draw(st.integers(1, 24))
@@ -430,15 +452,16 @@ def observation_days(draw):
     decision = {t.id: shared if draw(st.booleans()) else draw(vectors) for t in obs_types}
     pools = st.one_of(st.just((0, 0)), st.tuples(st.integers(0, 30), st.integers(0, 30)))
     n_pos, n_neg = map(list, zip(*draw(st.lists(pools, min_size=n_areas, max_size=n_areas))))
-    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(observer_draws(scenario))
-    return scenario, u, n_pos, n_neg, decision
+    seed = draw(st.integers(0, 2**32 - 1))
+    return scenario, seed, n_pos, n_neg, decision
 
 
 class TestStepObservationsMatchesListOracle:
     @settings(deadline=None, max_examples=300)
     @given(observation_days())
     def test_same_counts_written_in_place(self, day):
-        scenario, u, n_pos, n_neg, decision = day
+        scenario, seed, n_pos, n_neg, decision = day
+        u = np.random.default_rng(seed).random(observer_draws(scenario))
         expected_pos, expected_neg = scalar_reference.step_observations(
             u, scenario, n_pos, n_neg, decision
         )
@@ -446,12 +469,14 @@ class TestStepObservationsMatchesListOracle:
         n_types, n_areas = expected_pos.shape
         batch_pos, batch_neg = np.zeros((2, n_types, 3 * n_areas), dtype=int)
         columns = slice(n_areas, 2 * n_areas)
-        proportions = proportions_by_type(decision, scenario)
+        proportions = np.full((n_types, n_areas), np.nan)
         step_observations(
-            u, scenario, n_pos, n_neg, proportions, batch_pos[:, columns], batch_neg[:, columns]
+            decision, np.random.default_rng(seed), scenario, n_pos, n_neg, proportions,
+            batch_pos[:, columns], batch_neg[:, columns],
         )
         assert np.array_equal(batch_pos[:, columns], expected_pos)
         assert np.array_equal(batch_neg[:, columns], expected_neg)
+        assert proportions.tolist() == proportions_by_type(decision, scenario)
         batch_pos[:, columns] = batch_neg[:, columns] = 0
         assert not batch_pos.any() and not batch_neg.any()
 
