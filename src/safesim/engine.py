@@ -115,7 +115,7 @@ class Trajectory:
 
     @property
     def xi(self) -> np.ndarray:
-        """The unsafe fraction per day and area: step_day's operation on theta, same bits."""
+        """The unsafe fraction per day and area: the metrics' operation on theta, same bits."""
         return xi_of_theta(self.theta, self.scenario.arrays.xi_base)
 
     @property
@@ -156,7 +156,7 @@ class Replications:
         except OverflowError:  # a range of seeds longer than an index can count
             raise HorizonError(f"more than {np.iinfo(np.intp).max} {too_big}") from None
         if n_reps < 1:
-            raise ValueError("at least one seed is required")
+            raise ValueError(f"n_reps must be >= 1, got {n_reps} seeds")
         too_long = f"horizon of {horizon} days is too long to preallocate"
         if horizon > MAX_HORIZON:
             raise HorizonError(f"{too_long}: days are int32, at most {MAX_HORIZON}")
@@ -300,9 +300,12 @@ def spread(values: np.ndarray) -> np.ndarray:
 
 
 def summarize_trajectories(trajectories: list[Trajectory], base_seed: int) -> EnsembleSummary:
-    """Aggregate replications (in seed order) into an EnsembleSummary."""
+    """Aggregate replications of one policy, scenario and horizon, in seed order, into a summary."""
     if not trajectories:
         raise ValueError("at least one trajectory is required")
+    for field in ("policy_name", "scenario", "horizon"):
+        if any(getattr(t, field) != getattr(trajectories[0], field) for t in trajectories):
+            raise ValueError(f"trajectories of one ensemble must share their {field}")
     trajectories = sorted(trajectories, key=lambda t: t.seed)
     scenario = trajectories[0].scenario
     loss = np.stack([t.expected_loss for t in trajectories])
@@ -339,7 +342,5 @@ def run_ensemble(
     Replications are independent; the summary depends only on the set of
     seeded runs, not on the order they execute in.
     """
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     seeds = range(base_seed, base_seed + n_reps)
     return summarize_trajectories(run_replications(scenario, policy, seeds, horizon), base_seed)

@@ -100,27 +100,6 @@ def hurt_levels(hl_sums: np.ndarray, rows: np.ndarray, level: int, u: np.ndarray
         chunk[:, level] = (sums[:, :TOP] <= scaled[:, None]).sum(axis=1)
 
 
-class Block(NamedTuple):
-    """One group's draws for the days of a block, day by day.
-
-    Day b's potential tasks are u[task_start[b]:task_start[b + 1]]: first its
-    potential incidents, then its potential unsafe tasks, each in
-    replication, area and draw order. key holds each task's kind and column
-    (a replication-area of the group): the column for an incident, the
-    group's column count plus the column for an unsafe task. incidents holds
-    the potential incidents' rows (AREA, AHL, PHL) in the same order, day b's
-    at incident_start[b]:incident_start[b + 1]. tasks[b] is day b's count of all
-    tasks per column, potential and safe.
-    """
-
-    u: np.ndarray
-    key: np.ndarray
-    incidents: np.ndarray
-    tasks: np.ndarray
-    task_start: list[int]
-    incident_start: list[int]
-
-
 class BatchEvents(NamedTuple):
     """The day's events of every replication of a batch.
 
@@ -153,24 +132,35 @@ class EventBlocks:
     full, so a shorter run is a prefix of a longer one. B depends on the
     scenario alone, so a replication draws the same in any batch.
 
-    A group's block is dropped after its last day. Where one day has more
-    than BLOCK_TASKS potential tasks, B is 1, each group is one replication,
-    and the draws held at once are one replication's day, whatever the
-    number of replications.
+    groups[g] holds a group's generators and its slice of the batch's
+    columns, and held[g] its block's days not yet classified: a group's
+    block is dropped after its last day. Where one day has more than
+    BLOCK_TASKS potential tasks, B is 1, each group is one replication, and
+    the draws held at once are one replication's day, whatever the number
+    of replications.
     """
 
     def __init__(self, scenario: Scenario, rngs: list[np.random.Generator]):
         self.arrays = scenario.arrays
-        self.n_areas = scenario.n_areas
+        self.n_areas = n_areas = scenario.n_areas
         self.days = block_days(scenario)
         self.lambda_star = np.broadcast_to(self.arrays.lambda_star, (self.days, self.n_areas))
         size = max(GROUP_TASKS // (self.days * potential_tasks_per_day(scenario)), 1)
-        self.group_size = size
-        self.groups = [rngs[start : start + size] for start in range(0, len(rngs), size)]
-        self.held: list[Block | None] = [None] * len(self.groups)
+        starts = range(0, len(rngs), size)
+        self.groups = [(rngs[s : s + size], slice(s * n_areas, (s + size) * n_areas)) for s in starts]
+        self.held: list[list[tuple]] = [[] for _ in self.groups]
 
-    def draw(self, rngs: list[np.random.Generator]) -> Block:
-        """Draw a group's next block; see the class docstring for the order."""
+    def draw(self, rngs: list[np.random.Generator]) -> list[tuple]:
+        """Draw a group's next block in the class docstring's order; returns its B days in order.
+
+        Day b is (u, key, incidents, tasks). u holds its potential tasks'
+        uniforms, first its potential incidents', then its potential unsafe
+        tasks', each in replication, area and draw order. key holds each
+        task's column (a replication-area of the group), plus the group's
+        column count for an unsafe task; incidents the potential incidents'
+        rows (AREA, AHL, PHL) in u's order; tasks the day's count of all
+        tasks per column, potential and safe. Each is a view of the block's arrays.
+        """
         arrays, n_days, n_areas = self.arrays, self.days, self.n_areas
         means = (self.lambda_star, arrays.xi_base, arrays.alpha)
         counts = np.array([sample_event_counts(rng, *means) for rng in rngs])  # (reps, 3, days, areas)
@@ -208,39 +198,30 @@ class EventBlocks:
             del order
         per_day = by_day.reshape(n_days, 2, n_columns).sum(axis=2)
         tasks = counts.sum(axis=1).transpose(1, 0, 2).reshape(n_days, n_columns)
-        return Block(
-            u,
-            key,
-            incidents,
-            tasks,
-            [0] + np.cumsum(per_day.sum(axis=1)).tolist(),
-            [0] + np.cumsum(per_day[:, 0]).tolist(),
-        )
+        task_end = np.cumsum(per_day.sum(axis=1)).tolist()
+        incident_end = np.cumsum(per_day[:, 0]).tolist()
+        bounds = zip([0] + task_end, task_end, [0] + incident_end, incident_end, tasks)
+        return [(u[lo:hi], key[lo:hi], incidents[i:j], day) for lo, hi, i, j, day in bounds]
 
     def classify(self, g: int, d: int, keep: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
         """Classify group g's day d into counts; returns its replications' incident rows.
 
         keep is 1 - theta per column of the batch, and counts the day's
         (n_e, n_neg, n_pos) per column of the batch, of which the group's
-        columns are written. The group's block is drawn on its first day and
-        dropped after its last, before the next group's is drawn.
+        columns are written. The group's block is drawn on its first day,
+        and each day is popped from held[g] before the next group's is drawn.
         """
-        b = d % self.days
-        rngs = self.groups[g]
-        block = self.draw(rngs) if b == 0 else self.held[g]
-        self.held[g] = block if b < self.days - 1 else None
+        rngs, columns = self.groups[g]
+        if d % self.days == 0:
+            self.held[g] = self.draw(rngs)
+        u, key, incidents, tasks = self.held[g].pop(0)
         n_columns = len(rngs) * self.n_areas
-        first = g * self.group_size * self.n_areas
-        columns = slice(first, first + n_columns)
-        lo, hi = block.task_start[b : b + 2]
-        key = block.key[lo:hi]
         threshold = keep[columns]
-        real = block.u[lo:hi] < np.concatenate((threshold, threshold))[key]
+        real = u < np.concatenate((threshold, threshold))[key]
         found = np.bincount(key[real], minlength=2 * n_columns).reshape(2, n_columns)
         counts[:2, columns] = found
-        counts[2, columns] = block.tasks[b] - found[0] - found[1]
-        lo, hi = block.incident_start[b : b + 2]
-        incidents = block.incidents[lo:hi][real[: hi - lo]]
+        counts[2, columns] = tasks - found[0] - found[1]
+        incidents = incidents[real[: len(incidents)]]
         end = np.cumsum(found[0])[self.n_areas - 1 :: self.n_areas].tolist()
         return [incidents[s:e] for s, e in zip([0] + end[:-1], end)]
 

@@ -579,6 +579,31 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="n_reps"):
             run_ensemble(case_study, make_policy("none"), 0, base_seed=1)
 
+    @pytest.mark.parametrize("n_reps", [0, -3])
+    def test_replications_refuse_an_empty_seed_range(self, case_study, n_reps):
+        # run_ensemble passes range(base_seed, base_seed + n_reps) on, and
+        # Replications, the one refusal point, names the count of seeds it got
+        with pytest.raises(ValueError, match="n_reps must be >= 1, got 0 seeds"):
+            run_ensemble(case_study, make_policy("none"), n_reps, base_seed=1, horizon=5)
+
+    def test_summary_of_no_trajectories_refused(self):
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            summarize_trajectories([], base_seed=1)
+
+    @pytest.mark.parametrize("field, second", [
+        ("policy_name", {"policy": "counts"}),
+        ("scenario", {"delta_e": 0.5}),
+        ("horizon", {"horizon": 6}),
+    ])
+    def test_summary_of_a_mix_refused(self, case_study, field, second):
+        # each run builds its own scenario, so runs of equal scenarios mix
+        def run(seed, policy="uniform", delta_e=case_study.delta_e, horizon=5):
+            return run_simulation(replace(case_study, delta_e=delta_e), make_policy(policy), seed, horizon)
+
+        summarize_trajectories([run(0), run(1)], base_seed=0)
+        with pytest.raises(ValueError, match=f"share their {field}"):
+            summarize_trajectories([run(0), run(1, **second)], base_seed=0)
+
     def test_results_compare_and_hash_by_identity(self, case_study):
         # their fields are arrays, whose == is elementwise and has no truth value
         summaries = [run_ensemble(case_study, make_policy("none"), 2, base_seed=1, horizon=3)

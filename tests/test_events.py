@@ -8,6 +8,7 @@ from conftest import make_area, make_scenario
 from safesim.events import (
     AHL,
     AREA,
+    BLOCK_TASKS,
     HURT_CHUNK,
     PHL,
     DegenerateHurtDistribution,
@@ -377,6 +378,28 @@ class TestStepEvents:
             tracemalloc.stop()
         assert events.n_e >= 4 * HURT_CHUNK
         assert peak - kept < 64 * events.n_e
+
+
+class TestHeldDays:
+    """A group holds the days of its block not yet classified, and nothing after the last."""
+
+    def test_one_day_blocks_hold_nothing(self):
+        # a day's mean potential tasks above BLOCK_TASKS makes B = 1
+        area = make_area(lambda_star=BLOCK_TASKS + 1.0, xi_base=1.0, alpha=0.001)
+        blocks = EventBlocks(make_scenario(areas=(area,)), [np.random.default_rng(s) for s in (1, 2)])
+        assert blocks.days == 1 and len(blocks.groups) == 2
+        for d in range(3):
+            step_events(blocks, d, np.full(2, 0.5))
+            assert blocks.held == [[], []]
+
+    def test_groups_hold_the_rest_of_their_block(self, case_study, monkeypatch):
+        monkeypatch.setattr("safesim.events.GROUP_TASKS", 1)  # one replication a group
+        blocks = EventBlocks(case_study, [np.random.default_rng(s) for s in (3, 4, 5)])
+        n_days = blocks.days
+        assert n_days == 32 and len(blocks.groups) == 3
+        for d in range(2 * n_days + 3):
+            step_events(blocks, d, np.full(3 * case_study.n_areas, 0.5))
+            assert [len(days) for days in blocks.held] == [n_days - 1 - d % n_days] * 3
 
 
 class TestThinnedCounts:
