@@ -43,11 +43,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .events import EventBlocks, step_events, xi_of_theta
+from .events import AHL, AREA, EventBlocks, step_events, xi_of_theta
 from .intervention import feedback_drive, step_theta
 from .metrics import compute_day_metrics
 from .observation import step_observations
-from .policies import AHL, AREA, ObservableHistory, Policy
+from .policies import ObservableHistory, Policy
 from .scenario import N_HURT_LEVELS, Scenario
 
 
@@ -120,7 +120,7 @@ class Trajectory:
 
     @property
     def incidents(self) -> np.ndarray:
-        """Day-sorted int32 incident log; columns DAY, AREA, AHL, PHL (see policies)."""
+        """Day-sorted int32 incident log; columns DAY, AREA, AHL, PHL (see events)."""
         return self.history.incidents
 
     def incident_totals(self) -> np.ndarray:
@@ -220,7 +220,7 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
                 decision, streams.observer, scenario, n_pos[columns], n_neg[columns],
                 run.proportions[d], run.obs_pos[d], run.obs_neg[d],
             )
-        run.history.append_day(rows)
+        run.history._append_day(rows)
 
     # A replication without observers keeps its zero observed counts. Their
     # terms add up to 0.0, and 0.0 + x is x, so its drive has the bits of

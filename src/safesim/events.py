@@ -30,7 +30,7 @@ class DegenerateHurtDistribution(ValueError):
 
 HURT_CHUNK = 1 << 16  # incidents whose Hurt levels hurt_levels maps at once
 TOP = N_HURT_LEVELS - 1  # the highest Hurt level
-AREA, AHL, PHL = range(3)  # columns of an incident row: the incident log's without its day
+DAY, AREA, AHL, PHL = range(4)  # columns of an incident row, the incident log's
 
 # B, the days a block draws, is BLOCK_TASKS // a day's mean potential tasks,
 # within [1, MAX_BLOCK_DAYS]: the stream contract fixes both. Replications
@@ -104,7 +104,7 @@ class BatchEvents(NamedTuple):
     """The day's events of every replication of a batch.
 
     counts holds the per-column counts n_e, n_neg and n_pos, shaped (3,
-    columns). rows[r] holds replication r's incident rows (AREA, AHL, PHL),
+    columns). rows[r] holds replication r's log rows (DAY, AREA, AHL, PHL),
     area by area in draw order. n_e is the day's incidents over the batch.
     """
 
@@ -158,8 +158,8 @@ class EventBlocks:
         tasks', each in replication, area and draw order. key holds each
         task's column (a replication-area of the group), plus the group's
         column count for an unsafe task; incidents the potential incidents'
-        rows (AREA, AHL, PHL) in u's order; tasks the day's count of all
-        tasks per column, potential and safe. Each is a view of the block's arrays.
+        rows in u's order, their DAY left to classify; tasks the day's count of
+        all tasks per column, potential and safe. Each is a view of the block's arrays.
         """
         arrays, n_days, n_areas = self.arrays, self.days, self.n_areas
         means = (self.lambda_star, arrays.xi_base, arrays.alpha)
@@ -170,7 +170,7 @@ class EventBlocks:
         spans = list(zip([0] + end[:-1], end))
         n_incidents = end[len(rngs) - 1]
         u = np.empty(end[-1])
-        incidents = np.empty((n_incidents, 3), dtype=np.int32)
+        incidents = np.empty((n_incidents, 4), dtype=np.int32)
         areas = np.tile(np.arange(n_areas, dtype=np.int32), len(rngs) * n_days)
         incidents[:, AREA] = np.repeat(areas, cells[0].ravel())
         hurt = np.empty(n_incidents)
@@ -208,8 +208,9 @@ class EventBlocks:
 
         keep is 1 - theta per column of the batch, and counts the day's
         (n_e, n_neg, n_pos) per column of the batch, of which the group's
-        columns are written. The group's block is drawn on its first day,
-        and each day is popped from held[g] before the next group's is drawn.
+        columns are written. The rows are copies of the day's real potential
+        incidents, given DAY d + 1. The group's block is drawn on its first
+        day, and each day is popped from held[g] before the next group's is drawn.
         """
         rngs, columns = self.groups[g]
         if d % self.days == 0:
@@ -222,6 +223,7 @@ class EventBlocks:
         counts[:2, columns] = found
         counts[2, columns] = tasks - found[0] - found[1]
         incidents = incidents[real[: len(incidents)]]
+        incidents[:, DAY] = d + 1
         end = np.cumsum(found[0])[self.n_areas - 1 :: self.n_areas].tolist()
         return [incidents[s:e] for s, e in zip([0] + end[:-1], end)]
 

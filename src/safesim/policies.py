@@ -14,6 +14,7 @@ import numbers
 
 import numpy as np
 
+from .events import AHL, AREA, DAY, PHL  # the incident log's columns, importable from here too
 from .observation import ProportionError, check_proportions
 
 DEFAULT_WINDOW_DAYS = 30
@@ -31,10 +32,6 @@ def _check_window(window_days) -> int:
     return int(window_days)
 
 
-# Columns of the incident log: one row per incident, rows sorted by day.
-DAY, AREA, AHL, PHL = range(4)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
@@ -50,7 +47,7 @@ class ObservableHistory:
     whose shape the history reads the areas and the horizon. The incident
     log is int32 (16 B an incident) and indexed like a CSR matrix: the rows
     of day t are log[day_end[t - 1]:day_end[t]]. The engine closes each day
-    with append_day after the day's decision, so while deciding day t a
+    with _append_day after the day's decision, so while deciding day t a
     policy sees days 1..t-1, and a window query costs O(window), not O(days).
     Every array handed out is a read-only view, so a policy cannot alter
     the run's record.
@@ -78,11 +75,12 @@ class ObservableHistory:
         """The incident log of all closed days; columns DAY, AREA, AHL, PHL."""
         return _read_only(self._log[: self._n_rows])
 
-    def append_day(self, rows) -> None:
-        """Close the current day: log its incidents.
+    def _append_day(self, rows: np.ndarray) -> None:
+        """Close the current day: log its incidents. The engine alone calls it.
 
-        rows holds one (AREA, AHL, PHL) row per incident, in log order: area
-        by area and, within an area, in draw order, as step_events gives them.
+        rows holds the day's log rows (DAY = current_day), shaped (incidents,
+        4), in log order: area by area and, within an area, in draw order, as
+        step_events gives them.
         """
         start = self._n_rows
         end = start + len(rows)
@@ -90,9 +88,7 @@ class ObservableHistory:
             grown = np.zeros((max(end, 2 * len(self._log)), 4), dtype=self._log.dtype)
             grown[:start] = self._log[:start]
             self._log = grown
-        if end > start:
-            self._log[start:end, DAY] = self.current_day
-            self._log[start:end, AREA:] = rows
+        self._log[start:end] = rows
         self._n_days += 1
         self._day_end[self._n_days] = self._n_rows = end
 

@@ -58,12 +58,24 @@ class TestStepDay:
         assert np.all(np.diff(days) >= 0) and np.all((days >= 1) & (days <= 10))
         assert np.array_equal(np.bincount(days, minlength=11)[1:], trajectory.n_e.sum(axis=1))
 
+    @pytest.mark.parametrize("policy", ["none", "uniform"])
+    def test_log_counts_each_day_and_area(self, case_study, policy):
+        # 70 days are three blocks of the case study's 32; the log's DAY and
+        # AREA columns, counted together, give back each replication's n_e
+        horizon, n_areas = 70, case_study.n_areas
+        assert block_days(case_study) == 32
+        for run in run_replications(case_study, make_policy(policy), [7, 8, 9], horizon):
+            cells = (run.incidents[:, DAY] - 1) * n_areas + run.incidents[:, AREA]
+            counts = np.bincount(cells, minlength=horizon * n_areas).reshape(horizon, n_areas)
+            assert run.n_e.sum() > 0
+            assert np.array_equal(counts, run.n_e)
 
     def test_memory_of_a_day_of_many_incidents(self):
         # one area at xi = alpha = 1, about 4.1 * HURT_CHUNK incidents. Beyond the
         # int32 log it keeps (16 B an incident), the day holds its block's draws
-        # and Hurt levels, dropped after its only day, and the day's rows, not a
-        # list of the whole day's incidents and then a slice of it per replication
+        # and Hurt levels, dropped after its only day, and the day's rows (16 B
+        # an incident, which the log copies whole), not a list of the whole
+        # day's incidents and then a slice of it per replication
         area = make_area(lambda_star=4.1 * HURT_CHUNK, xi_base=1.0, alpha=1.0, theta0=0.0)
         reps = Replications(make_scenario(areas=(area,)), "none", seeds=[1], horizon=1)
         tracemalloc.start()

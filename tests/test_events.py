@@ -36,7 +36,7 @@ def hl_sums(hl_probs) -> np.ndarray:
 def levels(hl_probs, uniforms) -> tuple[list[int], list[int]]:
     """hurt_levels' (AHL, PHL) lists for incidents of one area with the given (2, n) uniforms."""
     u_ahl, u_phl = np.asarray(uniforms, dtype=float).reshape(2, -1)
-    rows = np.zeros((len(u_ahl), 3), dtype=np.int32)
+    rows = np.zeros((len(u_ahl), 4), dtype=np.int32)
     sums = hl_sums(hl_probs)[None]
     hurt_levels(sums, rows, AHL, u_ahl)
     hurt_levels(sums, rows, PHL, u_phl)
@@ -69,7 +69,7 @@ def as_lists(events, r: int = 0, n_areas: int = 1) -> tuple:
     """Replication r's day from step_events, as PerTaskEnvironment.day returns it."""
     columns = slice(r * n_areas, (r + 1) * n_areas)
     counts = events.counts[:, columns].tolist()
-    return (*counts, [tuple(row) for row in events.rows[r].tolist()])
+    return (*counts, [tuple(row[AREA:]) for row in events.rows[r].tolist()])
 
 
 def event_days(scenario, seeds, n_days: int, theta: float):
@@ -345,8 +345,8 @@ class TestStepEvents:
         for d, events in enumerate(days):
             assert events.n_e == 0 and len(events.rows) == 3
             for history, rows in zip(histories, events.rows):
-                assert rows.shape == (0, 3) and rows.dtype == np.int32
-                history.append_day(rows)
+                assert rows.shape == (0, 4) and rows.dtype == np.int32
+                history._append_day(rows)
                 assert len(history) == d + 1
                 assert history.incidents.shape == (0, 4)
 
@@ -364,7 +364,7 @@ class TestStepEvents:
 
     def test_many_incidents_are_mapped_a_chunk_at_a_time(self):
         # alpha = xi = 1 makes every task an incident. Beyond the rows it
-        # returns (12 B an incident), the day holds its block (thinning
+        # returns (16 B an incident), the day holds its block (thinning
         # uniforms, keys and rows, 28 B an incident), the block's severity
         # uniforms (8 B) and one chunk of the mapping's temporaries.
         # Mapping all incidents at once would take over 100 B an incident.

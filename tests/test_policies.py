@@ -27,7 +27,8 @@ PRIOR_WEIGHTS = [0.12, 0.12, 0.12, 0.08, 0.08, 0.28, 0.2]
 def append_incidents(history, incidents):
     """Close a day whose incidents are (area, ahl) pairs, in log order by area; PHL = AHL."""
     by_area = sorted(incidents, key=lambda incident: incident[0])
-    history.append_day([(a, ahl, ahl) for a, ahl in by_area])
+    rows = [(history.current_day, a, ahl, ahl) for a, ahl in by_area]
+    history._append_day(np.array(rows, dtype=np.int32).reshape(-1, 4))
 
 
 def history_with_incidents(n_areas, incident_days, current_day=None):
@@ -300,14 +301,14 @@ class TestObservableHistory:
         shape = (1, len(TYPE_IDS), 2)
         history = ObservableHistory(TYPE_IDS, np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
         assert history.current_day == 1
-        history.append_day([])
+        history._append_day(np.empty((0, 4), dtype=np.int32))
         assert len(history) == 1
         assert history.current_day == 2
 
     def test_rows_logged_in_order_under_the_day(self):
         shape = (1, len(TYPE_IDS), 3)
         history = ObservableHistory(TYPE_IDS, np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
-        history.append_day(np.array([(0, 3, 4), (0, 1, 2), (2, 5, 5)], dtype=np.int32))
+        history._append_day(np.array([(1, 0, 3, 4), (1, 0, 1, 2), (1, 2, 5, 5)], dtype=np.int32))
         assert history.incidents.tolist() == [[1, 0, 3, 4], [1, 0, 1, 2], [1, 2, 5, 5]]
 
     def test_window_selection(self):
@@ -323,6 +324,17 @@ class TestObservableHistory:
                 rows[..., 0] += 1
         assert history.incidents.tolist() == [[1, 0, 1, 1]]
         assert history.obs_pos.sum() == history.obs_neg.sum() == 0
+
+    def test_public_members_only_read(self):
+        # the day's writer is the engine's alone: a policy that closed a day
+        # itself would log its own rows and shift every later day by one
+        history = history_with_incidents(2, {1: [(0, 1)]}, current_day=2)
+        readers = {
+            "window", "incident_counts", "max_ahl", "incidents", "current_day",
+            "obs_pos", "obs_neg", "obs_type_ids", "n_areas",
+        }
+        assert {name for name in dir(history) if not name.startswith("_")} == readers
+        assert len(history) == 1
 
 
 @st.composite
