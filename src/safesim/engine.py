@@ -82,8 +82,8 @@ class Trajectory:
     """One replication as per-run arrays; row d of each array is day d + 1.
 
     theta is the start-of-day safety state, shaped (days, areas) like the
-    int32 event counts n_e, n_neg and n_pos; xi, the unsafe fraction it
-    drives, is not stored but computed from theta on each read.
+    int32 event counts n_e, n_neg and n_pos (views of Replications.counts);
+    xi, the unsafe fraction it drives, is not stored but computed on each read.
     obs_pos and obs_neg are the recorded safe and unsafe counts (int32) and
     proportions the policy's decision, all shaped (days, obs_types, areas);
     the counts are 0 and the proportions NaN on days without observers.
@@ -136,14 +136,14 @@ class Replications:
     The per-run arrays of Trajectory are held here for every replication at
     once, one row per day, so that a day's writes are contiguous rows.
     Column r * areas + a is area a of replication r, and columns[r] slices
-    replication r's columns: theta, n_e, n_neg and n_pos are shaped
-    (days, R * areas), obs_pos, obs_neg and proportions (days, obs_types,
-    R * areas); expected_loss and tail_prob (days, R). xi is not held (see
-    Trajectory). runs[r] is replication r's Trajectory, whose arrays and
-    history are views of columns[r], and streams[r] its random streams.
-    events holds the environment draws of the days ahead, and k_decay each
-    column's decay factor. Every size check of a run is made here, before
-    its first day: see HorizonError.
+    replication r's columns: theta is shaped (days, R * areas), counts (the
+    int32 n_e, n_neg and n_pos) (days, 3, R * areas), obs_pos, obs_neg and
+    proportions (days, obs_types, R * areas), expected_loss and tail_prob
+    (days, R). xi is not held (see Trajectory). runs[r] is replication r's
+    Trajectory, whose arrays and history are views of columns[r], and
+    streams[r] its random streams. events holds the environment draws of
+    the days ahead, and k_decay each column's decay factor. Every size
+    check of a run is made here, before its first day: see HorizonError.
     """
 
     def __init__(self, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int):
@@ -163,9 +163,7 @@ class Replications:
         shape = (horizon, n_reps * n_areas)
         try:
             self.theta = np.zeros(shape)
-            self.n_e = np.zeros(shape, dtype=np.int32)
-            self.n_neg = np.zeros(shape, dtype=np.int32)
-            self.n_pos = np.zeros(shape, dtype=np.int32)
+            self.counts = np.zeros((horizon, 3, shape[1]), dtype=np.int32)
             by_type = (horizon, len(scenario.obs_types), shape[1])
             self.obs_pos = np.zeros(by_type, dtype=np.int32)
             self.obs_neg = np.zeros(by_type, dtype=np.int32)
@@ -177,7 +175,7 @@ class Replications:
         self.scenario = scenario
         self.streams = tuple(Streams.from_seed(seed) for seed in seeds)
         self.columns = tuple(slice(r * n_areas, (r + 1) * n_areas) for r in range(n_reps))
-        per_column = ("theta", "n_e", "n_neg", "n_pos", "obs_pos", "obs_neg", "proportions")
+        per_column = ("theta", "obs_pos", "obs_neg", "proportions")
         self.runs = tuple(
             Trajectory(
                 scenario,
@@ -186,6 +184,7 @@ class Replications:
                 ObservableHistory(scenario.obs_type_ids, self.obs_pos[..., cols], self.obs_neg[..., cols]),
                 expected_loss=self.expected_loss[:, r],
                 tail_prob=self.tail_prob[:, r],
+                **dict(zip(("n_e", "n_neg", "n_pos"), self.counts[..., cols].swapaxes(0, 1))),
                 **{k: getattr(self, k)[..., cols] for k in per_column},
             )
             for r, (seed, cols) in enumerate(zip(seeds, self.columns))
@@ -199,19 +198,18 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
 
     theta is the start-of-day state per column; replication r reads and
     writes reps.columns[r] (see Replications). Order of operations: classify
-    the day's tasks into events at theta, ask the policy (which sees history
-    through yesterday only), run the observation process, close the day in
-    the history, and update theta. Each replication draws from its own
-    streams in the order of a run stepped alone; what is deterministic runs
-    once over all columns. The metrics are not evaluated here: they depend
-    on xi alone, and run_replications computes them from the stored theta
-    after the last day.
+    the day's tasks at theta into reps.counts[d], ask the policy (which sees
+    history through yesterday only), run the observation process, close the
+    day in the history, and update theta. Each replication draws from its
+    own streams in the order of a run stepped alone; what is deterministic
+    runs once over all columns. The metrics are not evaluated here: they
+    depend on xi alone, and run_replications computes them from the stored
+    theta after the last day.
     """
     scenario = reps.scenario
-    events = step_events(reps.events, d, theta)
+    events = step_events(reps.events, d, theta, reps.counts[d])
     reps.theta[d] = theta
-    reps.n_e[d], reps.n_neg[d], reps.n_pos[d] = events.counts
-    n_neg, n_pos = events.counts[1:].tolist()
+    n_neg, n_pos = reps.counts[d, 1:].tolist()
 
     for run, streams, columns, rows in zip(reps.runs, reps.streams, reps.columns, events.rows):
         decision = policy.decide(run.history, streams.policy)
@@ -225,7 +223,7 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
     # A replication without observers keeps its zero observed counts. Their
     # terms add up to 0.0, and 0.0 + x is x, so its drive has the bits of
     # the incident term alone, the drive of a day without observers.
-    drive = feedback_drive(reps.obs_neg[d], reps.n_e[d], scenario)
+    drive = feedback_drive(reps.obs_neg[d], reps.counts[d, 0], scenario)
     columns = zip(theta.tolist(), drive.tolist(), reps.k_decay)
     return np.array([step_theta(t, dr, k) for t, dr, k in columns])
 

@@ -77,38 +77,32 @@ def hurt_levels(hl_sums: np.ndarray, rows: np.ndarray, level: int, u: np.ndarray
     hl_sums is ScenarioArrays.hl_sums. Each level is the one a sequential
     severity draw from the same uniform returns: the first level whose
     running sum exceeds the scaled uniform, or TOP if none below it does.
-    The AHL (level AHL) follows the area's severity probabilities; the PHL
-    (level PHL, mapped after the AHL) follows them truncated below the AHL
-    and renormalized. Each uniform is scaled by its row's own total, so a
-    row that sums to slightly less than 1 gives its missing mass to no
-    level. HURT_CHUNK rows are mapped at a time, which bounds the memory of
-    a block with many incidents.
+    A row's running sums start at level 0 for the AHL (level AHL) and at its
+    AHL for the PHL (level PHL, mapped after the AHL), which thus follows the
+    area's severity probabilities truncated below the AHL and renormalized.
+    Each uniform is scaled by its row's own total: a total slightly below 1
+    gives its missing mass to no level, and a total of 0 raises
+    DegenerateHurtDistribution. HURT_CHUNK rows are mapped at a time.
     """
     for start in range(0, len(u), HURT_CHUNK):
         chunk = rows[start : start + HURT_CHUNK]
-        if level == AHL:
-            sums = hl_sums[chunk[:, AREA], 0]
-        else:
-            sums = hl_sums[chunk[:, AREA], chunk[:, AHL]]
-            empty = sums[:, TOP] <= 0.0
-            if empty.any():
-                raise DegenerateHurtDistribution(
-                    f"no probability mass at Hurt level >= {chunk[empty.argmax(), AHL]}"
-                )
+        first = chunk[:, AHL] if level == PHL else np.zeros(len(chunk), dtype=np.int32)
+        sums = hl_sums[chunk[:, AREA], first]
+        empty = sums[:, TOP] <= 0.0
+        if empty.any():
+            raise DegenerateHurtDistribution(f"no probability mass at Hurt level >= {first[empty.argmax()]}")
         scaled = u[start : start + HURT_CHUNK] * sums[:, TOP]
         # the running sums are nondecreasing, and 0 below the row's first level
         chunk[:, level] = (sums[:, :TOP] <= scaled[:, None]).sum(axis=1)
 
 
 class BatchEvents(NamedTuple):
-    """The day's events of every replication of a batch.
+    """The day's incidents of every replication of a batch; step_events writes its counts.
 
-    counts holds the per-column counts n_e, n_neg and n_pos, shaped (3,
-    columns). rows[r] holds replication r's log rows (DAY, AREA, AHL, PHL),
-    area by area in draw order. n_e is the day's incidents over the batch.
+    rows[r] holds replication r's log rows (DAY, AREA, AHL, PHL), area by
+    area in draw order. n_e is the day's incidents over the batch.
     """
 
-    counts: np.ndarray
     rows: list[np.ndarray]
     n_e: int
 
@@ -228,18 +222,17 @@ class EventBlocks:
         return [incidents[s:e] for s, e in zip([0] + end[:-1], end)]
 
 
-def step_events(blocks: EventBlocks, d: int, theta: np.ndarray) -> BatchEvents:
-    """Classify day d's potential tasks of every replication at start-of-day theta.
+def step_events(blocks: EventBlocks, d: int, theta: np.ndarray, counts: np.ndarray) -> BatchEvents:
+    """Classify day d's potential tasks of every replication at start-of-day theta into counts.
 
     theta holds the state per column (replication r's area a at column
     r * areas + a). A potential task is real if and only if its uniform is
-    below 1 - theta, and a safe task otherwise: n_e and n_neg count the real
-    incidents and unsafe tasks, and n_pos the safe tasks, potential ones
-    included. The replications are classified a group at a time.
+    below 1 - theta, and a safe task otherwise. counts, the day's (3, columns)
+    record row, gets n_e and n_neg, the real incidents and unsafe tasks, and
+    n_pos, the safe tasks, potential ones included, a group at a time.
     """
     keep = 1.0 - theta
-    counts = np.empty((3, len(theta)), dtype=np.int64)
     rows = []
     for g in range(len(blocks.groups)):
         rows += blocks.classify(g, d, keep, counts)
-    return BatchEvents(counts, rows, sum(map(len, rows)))
+    return BatchEvents(rows, sum(map(len, rows)))

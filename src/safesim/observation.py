@@ -65,8 +65,8 @@ def proportions_by_type(decision: Mapping, scenario: Scenario) -> list[list[floa
     """A decision's checked proportion vectors, one per observation type in config order.
 
     The whole intake of a policy's decision, before the day draws or records
-    anything for it: the decision must be a mapping with a vector for every
-    type, and each distinct vector is checked once by check_proportions. Any
+    anything for it: the decision must map each type, and nothing else, to a
+    vector, and each distinct vector is checked once by check_proportions. Any
     failure raises ProportionError; what is not a mapping (a bare vector, or
     an object wrapping the mapping) is named by its type.
     """
@@ -79,6 +79,9 @@ def proportions_by_type(decision: Mapping, scenario: Scenario) -> list[list[floa
         given = [decision[type_id] for type_id in scenario.obs_type_ids]
     except KeyError as exc:
         raise ProportionError(f"no proportions for observation type {exc.args[0]!r}") from None
+    if len(decision) != len(given):  # then a key names no type of the scenario
+        unknown = next(key for key in decision if key not in scenario.obs_type_ids)
+        raise ProportionError(f"the scenario has no observation type {unknown!r}")
     checked = {}  # id -> checked values: a policy often gives every type one vector
     for s in given:
         if id(s) not in checked:

@@ -84,8 +84,8 @@ class TestStepDay:
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert reps.n_e[0, 0] > 4 * HURT_CHUNK
-        assert (peak - current) / reps.n_e[0, 0] < 56
+        assert reps.counts[0, 0, 0] > 4 * HURT_CHUNK
+        assert (peak - current) / reps.counts[0, 0, 0] < 56
 
     def test_scenario_without_observation_types(self, case_study):
         scenario = make_scenario(areas=case_study.areas, obs_types=())
@@ -113,8 +113,9 @@ class TestInt32Record:
         theta = np.array([a.theta0 for a in case_study.areas] * 2)
         for d in range(200):
             theta = step_day(reps, d, theta, make_policy("uniform"))
-        for name in COUNT_COLUMNS:
+        for name in ("counts", "obs_pos", "obs_neg"):
             assert getattr(reps, name).dtype == np.int32, name
+        for name in COUNT_COLUMNS:
             assert all(getattr(run, name).dtype == np.int32 for run in reps.runs), name
         for run in reps.runs:
             assert len(run.incidents) > 64  # grown past its first allocation

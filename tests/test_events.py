@@ -65,18 +65,18 @@ def draw_phl(rng, hl_probs, ahl: int, n: int) -> np.ndarray:
     return np.array(phls)
 
 
-def as_lists(events, r: int = 0, n_areas: int = 1) -> tuple:
-    """Replication r's day from step_events, as PerTaskEnvironment.day returns it."""
+def as_lists(events, counts, r: int = 0, n_areas: int = 1) -> tuple:
+    """Replication r's day from step_events and its counts, as PerTaskEnvironment.day returns it."""
     columns = slice(r * n_areas, (r + 1) * n_areas)
-    counts = events.counts[:, columns].tolist()
-    return (*counts, [tuple(row[AREA:]) for row in events.rows[r].tolist()])
+    return (*counts[:, columns].tolist(), [tuple(row[AREA:]) for row in events.rows[r].tolist()])
 
 
 def event_days(scenario, seeds, n_days: int, theta: float):
-    """n_days of step_events for one replication per seed, at a fixed theta."""
+    """n_days of (step_events, the counts it wrote) for one replication per seed, at a fixed theta."""
     blocks = EventBlocks(scenario, [np.random.default_rng(seed) for seed in seeds])
     theta = np.full(len(seeds) * scenario.n_areas, theta)
-    return [step_events(blocks, d, theta) for d in range(n_days)]
+    counts = np.zeros((n_days, 3, len(theta)), dtype=np.int32)
+    return [(step_events(blocks, d, theta, counts[d]), counts[d]) for d in range(n_days)]
 
 
 class Uniforms:
@@ -247,10 +247,11 @@ class TestTableSamplerEquivalence:
         n_areas = scenario.n_areas
         for d in range(n_days):
             theta = np.linspace(0.0, 1.0, len(seeds) * n_areas) * (d % 7) / 6
-            events = step_events(blocks, d, theta)
+            counts = np.zeros((3, len(theta)), dtype=np.int32)
+            events = step_events(blocks, d, theta, counts)
             for r, reference in enumerate(references):
                 expected = reference.day(theta[r * n_areas : (r + 1) * n_areas].tolist())
-                assert as_lists(events, r, n_areas) == expected
+                assert as_lists(events, counts, r, n_areas) == expected
         for rng, reference in zip(rngs, references):
             assert rng.bit_generator.state == reference.rng.bit_generator.state
 
@@ -305,34 +306,40 @@ class TestTableSamplerEquivalence:
         with pytest.raises(DegenerateHurtDistribution, match=">= 5"):
             levels(probs, [[0.3, 1.0], [0.1, 0.1]])
 
+    def test_degenerate_ahl_raises_from_level_zero(self):
+        # an area without mass at any level has no AHL to map to
+        rows = np.zeros((1, 4), dtype=np.int32)
+        with pytest.raises(DegenerateHurtDistribution, match=">= 0"):
+            hurt_levels(np.zeros((1, 6, 6)), rows, AHL, np.array([0.5]))
+
 
 class TestStepEvents:
     def test_safest_state_yields_no_unsafe_activity(self):
         scenario = make_scenario(areas=(make_area(),))
-        for events in event_days(scenario, [0], 200, theta=1.0):
-            assert events.counts[:2].tolist() == [[0], [0]]
+        for events, counts in event_days(scenario, [0], 200, theta=1.0):
+            assert counts[:2].tolist() == [[0], [0]]
             assert events.n_e == 0
 
     def test_phl_never_below_ahl(self):
         scenario = make_scenario(areas=(make_area(lambda_star=20.0, xi_base=0.9, alpha=0.5),))
-        for events in event_days(scenario, [7], 2_000, theta=0.0):
+        for events, _ in event_days(scenario, [7], 2_000, theta=0.0):
             assert np.all(events.rows[0][:, PHL] >= events.rows[0][:, AHL])
 
     def test_incident_total_is_a_python_int(self):
         # the benchmark's tracer adds it up as the day's incidents
         scenario = make_scenario(areas=(make_area(lambda_star=20.0, xi_base=0.9, alpha=0.1),))
         days = event_days(scenario, [4, 5], 50, theta=0.1)
-        assert {events.n_e > 0 for events in days} == {False, True}
-        for events in days:
+        assert {events.n_e > 0 for events, _ in days} == {False, True}
+        for events, counts in days:
             assert type(events.n_e) is int
-            assert events.n_e == events.counts[0].sum()
+            assert events.n_e == counts[0].sum()
 
     def test_incident_count_matches_length(self):
         scenario = make_scenario(areas=(make_area("A", lambda_star=20.0, xi_base=0.9, alpha=0.5),
                                         make_area("B", lambda_star=5.0, xi_base=0.5, alpha=0.5)))
-        for events in event_days(scenario, [8, 9, 10], 200, theta=0.2):
+        for events, counts in event_days(scenario, [8, 9, 10], 200, theta=0.2):
             for r, rows in enumerate(events.rows):
-                n_e = events.counts[0, 2 * r : 2 * r + 2]
+                n_e = counts[0, 2 * r : 2 * r + 2]
                 assert rows[:, AREA].tolist() == [0] * n_e[0] + [1] * n_e[1]
 
     def test_day_without_potential_incidents_gives_empty_rows(self):
@@ -341,8 +348,8 @@ class TestStepEvents:
         scenario = make_scenario(areas=areas)
         histories = [ObservableHistory((), *np.zeros((2, 40, 0, 2), dtype=np.int32)) for _ in range(3)]
         days = event_days(scenario, [1, 2, 3], 40, theta=0.2)
-        assert sum(int(events.counts[1].sum()) for events in days) > 0
-        for d, events in enumerate(days):
+        assert sum(int(counts[1].sum()) for _, counts in days) > 0
+        for d, (events, _) in enumerate(days):
             assert events.n_e == 0 and len(events.rows) == 3
             for history, rows in zip(histories, events.rows):
                 assert rows.shape == (0, 4) and rows.dtype == np.int32
@@ -355,11 +362,11 @@ class TestStepEvents:
         area = make_area(lambda_star=17.0, xi_base=0.55, alpha=0.04)
         days = event_days(make_scenario(areas=(area,)), range(99, 199), 1_000, theta=0.3)
         mean_analytic = area.alpha * xi_of_theta(0.3, area.xi_base) * area.lambda_star
-        assert sum(events.n_e for events in days) / 100_000 == pytest.approx(mean_analytic, rel=0.01)
+        assert sum(events.n_e for events, _ in days) / 100_000 == pytest.approx(mean_analytic, rel=0.01)
 
     def test_bit_reproducible_under_fixed_seed(self):
         scenario = make_scenario(areas=(make_area(),))
-        runs = [[as_lists(events) for events in event_days(scenario, [123], 50, 0.4)] for _ in range(2)]
+        runs = [[as_lists(*day) for day in event_days(scenario, [123], 50, 0.4)] for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_many_incidents_are_mapped_a_chunk_at_a_time(self):
@@ -370,9 +377,10 @@ class TestStepEvents:
         # Mapping all incidents at once would take over 100 B an incident.
         area = make_area(lambda_star=4.1 * HURT_CHUNK, xi_base=1.0, alpha=1.0, hl_probs=AREA_C_HL)
         blocks = EventBlocks(make_scenario(areas=(area,)), [np.random.default_rng(5)])
+        counts = np.zeros((3, 1), dtype=np.int32)
         tracemalloc.start()
         try:
-            events = step_events(blocks, 0, np.zeros(1))
+            events = step_events(blocks, 0, np.zeros(1), counts)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -389,7 +397,7 @@ class TestHeldDays:
         blocks = EventBlocks(make_scenario(areas=(area,)), [np.random.default_rng(s) for s in (1, 2)])
         assert blocks.days == 1 and len(blocks.groups) == 2
         for d in range(3):
-            step_events(blocks, d, np.full(2, 0.5))
+            step_events(blocks, d, np.full(2, 0.5), np.zeros((3, 2), dtype=np.int32))
             assert blocks.held == [[], []]
 
     def test_groups_hold_the_rest_of_their_block(self, case_study, monkeypatch):
@@ -397,8 +405,9 @@ class TestHeldDays:
         blocks = EventBlocks(case_study, [np.random.default_rng(s) for s in (3, 4, 5)])
         n_days = blocks.days
         assert n_days == 32 and len(blocks.groups) == 3
+        theta = np.full(3 * case_study.n_areas, 0.5)
         for d in range(2 * n_days + 3):
-            step_events(blocks, d, np.full(3 * case_study.n_areas, 0.5))
+            step_events(blocks, d, theta, np.zeros((3, len(theta)), dtype=np.int32))
             assert [len(days) for days in blocks.held] == [n_days - 1 - d % n_days] * 3
 
 
@@ -409,7 +418,7 @@ class TestThinnedCounts:
     def test_indistinguishable_from_three_poissons(self, theta):
         area = make_area(lambda_star=17.0, xi_base=0.55, alpha=0.04)
         days = event_days(make_scenario(areas=(area,)), range(100), 1_000, theta)
-        thinned = [tuple(column) for events in days for column in events.counts.T.tolist()]
+        thinned = [tuple(column) for _, counts in days for column in counts.T.tolist()]
         rng = np.random.default_rng(2024)
         xi = xi_of_theta(theta, area.xi_base)
         direct = [scalar_reference.three_poisson_day(rng, area, xi)[:3] for _ in range(len(thinned))]

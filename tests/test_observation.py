@@ -407,8 +407,9 @@ class TestStepObservations:
             ([0.5, 0.5], "got list"),
             ({"WSO": [0.5, 0.5], "BPO": [0.5, 0.5]}, "observation type 'SAO'"),
             ({"WSO": [0.5, 0.5], "SAO": [0.5, 0.5], "BPO": [0.7, 0.7]}, "sum to 1"),
+            ({"WSO": [0.5, 0.5], "SAO": [0.5, 0.5], "BPO": [0.5, 0.5], "TYPO": [0.5, 0.5]}, "type 'TYPO'"),
         ],
-        ids=["bare-vector", "missing-type", "bad-last-vector"],
+        ids=["bare-vector", "missing-type", "bad-last-vector", "unknown-type"],
     )
     def test_refused_decision_draws_and_writes_nothing(self, decision, message):
         scenario = self.scenario_3x2()
