@@ -230,10 +230,10 @@ def policy_names() -> list[str]:
 def make_policy(spec: str) -> Policy:
     """Build a policy from a CLI spec string.
 
-    Plain names ('uniform', 'counts', 'severity', 'none') take no arguments;
-    'weighted:w1,w2,...' supplies the fixed weight vector inline.
+    Plain names ('uniform', 'counts', 'severity', 'none') take no arguments,
+    so no ':'; 'weighted:w1,w2,...' supplies the fixed weight vector inline.
     """
-    name, _, args = spec.partition(":")
+    name, colon, args = spec.partition(":")
     cls = _REGISTRY.get(name)
     if cls is None:
         raise PolicyError(f"unknown policy {name!r}; valid names: {', '.join(policy_names())}")
@@ -245,6 +245,6 @@ def make_policy(spec: str) -> Policy:
         except ValueError as exc:
             raise PolicyError(f"could not parse weights {args!r}") from exc
         return cls(weights)
-    if args:
+    if colon:
         raise PolicyError(f"policy {name!r} takes no arguments")
     return cls()

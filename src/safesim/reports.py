@@ -1,12 +1,12 @@
 """CSV tables and static SVG plots for simulation results.
 
-CSV is the canonical output; SVG is pure presentation derived from CSV-level
-values, so re-rendering a plot from an existing CSV reproduces identical
-geometry. Floats are printed with 6 significant digits, counts as integers.
-Each table's columns are named once, below, and one writer prints them all.
-The writer takes columns and turns each array into Python numbers once; a
-plot computes a series' coordinates in one array operation and formats each
-day's x once for all its series.
+CSV is the canonical output. Floats are printed with 6 significant digits,
+counts as integers. The SVG plots draw each value as its CSV cell reads, so
+rendering the compare CSVs' columns reproduces them byte for byte. Each
+table's columns are named once, below, and one writer prints them all. The
+writer takes columns and turns each array into Python numbers once; a plot
+computes a series' coordinates in one array operation and formats each day's
+x once for all its series.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ TRAJECTORY_PER_AREA = ("theta", "xi", "n_e", "n_neg", "n_pos")
 TRAJECTORY_PER_TYPE_AREA = ("obs_pos", "obs_neg")
 TRAJECTORY_PER_DAY = ("expected_loss", "tail_prob")
 
-# compare_*.csv after "day": EnsembleSummary fields; the plots read mean_{metric}, std_{metric}
+# compare_*.csv after "day": EnsembleSummary fields; the plots draw mean_{metric}, std_{metric}
 COMPARE_COLUMNS = ("mean_expected_loss", "std_expected_loss", "mean_tail_prob", "std_tail_prob")
 
 # table2.csv after "area": per Hurt level j, ahl{j}_{label} holds EnsembleSummary.{field}[:, j]
@@ -80,14 +80,6 @@ def write_compare_csv(summary: EnsembleSummary, path: str | Path) -> None:
     """Per-day ensemble mean and standard deviation of both safety metrics."""
     values = [range(1, summary.horizon + 1)] + [getattr(summary, c) for c in COMPARE_COLUMNS]
     _write_csv(path, ("day", *COMPARE_COLUMNS), values)
-
-
-def read_compare_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Load a compare CSV back into arrays (used to derive the SVG plots)."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        header, *rows = csv.reader(handle)
-    index = {name: j for j, name in enumerate(header)}
-    return {key: np.array([float(r[index[key]]) for r in rows]) for key in COMPARE_COLUMNS}
 
 
 def write_severity_csv(rows: list[tuple[str, np.ndarray]], path: str | Path) -> None:
@@ -228,15 +220,17 @@ _METRIC_PLOTS = (
 
 
 def write_metric_svgs(
-    compare_csvs: list[tuple[str, Path]],
+    summaries: list[tuple[str, EnsembleSummary]],
     scenario: Scenario,
     out_dir: Path,
 ) -> list[Path]:
-    """Derive the two metric plots from already-written compare CSVs; returns their paths."""
+    """Draw the two metric plots of compare's (spec, summary) pairs, in order,
+    each value as its CSV cell reads (float(fmt(v))); returns their paths."""
     curves = []
-    for i, (label, csv_path) in enumerate(compare_csvs):
+    for i, (label, summary) in enumerate(summaries):
         color = BASELINE_COLOR if label == "none" else PALETTE[i % len(PALETTE)]
-        curves.append((label, read_compare_csv(csv_path), color))
+        data = {c: np.array([float(fmt(v)) for v in getattr(summary, c).tolist()]) for c in COMPARE_COLUMNS}
+        curves.append((label, data, color))
     limits = baseline_asymptote(scenario)
     paths = [out_dir / file_name for _, file_name, _, _ in _METRIC_PLOTS]
     for (metric, _, title, y_label), asymptote, path in zip(_METRIC_PLOTS, limits, paths):

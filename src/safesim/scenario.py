@@ -198,6 +198,14 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _float(x) -> float:
+    """A real number as a float; one too large for a float, an integer say, is inf or -inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 # What a value of each field type must be, parsed or built in code, and the words a refusal quotes.
 _TYPES = {
     str: (lambda v: isinstance(v, str) and v != "", "a nonempty string"),
@@ -222,12 +230,7 @@ def _parse_value(kind, value, name: str, where: str):
         raise ScenarioParseError(f"{where}: field '{name}' must be {what}, got {value!r}")
     if kind == tuple[float, ...]:
         return tuple(_parse_value(float, v, name, where) for v in value)
-    if kind is float:
-        try:
-            return float(value)
-        except OverflowError:  # an integer too large for a float
-            return math.inf if value > 0 else -math.inf
-    return value
+    return _float(value) if kind is float else value
 
 
 def _parse(cls, obj, where: str):
@@ -304,8 +307,11 @@ def _field_violations(config, where: str) -> list[str]:
         rule = f.metadata.get("rule")
         if is_kind and not is_kind(value):
             problems = [f"{f.name} must be {what}, got {value!r}"]
-        elif (vector or f.type is float) and not all(map(math.isfinite, value if vector else [value])):
-            problems = [f"{f.name} must be finite, got {value}"]
+        elif (vector or f.type is float) and not all(
+            map(math.isfinite, map(_float, value if vector else [value]))
+        ):
+            shown = tuple(map(_float, value)) if vector else _float(value)
+            problems = [f"{f.name} must be finite, got {shown}"]
         elif rule in _RANGES:
             problems = [] if _RANGES[rule](value) else [f"{f.name} must be {rule}, got {value}"]
         else:

@@ -17,11 +17,12 @@ from conftest import (
     make_obs_type,
     make_scenario,
 )
-from safesim import cli, policies
+from safesim import cli, policies, reports
 from safesim.cli import main
 from safesim.engine import run_ensemble, run_simulation
 from safesim.policies import Policy, make_policy
-from safesim.reports import fmt, write_compare_csv, write_trajectory_csv
+from safesim.metrics import baseline_asymptote
+from safesim.reports import fmt, render_timeseries_svg, write_compare_csv, write_trajectory_csv
 from safesim.scenario import case_study_path
 
 SCENARIO = str(case_study_path())
@@ -394,20 +395,33 @@ class TestCompareCommand:
             assert "asymptote" in text
 
     def test_svg_regeneration_from_csv_is_identical(self, out, case_study):
-        from safesim.reports import write_metric_svgs
+        # The plots draw the values the CSVs print: rendering the CSVs' columns gives their bytes
+        specs = ["none", "uniform", "weighted:0.12,0.12,0.12,0.08,0.08,0.28,0.2"]
+        columns = [read_columns(out / f"compare_{cli._safe_label(spec)}.csv") for spec in specs]
+        colors = [reports.BASELINE_COLOR, reports.PALETTE[1], reports.PALETTE[2]]
+        limits = baseline_asymptote(case_study)
+        for (metric, file_name, title, y_label), asymptote in zip(reports._METRIC_PLOTS, limits):
+            series = []
+            for spec, c, color in zip(specs, columns, colors):
+                mean, std = (np.array([float(v) for v in c[f"{stat}_{metric}"]]) for stat in ("mean", "std"))
+                series.append((spec, mean, std, color))
+            svg = render_timeseries_svg(series, asymptote, title, y_label)
+            assert svg.encode("utf-8") == (out / file_name).read_bytes(), file_name
 
-        before = (out / "expected_loss.svg").read_bytes(), (out / "tail_probability.svg").read_bytes()
-        compare_csvs = [
-            ("none", out / "compare_none.csv"),
-            ("uniform", out / "compare_uniform.csv"),
-            (
-                "weighted:0.12,0.12,0.12,0.08,0.08,0.28,0.2",
-                out / "compare_weighted_0.12-0.12-0.12-0.08-0.08-0.28-0.2.csv",
-            ),
+    def test_plots_drawn_without_reading_a_csv_back(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("compare read a CSV back")
+
+        monkeypatch.setattr(reports.csv, "reader", refuse)
+        code = main(
+            ["compare", "--scenario", SCENARIO, "--policy", "counts",
+             "--reps", "2", "--seed", "5", "--horizon", "10", "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "compare_counts.csv", "compare_none.csv", "expected_loss.svg", "severity_counts.csv",
+            "tail_probability.svg",
         ]
-        write_metric_svgs(compare_csvs, case_study, out)
-        after = (out / "expected_loss.svg").read_bytes(), (out / "tail_probability.svg").read_bytes()
-        assert before == after
 
     def test_deterministic_given_flags_and_seed(self, tmp_path):
         digests = []

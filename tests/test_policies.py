@@ -273,8 +273,9 @@ class TestMakePolicy:
             make_policy("weighted:a,b")
 
     def test_plain_policy_rejects_arguments(self):
-        with pytest.raises(PolicyError, match="takes no arguments"):
-            make_policy("uniform:3")
+        for spec in ("uniform:3", "uniform:", "none:", "counts:"):  # an empty argument too
+            with pytest.raises(PolicyError, match="takes no arguments"):
+                make_policy(spec)
 
     def test_custom_policy_registration(self):
         class FirstAreaPolicy(Policy):

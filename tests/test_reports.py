@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,13 +6,7 @@ import scalar_reference
 from safesim import engine
 from safesim.engine import run_simulation
 from safesim.policies import make_policy
-from safesim.reports import (
-    COMPARE_COLUMNS,
-    PALETTE,
-    read_compare_csv,
-    render_timeseries_svg,
-    write_trajectory_csv,
-)
+from safesim.reports import PALETTE, render_timeseries_svg, write_trajectory_csv
 
 
 @st.composite
@@ -47,21 +39,6 @@ class TestRenderMatchesPerPointOracle:
         series, asymptote = plot
         expected = scalar_reference.render_timeseries_svg(series, asymptote, "title", "y")
         assert render_timeseries_svg(series, asymptote, "title", "y") == expected
-
-
-class TestReadCompareCsv:
-    def test_columns_read_by_name_in_any_order(self, tmp_path):
-        values = {name: [0.5 * j + i for i in range(3)] for j, name in enumerate(COMPARE_COLUMNS)}
-        header = ["std_tail_prob", "day", "mean_tail_prob", "std_expected_loss", "mean_expected_loss"]
-        with open(tmp_path / "compare.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for i in range(3):
-                writer.writerow([i + 1 if name == "day" else values[name][i] for name in header])
-        columns = read_compare_csv(tmp_path / "compare.csv")
-        assert list(columns) == list(COMPARE_COLUMNS)
-        for name in COMPARE_COLUMNS:
-            assert columns[name].tolist() == values[name], name
 
 
 class TestWriteTrajectoryCsv:

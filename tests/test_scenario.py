@@ -317,6 +317,32 @@ def test_integer_too_large_for_a_float_is_not_finite():
 
 
 @pytest.mark.parametrize(
+    "build,violation",
+    [
+        pytest.param(
+            lambda s: _with_first_area(s, lambda_star=10**400),
+            "area 'A': lambda_star must be finite, got inf",
+            id="float-field",
+        ),
+        pytest.param(  # past the digits str() converts: the violation shows it as a float
+            lambda s: _with_first_area(s, hl_probs=(10**5000, 0, 0, 0, 0, 0)),
+            "area 'A': hl_probs must be finite, got (inf, 0.0, 0.0, 0.0, 0.0, 0.0)",
+            id="hl_probs-entry",
+        ),
+        pytest.param(
+            lambda s: replace(s, loss_vector=[0, 1, 10, 100, 1000, -(10**400)]),
+            "scenario: loss_vector must be finite, got (0.0, 1.0, 10.0, 100.0, 1000.0, -inf)",
+            id="loss_vector-entry",
+        ),
+    ],
+)
+def test_integer_too_large_for_a_float_built_in_code_is_not_finite(case_study, build, violation):
+    with pytest.raises(ScenarioValidationError) as exc:
+        build(case_study)
+    assert exc.value.violations == [violation]
+
+
+@pytest.mark.parametrize(
     "path,message",
     [
         ((), "top level: unknown field 'horizon_day'"),
