@@ -148,7 +148,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    """Run the baseline and each distinct policy once; write their CSVs and plots of the CSVs' values."""
+    """Run the baseline and each distinct policy once; write the CSVs and plots from their summaries."""
     scenario = load_scenario_file(args.scenario)
     specs = list(dict.fromkeys(["none", *args.policies]))  # each spec once, the baseline first
     policies = [(spec, _make_policy(spec, scenario)) for spec in specs]
@@ -158,15 +158,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for spec, policy in policies
     ]
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    severity_rows = []
     for spec, summary in summaries:
         csv_path = out_dir / f"compare_{_safe_label(spec)}.csv"
         write_compare_csv(summary, csv_path)
-        severity_rows.append((spec, summary.incident_totals[0].sum(axis=0)))  # the base seed
         print(f"wrote {csv_path}")
-
-    write_severity_csv(severity_rows, out_dir / "severity_counts.csv")
+    write_severity_csv(summaries, out_dir / "severity_counts.csv")
     print(f"wrote {out_dir / 'severity_counts.csv'}")
     for svg_path in write_metric_svgs(summaries, scenario, out_dir):
         print(f"wrote {svg_path}")

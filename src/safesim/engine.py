@@ -70,7 +70,7 @@ class Streams(NamedTuple):
 
 
 MAX_HORIZON = np.iinfo(np.int32).max  # the incident log's DAY column is int32
-METRICS_BLOCK = 1 << 9  # days compute_day_metrics evaluates per call; a 365-day run is one
+METRICS_BLOCK = 1 << 9  # rows (replication-days) per compute_day_metrics call; one 365-day run is one
 
 
 class HorizonError(ValueError):
@@ -236,21 +236,20 @@ def run_replications(
     Returns one trajectory per seed, in the order of seeds. Each is
     byte-identical to the run of its seed alone: the replications share one
     day loop, not a random draw. Replications refuses a run of the wrong
-    size before its first day; this only reads the batch it built.
+    size before its first day; this only reads the batch it built. One pass
+    over the batch's rows then fills the metrics from the stored theta.
     """
     horizon = scenario.horizon_days if horizon is None else horizon
     reps = Replications(scenario, policy.name, seeds, horizon)
     theta = np.array([area.theta0 for area in scenario.areas] * len(reps.runs), dtype=float)
     for d in range(horizon):
         theta = step_day(reps, d, theta, policy)
-    # One replication and METRICS_BLOCK days at a time: the metrics'
-    # temporaries then scale with a block of one run's days, not with the run.
-    arrays = scenario.arrays
-    for run in reps.runs:
-        for start in range(0, horizon, METRICS_BLOCK):
-            days = slice(start, start + METRICS_BLOCK)
-            xi = xi_of_theta(run.theta[days], arrays.xi_base)
-            run.expected_loss[days], run.tail_prob[days] = compute_day_metrics(arrays, xi)
+    # Row d * R + r is day d + 1 of replication r; METRICS_BLOCK rows bound the temporaries.
+    arrays, rows = scenario.arrays, reps.theta.reshape(-1, scenario.n_areas)
+    loss, tail = reps.expected_loss.reshape(-1), reps.tail_prob.reshape(-1)
+    for start in range(0, len(rows), METRICS_BLOCK):
+        block = slice(start, start + METRICS_BLOCK)
+        loss[block], tail[block] = compute_day_metrics(arrays, xi_of_theta(rows[block], arrays.xi_base))
     return list(reps.runs)
 
 

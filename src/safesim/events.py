@@ -168,6 +168,7 @@ class EventBlocks:
         areas = np.tile(np.arange(n_areas, dtype=np.int32), len(rngs) * n_days)
         incidents[:, AREA] = np.repeat(areas, cells[0].ravel())
         hurt = np.empty(n_incidents)
+        # Two passes share one Hurt-uniform buffer; one pass would hold two (measured: see ROADMAP).
         for rng, (lo, hi) in zip(rngs, spans):
             rng.random(out=u[lo:hi])
             rng.random(out=hurt[lo:hi])

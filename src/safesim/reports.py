@@ -82,15 +82,17 @@ def write_compare_csv(summary: EnsembleSummary, path: str | Path) -> None:
     _write_csv(path, ("day", *COMPARE_COLUMNS), values)
 
 
-def write_severity_csv(rows: list[tuple[str, np.ndarray]], path: str | Path) -> None:
-    """Single-run incident counts by AHL (summed over areas), one row per policy."""
+def write_severity_csv(summaries: list[tuple[str, EnsembleSummary]], path: str | Path) -> None:
+    """One row per compare (spec, summary) pair: the base seed's incidents by AHL, summed over areas."""
     header = ["policy"] + [f"ahl{j}" for j in range(N_HURT_LEVELS)]
-    _write_csv(path, header, [[name for name, _ in rows], *np.transpose([c for _, c in rows])])
+    counts = [summary.incident_totals[0].sum(axis=0) for _, summary in summaries]
+    _write_csv(path, header, [[spec for spec, _ in summaries], *np.transpose(counts)])
 
 
 PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 BASELINE_COLOR = "#333333"
 _ASYMPTOTE_STROKE = 'stroke="#555555" stroke-width="1.5" stroke-dasharray="5 4"'
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # a label as SVG text
 
 _SVG_W, _SVG_H = 880, 500
 _ML, _MR, _MT, _MB = 72, 190, 46, 54
@@ -124,9 +126,7 @@ def _points(x_text: list[str], values, y_max: float) -> str:
     return " ".join([f"{x},{y:.2f}" for x, y in zip(x_text, _plot_y(values, y_max))])
 
 
-def render_timeseries_svg(
-    series: list[tuple], asymptote: float, title: str, y_label: str
-) -> str:
+def render_timeseries_svg(series: list[tuple], asymptote: float, title: str, y_label: str) -> str:
     """Render (label, mean, std, color) series as mean lines with +/-1 std
     bands, plus a dotted asymptote line.
 
@@ -199,14 +199,14 @@ def render_timeseries_svg(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )
 
-    # legend: one entry per series, then the asymptote's
+    # legend: one entry per series, then the asymptote's; each label escaped as XML text
     legend = [(label, f'stroke="{color}" stroke-width="2.5"') for label, _, _, color in series]
     legend.append(("asymptote", _ASYMPTOTE_STROKE))
     legend_x = right + 16
     for i, (label, stroke) in enumerate(legend):
         y = _MT + 10 + i * 20
         parts.append(f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 24}" y2="{y}" {stroke}/>')
-        parts.append(f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12">{label}</text>')
+        parts.append(f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12">{label.translate(_XML_TEXT)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -238,6 +238,5 @@ def write_metric_svgs(
             (label, data[f"mean_{metric}"], data[f"std_{metric}"], color)
             for label, data, color in curves
         ]
-        svg = render_timeseries_svg(series, asymptote, title, y_label)
-        path.write_text(svg, encoding="utf-8")
+        path.write_text(render_timeseries_svg(series, asymptote, title, y_label), encoding="utf-8")
     return paths

@@ -275,6 +275,10 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise ScenarioParseError("nested too deeply to parse") from None
+    except ScenarioError:  # _object's refusal of a repeated field
+        raise
+    except ValueError:  # an integer literal longer than Python's int() converts
+        raise ScenarioParseError("an integer has too many digits to parse") from None
     if not isinstance(doc, dict):
         raise ScenarioParseError("top level: expected a JSON object")
     return _parse(Scenario, doc, "top level")

@@ -138,6 +138,19 @@ class TestRunCommand:
         path.write_text(text.replace('"k_decay": 0.98', '"k_decay": 0.98, "k_decay": 0.5', 1))
         self.assert_refused(path, "field 'k_decay' is given twice in one object", tmp_path, capsys)
 
+    def test_integer_past_the_digit_limit_names_the_file(self, tmp_path, capsys):
+        # past Python's 4,300-digit limit for int(), json.loads raises a plain ValueError;
+        # a Python without the limit parses it and refuses it as not finite
+        path = tmp_path / "huge.json"
+        text = case_study_path().read_text(encoding="utf-8")
+        path.write_text(text.replace('"lambda_star": 17', '"lambda_star": 1' + "0" * 5000, 1))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out-dir", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: scenario file {str(path)!r}: ")
+        assert not out.exists()
+
     def test_deep_nesting_names_the_file(self, tmp_path, capsys):
         # past the decoder's recursion limit
         path = tmp_path / "deep.json"

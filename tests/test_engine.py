@@ -188,7 +188,7 @@ class TestRunSimulation:
 
 
 class TestMetricsFill:
-    """run_replications fills the metrics from theta, METRICS_BLOCK days per call."""
+    """run_replications fills the metrics from theta, METRICS_BLOCK rows per call."""
 
     def test_blocked_fill_matches_one_pass(self, case_study, monkeypatch):
         # 30 days in blocks of 7: four whole blocks and a last one of 2 days
@@ -198,6 +198,15 @@ class TestMetricsFill:
             loss, tail = compute_day_metrics(case_study.arrays, run.xi)
             assert np.array_equal(run.expected_loss, loss)
             assert np.array_equal(run.tail_prob, tail)
+
+    def test_one_pass_over_the_rows_of_all_replications(self, case_study, monkeypatch):
+        # 10 replications of 365 days are 3,650 rows: 8 blocks of 512, not one call per run
+        calls = []
+        monkeypatch.setattr(
+            "safesim.engine.compute_day_metrics", lambda *args: calls.append(1) or compute_day_metrics(*args)
+        )
+        run_replications(case_study, make_policy("none"), seeds=range(10), horizon=365)
+        assert len(calls) == 8
 
     def test_no_whole_run_temporary(self, case_study):
         # what a run allocates beyond what it keeps stays below one (days, areas)

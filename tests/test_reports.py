@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,16 @@ class TestRenderMatchesPerPointOracle:
         series, asymptote = plot
         expected = scalar_reference.render_timeseries_svg(series, asymptote, "title", "y")
         assert render_timeseries_svg(series, asymptote, "title", "y") == expected
+
+
+class TestLegendLabels:
+    def test_label_with_markup_characters_is_escaped(self):
+        # a policy registered under any name reaches the legend as its label
+        label = "R&D <team> > 1"
+        series = [(label, np.array([0.5, 0.25]), np.array([0.1, 0.0]), PALETTE[0])]
+        svg = ET.fromstring(render_timeseries_svg(series, 0.3, "title", "y"))
+        texts = [e.text for e in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-2:] == [label, "asymptote"]
 
 
 class TestWriteTrajectoryCsv:
