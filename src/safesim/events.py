@@ -11,7 +11,8 @@ incidents and potential unsafe tasks at xi_base, and of safe tasks at
 1 - theta, by its own uniform, and safe otherwise. Since xi = (1 - theta) *
 xi_base, the day's incidents, unsafe and safe tasks are then independent
 Poissons with means alpha * xi * lambda*, (1 - alpha) * xi * lambda* and
-(1 - xi) * lambda*, the law sample_event_counts draws directly.
+(1 - xi) * lambda*, which is distributionally identical to thinning one
+Poisson(lambda*) task count.
 """
 
 from __future__ import annotations
@@ -44,21 +45,6 @@ GROUP_TASKS = 1 << 16
 def xi_of_theta(theta, xi_base):
     """Unsafe-task fraction implied by safety state theta: (1 - theta) * xi_base."""
     return (1.0 - theta) * xi_base
-
-
-def sample_event_counts(rng: np.random.Generator, lambda_star, xi, alpha):
-    """Draw (incidents, unsafe, safe) counts: all incidents, then all unsafe, then all safe.
-
-    The three counts are independent Poissons with means alpha*xi*lambda,
-    (1-alpha)*xi*lambda and (1-xi)*lambda, which is distributionally
-    identical to thinning a single Poisson(lambda) task count. For float
-    arguments each is a Python int, as Generator.poisson returns for a float
-    mean; for arrays, an int64 array of their broadcast shape.
-    """
-    n_e = rng.poisson(alpha * xi * lambda_star)
-    n_neg = rng.poisson((1.0 - alpha) * xi * lambda_star)
-    n_pos = rng.poisson((1.0 - xi) * lambda_star)
-    return n_e, n_neg, n_pos
 
 
 def potential_tasks_per_day(scenario: Scenario) -> int:
@@ -113,9 +99,10 @@ class EventBlocks:
     At the start of each block of B = block_days(scenario) days, each
     replication's environment stream draws, in this order:
 
-    1. E, G, S = sample_event_counts(rng, lambda*, xi_base, alpha), each
-       shaped (B, areas): the potential incidents, the potential unsafe
-       tasks and the safe tasks;
+    1. E, G, S, each shaped (B, areas): the potential incidents, the
+       potential unsafe tasks and the safe tasks, Poissons of the block's
+       means alpha * xi_base * lambda*, (1 - alpha) * xi_base * lambda* and
+       (1 - xi_base) * lambda*, which __init__ stacks once into means;
     2. one thinning uniform per potential incident;
     3. the (2, E.sum()) AHL and PHL uniforms of the potential incidents,
        mapped to levels at once (hurt_levels);
@@ -138,7 +125,9 @@ class EventBlocks:
         self.arrays = scenario.arrays
         self.n_areas = n_areas = scenario.n_areas
         self.days = block_days(scenario)
-        self.lambda_star = np.broadcast_to(self.arrays.lambda_star, (self.days, self.n_areas))
+        lam = np.broadcast_to(self.arrays.lambda_star, (self.days, n_areas))
+        xi_base, alpha = self.arrays.xi_base, self.arrays.alpha
+        self.means = np.array([alpha * xi_base * lam, (1.0 - alpha) * xi_base * lam, (1.0 - xi_base) * lam])
         size = max(GROUP_TASKS // (self.days * potential_tasks_per_day(scenario)), 1)
         starts = range(0, len(rngs), size)
         self.groups = [(rngs[s : s + size], slice(s * n_areas, (s + size) * n_areas)) for s in starts]
@@ -156,8 +145,8 @@ class EventBlocks:
         all tasks per column, potential and safe. Each is a view of the block's arrays.
         """
         arrays, n_days, n_areas = self.arrays, self.days, self.n_areas
-        means = (self.lambda_star, arrays.xi_base, arrays.alpha)
-        counts = np.array([sample_event_counts(rng, *means) for rng in rngs])  # (reps, 3, days, areas)
+        # one call on the stacked means draws E, then G, then S, as three calls would
+        counts = np.array([rng.poisson(self.means) for rng in rngs])  # (reps, 3, days, areas)
         cells = counts[:, :2].transpose(1, 0, 2, 3)  # (kind, replication, day, area): u's order
         sizes = cells.reshape(2 * len(rngs), -1).sum(axis=1)
         end = np.cumsum(sizes).tolist()

@@ -7,11 +7,11 @@ comparison with their area's running sums, classifies a day's tasks as
 array operations over the batch, and computes the metrics of all of a
 run's days as array operations over days and areas. These are the
 sequential per-task, per-area and per-day forms that code must match bit
-for bit (the tail probability to rounding), the three-Poisson sampler that
-drew an area-day's events directly before, whose law the thinned counts
-must match, and the numpy table lookup that mapped a whole day's incidents
-before; the tests compare against them. The
-observation samplers at the end are the ones the
+for bit (the tail probability to rounding); the direct three-Poisson
+sampler, sample_event_counts, whose law the thinned counts must match and
+with which PerTaskEnvironment draws its potential counts; and the numpy
+table lookup that mapped a whole day's incidents before; the tests compare
+against them. The observation samplers at the end are the ones the
 simulator used before the fixed-weight urn: the tests compare the urn's law
 against theirs. Beside them is the urn that recomputes its remaining counts
 from the pick index, which the simulator's urn must match exactly. Last come the numpy forms of the observers' allocation and
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from safesim.events import DegenerateHurtDistribution, sample_event_counts
+from safesim.events import DegenerateHurtDistribution
 from safesim.metrics import SEVERE_AHL
 from safesim.observation import ProportionError, allocate_observers, select_observed
 from safesim.reports import _MB, _ML, _MR, _MT, _SVG_H, _SVG_W, _nice_step
@@ -58,6 +58,21 @@ def sample_phl(rng, hl_probs, ahl: int) -> int:
         if u < acc:
             return level
     return N_HURT_LEVELS - 1
+
+
+def sample_event_counts(rng: np.random.Generator, lambda_star, xi, alpha):
+    """Draw (incidents, unsafe, safe) counts: all incidents, then all unsafe, then all safe.
+
+    The three counts are independent Poissons with means alpha*xi*lambda,
+    (1-alpha)*xi*lambda and (1-xi)*lambda, which is distributionally
+    identical to thinning a single Poisson(lambda) task count. For float
+    arguments each is a Python int, as Generator.poisson returns for a float
+    mean; for arrays, an int64 array of their broadcast shape.
+    """
+    n_e = rng.poisson(alpha * xi * lambda_star)
+    n_neg = rng.poisson((1.0 - alpha) * xi * lambda_star)
+    n_pos = rng.poisson((1.0 - xi) * lambda_star)
+    return n_e, n_neg, n_pos
 
 
 def three_poisson_day(rng, area, xi: float):

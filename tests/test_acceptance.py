@@ -12,12 +12,11 @@ import pytest
 from conftest import make_area, make_scenario
 from safesim.cli import main
 from safesim.engine import run_ensemble, run_simulation
-from safesim.events import sample_event_counts
 from safesim.metrics import SEVERE_AHL, baseline_asymptote
 from safesim.policies import AHL, PHL, make_policy
 from safesim.reports import fmt
 from safesim.scenario import ScenarioArrays, case_study_path
-from scalar_reference import hurt_level
+from scalar_reference import hurt_level, sample_event_counts
 from stat_utils import two_sample_chisquare
 
 WEIGHTED_SPEC = "weighted:0.12,0.12,0.12,0.08,0.08,0.28,0.2"

@@ -538,3 +538,33 @@ class TestCsvColumns:
         assert columns["day"] == [str(d) for d in range(1, 21)]
         for name in fields:
             assert columns[name] == [fmt(v) for v in getattr(summary, name)], name
+
+
+# Run in a child process: it imports safesim.cli and runs a small ensemble, so
+# that the modules numpy.random imports lazily on the first draw count too, and
+# prints the top-level names of the modules imported after its start-up. Modules
+# made in memory by compiled extensions (Cython's runtime modules in numpy.random)
+# have no __spec__: the import system loaded nothing for them.
+IMPORTS_OF_A_RUN = """
+import sys
+start = set(sys.modules)
+import safesim.cli
+from safesim.engine import run_ensemble
+from safesim.policies import make_policy
+from safesim.scenario import case_study_path, load_scenario_file
+scenario = load_scenario_file(case_study_path())
+run_ensemble(scenario, make_policy("counts"), n_reps=2, base_seed=1, horizon=3)
+imported = [name for name in set(sys.modules) - start if getattr(sys.modules[name], "__spec__", None)]
+print(" ".join(sorted({name.partition(".")[0] for name in imported})))
+"""
+
+
+def test_the_package_imports_numpy_and_the_standard_library_alone():
+    # pyproject.toml declares numpy as the only dependency; the test environment
+    # has more installed, so only a run can show that nothing else is imported.
+    env = {**os.environ, "PYTHONPATH": str(Path(safesim.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORTS_OF_A_RUN], capture_output=True, text=True, env=env, check=True
+    )
+    imported = set(result.stdout.split())
+    assert imported - set(sys.stdlib_module_names) == {"numpy", "safesim"}

@@ -17,11 +17,12 @@ from safesim.engine import (
     step_day,
     summarize_trajectories,
 )
-from safesim.events import HURT_CHUNK, block_days, sample_event_counts
+from safesim.events import HURT_CHUNK, block_days
 from safesim.metrics import SEVERE_AHL, baseline_asymptote, compute_day_metrics
 from safesim.observation import ProportionError
 from safesim.policies import AHL, AREA, DAY, PHL, Policy, make_policy
 from safesim.scenario import MAX_LAMBDA_STAR, N_HURT_LEVELS
+from scalar_reference import sample_event_counts
 
 RUN_ARRAYS = (
     "theta", "xi", "n_e", "n_neg", "n_pos", "obs_pos", "obs_neg",

@@ -14,13 +14,13 @@ from safesim.events import (
     DegenerateHurtDistribution,
     EventBlocks,
     hurt_levels,
-    sample_event_counts,
     step_events,
     xi_of_theta,
 )
 from safesim.intervention import step_theta
 from safesim.policies import ObservableHistory
 from safesim.scenario import ScenarioArrays
+from scalar_reference import sample_event_counts
 from stat_utils import two_sample_chisquare
 
 AREA_A_HL = (0.50, 0.35, 0.13, 0.02, 0.0, 0.0)
