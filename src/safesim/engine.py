@@ -27,15 +27,18 @@ differ only through their decisions (common random numbers).
 
 The replications of an ensemble step together (run_replications): one
 day loop advances all of them. Each still draws from its own three
-streams, in the order above, and has its own history and policy
-decision, so its trajectory is byte-identical to the run of its seed
-alone. What draws nothing (the day's classification of tasks, storage
-and the feedback drive) runs once a day over the areas of every
-replication. run_simulation is the case of one replication.
+streams, in the order above, and has its own history, policy instance and
+policy decision, so its trajectory is byte-identical to the run of its
+seed alone. What draws nothing (the day's classification of tasks,
+storage and the feedback drive) runs once a day over the areas of every
+replication. run_simulation is the case of one replication, and
+run_ensemble steps the same loop over a batch that keeps only what its
+summary reads.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -80,6 +83,9 @@ class HorizonError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One replication as per-run arrays; row d of each array is day d + 1.
+
+    run_ensemble's batch holds n_e, n_neg, n_pos and proportions one row deep
+    (see Replications), and its trajectories never leave run_ensemble.
 
     theta is the start-of-day safety state, shaped (days, areas) like the
     int32 event counts n_e, n_neg and n_pos (views of Replications.counts);
@@ -137,18 +143,31 @@ class Replications:
     once, one row per day, so that a day's writes are contiguous rows.
     Column r * areas + a is area a of replication r, and columns[r] slices
     replication r's columns: theta is shaped (days, R * areas), counts (the
-    int32 n_e, n_neg and n_pos) (days, 3, R * areas), obs_pos, obs_neg and
-    proportions (days, obs_types, R * areas), expected_loss and tail_prob
-    (days, R). xi is not held (see Trajectory). runs[r] is replication r's
-    Trajectory, whose arrays and history are views of columns[r], and
-    streams[r] its random streams. events holds the environment draws of
-    the days ahead, and k_decay each column's decay factor. Every size
-    check of a run is made here, before its first day: see HorizonError.
+    int32 n_e, n_neg and n_pos) (depth, 3, R * areas), obs_pos and obs_neg
+    (days, obs_types, R * areas), proportions (depth, obs_types, R * areas),
+    expected_loss and tail_prob (days, R). Row d % depth of counts and
+    proportions holds day d + 1: depth is the horizon unless given, and
+    run_ensemble, whose summary reads neither, takes 1. The metrics fill
+    reads every day of theta, and a policy any past day of the observed
+    counts. xi is not held (see Trajectory). runs[r] is replication r's
+    Trajectory, whose arrays and history are views of columns[r], streams[r]
+    its random streams, and policies[r], set by step_day on day 1, its policy
+    instance. events holds the environment draws of the days ahead, and
+    k_decay each column's decay factor. Every size check of a run is made
+    here, before its first day: see HorizonError. horizon None is the
+    scenario's.
     """
 
-    def __init__(self, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int):
+    def __init__(
+        self, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int | None,
+        depth: int | None = None,
+    ):
+        horizon = scenario.horizon_days if horizon is None else horizon
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
+        depth = horizon if depth is None else depth
+        if not 1 <= depth <= horizon:
+            raise ValueError(f"depth must be in [1, {horizon}], got {depth}")
         n_areas = scenario.n_areas
         too_big = f"replications x {horizon} days x {n_areas} areas is too large to preallocate"
         try:
@@ -163,11 +182,11 @@ class Replications:
         shape = (horizon, n_reps * n_areas)
         try:
             self.theta = np.zeros(shape)
-            self.counts = np.zeros((horizon, 3, shape[1]), dtype=np.int32)
+            self.counts = np.zeros((depth, 3, shape[1]), dtype=np.int32)
             by_type = (horizon, len(scenario.obs_types), shape[1])
             self.obs_pos = np.zeros(by_type, dtype=np.int32)
             self.obs_neg = np.zeros(by_type, dtype=np.int32)
-            self.proportions = np.full(by_type, np.nan)
+            self.proportions = np.full((depth, *by_type[1:]), np.nan)
             self.expected_loss = np.zeros((horizon, n_reps))
             self.tail_prob = np.zeros((horizon, n_reps))
         except (MemoryError, ValueError, OverflowError) as exc:  # ValueError: "array is too big"
@@ -194,55 +213,52 @@ class Replications:
 
 
 def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> np.ndarray:
-    """Simulate day d + 1 of every replication into row d; returns the next day's theta.
+    """Simulate day d + 1 of every replication; returns the next day's theta.
 
     theta is the start-of-day state per column; replication r reads and
-    writes reps.columns[r] (see Replications). Order of operations: classify
-    the day's tasks at theta into reps.counts[d], ask the policy (which sees
-    history through yesterday only), run the observation process, close the
-    day in the history, and update theta. Each replication draws from its
-    own streams in the order of a run stepped alone; what is deterministic
-    runs once over all columns. The metrics are not evaluated here: they
-    depend on xi alone, and run_replications computes them from the stored
-    theta after the last day.
+    writes reps.columns[r], in row d, or d % depth for counts and
+    proportions (see Replications). Order of operations: classify the day's
+    tasks at theta into counts, ask the policy (which sees history through
+    yesterday only), run the observation process, close the day in the
+    history, and update theta. Each replication draws from its own streams
+    in the order of a run stepped alone; what is deterministic runs once
+    over all columns. The metrics are not evaluated here: they depend on xi
+    alone, and the run computes them from the stored theta after the last
+    day. policy is read on day 1 (d = 0) only: the first replication keeps
+    it, and every other decides with its own copy.deepcopy of it from then on.
     """
     scenario = reps.scenario
-    events = step_events(reps.events, d, theta, reps.counts[d])
+    row = d % len(reps.counts)
+    events = step_events(reps.events, d, theta, reps.counts[row])
     reps.theta[d] = theta
-    n_neg, n_pos = reps.counts[d, 1:].tolist()
+    reps.proportions[row] = np.nan  # NaN unless observers are fielded today, at any depth
+    n_neg, n_pos = reps.counts[row, 1:].tolist()
+    if d == 0:
+        reps.policies = [policy] + [copy.deepcopy(policy) for _ in reps.runs[1:]]
 
-    for run, streams, columns, rows in zip(reps.runs, reps.streams, reps.columns, events.rows):
-        decision = policy.decide(run.history, streams.policy)
+    batch = zip(reps.runs, reps.policies, reps.streams, reps.columns, events.rows)
+    for run, own_policy, streams, columns, rows in batch:
+        decision = own_policy.decide(run.history, streams.policy)
         if decision is not None:
             step_observations(
                 decision, streams.observer, scenario, n_pos[columns], n_neg[columns],
-                run.proportions[d], run.obs_pos[d], run.obs_neg[d],
+                run.proportions[row], run.obs_pos[d], run.obs_neg[d],
             )
         run.history._append_day(rows)
 
     # A replication without observers keeps its zero observed counts. Their
     # terms add up to 0.0, and 0.0 + x is x, so its drive has the bits of
     # the incident term alone, the drive of a day without observers.
-    drive = feedback_drive(reps.obs_neg[d], reps.counts[d, 0], scenario)
+    drive = feedback_drive(reps.obs_neg[d], reps.counts[row, 0], scenario)
     columns = zip(theta.tolist(), drive.tolist(), reps.k_decay)
     return np.array([step_theta(t, dr, k) for t, dr, k in columns])
 
 
-def run_replications(
-    scenario: Scenario, policy: Policy, seeds: Sequence[int], horizon: int | None = None
-) -> list[Trajectory]:
-    """Run one seeded replication per seed over the given horizon (days), in lockstep.
-
-    Returns one trajectory per seed, in the order of seeds. Each is
-    byte-identical to the run of its seed alone: the replications share one
-    day loop, not a random draw. Replications refuses a run of the wrong
-    size before its first day; this only reads the batch it built. One pass
-    over the batch's rows then fills the metrics from the stored theta.
-    """
-    horizon = scenario.horizon_days if horizon is None else horizon
-    reps = Replications(scenario, policy.name, seeds, horizon)
+def _run(reps: Replications, policy: Policy) -> list[Trajectory]:
+    """Step reps through every day, fill the metrics from the stored theta; returns reps.runs."""
+    scenario = reps.scenario
     theta = np.array([area.theta0 for area in scenario.areas] * len(reps.runs), dtype=float)
-    for d in range(horizon):
+    for d in range(len(reps.theta)):
         theta = step_day(reps, d, theta, policy)
     # Row d * R + r is day d + 1 of replication r; METRICS_BLOCK rows bound the temporaries.
     arrays, rows = scenario.arrays, reps.theta.reshape(-1, scenario.n_areas)
@@ -251,6 +267,21 @@ def run_replications(
         block = slice(start, start + METRICS_BLOCK)
         loss[block], tail[block] = compute_day_metrics(arrays, xi_of_theta(rows[block], arrays.xi_base))
     return list(reps.runs)
+
+
+def run_replications(
+    scenario: Scenario, policy: Policy, seeds: Sequence[int], horizon: int | None = None
+) -> list[Trajectory]:
+    """Run one seeded replication per seed over the given horizon (days), in lockstep.
+
+    Returns one trajectory per seed, in the order of seeds, with every day
+    of every array. Each is byte-identical to the run of its seed alone: the
+    replications share one day loop, not a random draw, and each has its own
+    policy instance (see step_day). Replications refuses a run of the wrong
+    size before its first day; this only reads the batch it built. One pass
+    over the batch's rows then fills the metrics from the stored theta.
+    """
+    return _run(Replications(scenario, policy.name, seeds, horizon), policy)
 
 
 def run_simulation(
@@ -337,7 +368,11 @@ def run_ensemble(
     """Run n_reps replications with seeds base_seed, base_seed+1, ... and summarize.
 
     Replications are independent; the summary depends only on the set of
-    seeded runs, not on the order they execute in.
+    seeded runs, not on the order they execute in. It is, bit for bit, the
+    summary of run_replications at those seeds, from a batch whose event
+    counts and proportions are one day deep (see Replications): the summary
+    reads only the metrics and the incident log.
     """
     seeds = range(base_seed, base_seed + n_reps)
-    return summarize_trajectories(run_replications(scenario, policy, seeds, horizon), base_seed)
+    reps = Replications(scenario, policy.name, seeds, horizon, depth=1)
+    return summarize_trajectories(_run(reps, policy), base_seed)

@@ -121,10 +121,10 @@ class Policy:
     else draws from that stream, so a policy's draws never shift the
     environment or the observers.
 
-    The engine steps an ensemble's replications together, so one instance
-    decides for every replication each day, one call per replication in
-    turn. It must therefore keep no per-run state: whatever it needs to
-    remember belongs in the history it is handed.
+    The engine steps an ensemble's replications together, each with its own
+    instance: the first replication decides with the caller's, and every
+    other with a copy.deepcopy of it made on day 1 (engine.step_day). State
+    a policy keeps between its calls therefore stays with one replication.
     """
 
     name = "policy"

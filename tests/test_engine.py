@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 import scalar_reference
 from conftest import make_area, make_obs_type, make_scenario
 from safesim.engine import (
+    EnsembleSummary,
     Replications,
     Streams,
     nearest_rank,
@@ -17,7 +18,7 @@ from safesim.engine import (
     step_day,
     summarize_trajectories,
 )
-from safesim.events import HURT_CHUNK, block_days
+from safesim.events import HURT_CHUNK, EventBlocks, block_days
 from safesim.metrics import SEVERE_AHL, baseline_asymptote, compute_day_metrics
 from safesim.observation import ProportionError
 from safesim.policies import AHL, AREA, DAY, PHL, Policy, make_policy
@@ -43,6 +44,31 @@ class TestStepDay:
         assert run.obs_pos.sum() + run.obs_neg.sum() == 0
         k = np.array([a.k_decay for a in case_study.areas])
         assert np.allclose(new_theta, run.theta[0] * k, rtol=1e-15)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_shallow_record_holds_the_latest_days(self, case_study, depth):
+        # day d + 1 goes into row d % depth of the event counts and proportions;
+        # theta and the observed counts keep every day. Seed 4 fields observers
+        # on day 9 and none on day 10, whose row must not keep day 9's proportions
+        horizon = 10
+        full = run_simulation(case_study, OddDaysOffPolicy(), seed=4, horizon=horizon)
+        assert not np.isnan(full.proportions[-2]).any() and np.isnan(full.proportions[-1]).all()
+        reps = Replications(case_study, "odd-days-off", seeds=[4], horizon=horizon, depth=depth)
+        theta, policy = np.array([a.theta0 for a in case_study.areas]), OddDaysOffPolicy()
+        for d in range(horizon):
+            theta = step_day(reps, d, theta, policy)
+        run = reps.runs[0]
+        assert run.n_e.shape[0] == run.proportions.shape[0] == depth
+        for d in range(horizon - depth, horizon):
+            for name in ("n_e", "n_neg", "n_pos", "proportions"):
+                assert np.array_equal(getattr(run, name)[d % depth], getattr(full, name)[d], equal_nan=True)
+        for name in ("theta", "obs_pos", "obs_neg"):
+            assert np.array_equal(getattr(run, name), getattr(full, name)), name
+
+    @pytest.mark.parametrize("depth", [0, 11])
+    def test_depth_outside_the_horizon_refused(self, case_study, depth):
+        with pytest.raises(ValueError, match=f"depth must be in \\[1, 10\\], got {depth}"):
+            Replications(case_study, "none", seeds=[1], horizon=10, depth=depth)
 
     def test_record_invariants(self, case_study):
         run = run_simulation(case_study, make_policy("uniform"), seed=3, horizon=60)
@@ -105,6 +131,12 @@ COUNT_COLUMNS = ("n_e", "n_neg", "n_pos", "obs_pos", "obs_neg")
 # from theta.
 CASE_STUDY_BYTES_PER_REP_DAY = 492
 
+# What run_ensemble's batch holds per replication-day on the case study: every
+# day of theta (56 B), of the observed counts (168 B) and of the metrics (16 B).
+# Its event counts and proportions are one day deep: the other 492 - 240 = 252 B
+# of a day, held once per replication.
+CASE_STUDY_ENSEMBLE_BYTES_PER_REP_DAY = 240
+
 
 class TestInt32Record:
     """The run's integer record is int32; the load-time bounds keep every value in range."""
@@ -127,6 +159,22 @@ class TestInt32Record:
         reps = Replications(case_study, "uniform", seeds=range(n_reps), horizon=horizon)
         held = sum(a.nbytes for a in vars(reps).values() if isinstance(a, np.ndarray))
         assert held / (n_reps * horizon) <= CASE_STUDY_BYTES_PER_REP_DAY
+
+    def test_ensemble_bytes_held_per_replication_day(self, case_study, monkeypatch):
+        built = []
+
+        class RecordedReplications(Replications):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr("safesim.engine.Replications", RecordedReplications)
+        n_reps, horizon = 4, 365
+        run_ensemble(case_study, make_policy("uniform"), n_reps, base_seed=0, horizon=horizon)
+        (reps,) = built
+        held = sum(a.nbytes for a in vars(reps).values() if isinstance(a, np.ndarray))
+        one_day_rows = n_reps * (CASE_STUDY_BYTES_PER_REP_DAY - CASE_STUDY_ENSEMBLE_BYTES_PER_REP_DAY)
+        assert (held - one_day_rows) / (n_reps * horizon) <= CASE_STUDY_ENSEMBLE_BYTES_PER_REP_DAY
 
     def test_counts_at_the_rate_bound_match_the_scalar_sampler(self):
         # theta = 0.9, xi = 0.05: of about 50,000 potential incidents and 450,000
@@ -248,6 +296,37 @@ class TestHistoryIsolation:
             assert deciding_day == day
             assert newest_visible == deciding_day - 1
             assert np.array_equal(visible, logged[logged < deciding_day])
+
+
+class RotatingPolicy(Policy):
+    """Sends every observer to one area, one area further each day; it counts its own days."""
+
+    name = "rotating"
+
+    def __init__(self):
+        self.day = 0
+
+    def decide(self, history, rng):
+        s = np.zeros(history.n_areas)
+        s[self.day % history.n_areas] = 1.0
+        self.day += 1
+        return dict.fromkeys(history.obs_type_ids, s)
+
+
+class TestPolicyInstances:
+    """Each replication decides with its own policy instance."""
+
+    def test_stateful_policy_same_bytes_alone_and_at_each_position(self, case_study):
+        seeds, horizon = [42, 43, 44], 60
+        alone = {seed: run_simulation(case_study, RotatingPolicy(), seed, horizon) for seed in seeds}
+        for shift in range(3):  # each seed at each position of a batch of three
+            order = seeds[shift:] + seeds[:shift]
+            caller = RotatingPolicy()
+            batch = run_replications(case_study, caller, order, horizon)
+            assert caller.day == horizon  # the caller's instance decided for the first replication only
+            for seed, batched in zip(order, batch):
+                assert trajectories_equal(batched, alone[seed]), (order, seed)
+                assert np.array_equal(batched.proportions, alone[seed].proportions, equal_nan=True)
 
 
 class DrawingCountsPolicy(Policy):
@@ -573,14 +652,26 @@ class TestRunEnsemble:
         assert np.array_equal(band[~same], values.std(axis=0)[~same])
 
     def test_seeds_derived_from_base(self, case_study):
-        policy = make_policy("none")
-        summary = run_ensemble(case_study, policy, 3, base_seed=100, horizon=10)
-        manual = [
-            run_simulation(case_study, policy, seed=100 + i, horizon=10) for i in range(3)
-        ]
-        assert np.array_equal(
-            summary.incident_totals, np.stack([t.incident_totals() for t in manual])
-        )
+        # run_ensemble keeps the event counts and proportions one day deep, yet
+        # for every built-in policy its summary is, bit for bit, that of the
+        # full records of seeds base_seed, base_seed + 1, ...; with area A at
+        # lambda* = 70,000 a block is one day and a group one replication
+        areas = (replace(case_study.areas[0], lambda_star=70_000.0), *case_study.areas[1:])
+        one_day_blocks = replace(case_study, areas=areas)
+        assert block_days(one_day_blocks) == 1
+        assert len(EventBlocks(one_day_blocks, [np.random.default_rng(0)] * 3).groups) == 3
+        for scenario, horizon in ((case_study, 40), (one_day_blocks, 5)):
+            for spec in BUILT_IN_POLICIES:
+                summary = run_ensemble(scenario, make_policy(spec), 3, base_seed=100, horizon=horizon)
+                runs = run_replications(scenario, make_policy(spec), [100, 101, 102], horizon)
+                full = summarize_trajectories(runs, base_seed=100)
+                for field in fields(EnsembleSummary):
+                    got, expected = getattr(summary, field.name), getattr(full, field.name)
+                    if isinstance(expected, np.ndarray):
+                        as_bits = [(a.dtype, a.shape, a.tobytes()) for a in (got, expected)]
+                        assert as_bits[0] == as_bits[1], (spec, horizon, field.name)
+                    else:
+                        assert got == expected, (spec, horizon, field.name)
 
     def test_order_independent_aggregation(self, case_study):
         policy = make_policy("uniform")
