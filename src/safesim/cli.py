@@ -1,7 +1,8 @@
 """Command-line front end: single runs, percentile tables, policy comparisons.
 
-Exit codes: 0 success, 1 runtime failure (e.g. unwritable output or a
-refused policy decision), 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime failure (e.g. unwritable output, a
+refused policy decision, or a policy that read past its lookback_days or
+drew from a global generator), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 # benchmark's span tracer (bench/spans.py) wraps safesim.cli:summarize_trajectories.
 from .engine import HorizonError, run_ensemble, run_simulation, summarize_trajectories
 from .observation import ProportionError
-from .policies import FixedWeightsPolicy, Policy, PolicyError, make_policy, policy_names
+from .policies import DecisionError, FixedWeightsPolicy, Policy, PolicyError, make_policy, policy_names
 from .reports import (
     write_compare_csv,
     write_metric_svgs,
@@ -184,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, PolicyError, HorizonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ProportionError) as exc:
+    except (OSError, ProportionError, DecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -33,25 +33,27 @@ seed alone. What draws nothing (the day's classification of tasks,
 storage and the feedback drive) runs once a day over the areas of every
 replication. run_simulation is the case of one replication, and
 run_ensemble steps the same loop over a batch that keeps only what its
-summary reads.
+policy and its summary read: how many days of each record a batch holds
+is data (see Replications), not a second loop.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .events import AHL, AREA, EventBlocks, step_events, xi_of_theta
+from .events import EventBlocks, step_events, xi_of_theta
 from .intervention import feedback_drive, step_theta
 from .metrics import compute_day_metrics
 from .observation import step_observations
-from .policies import ObservableHistory, Policy
-from .scenario import N_HURT_LEVELS, Scenario
+from .policies import DecisionError, ObservableHistory, Policy, check_lookback
+from .scenario import Scenario
 
 
 STREAM_CONTRACT = 3  # version of the stream contract in the module docstring
@@ -73,7 +75,8 @@ class Streams(NamedTuple):
 
 
 MAX_HORIZON = np.iinfo(np.int32).max  # the incident log's DAY column is int32
-METRICS_BLOCK = 1 << 9  # rows (replication-days) per compute_day_metrics call; one 365-day run is one
+# rows (replication-days) per compute_day_metrics call, and the theta an ensemble holds
+METRICS_BLOCK = 1 << 9
 
 
 class HorizonError(ValueError):
@@ -84,8 +87,9 @@ class HorizonError(ValueError):
 class Trajectory:
     """One replication as per-run arrays; row d of each array is day d + 1.
 
-    run_ensemble's batch holds n_e, n_neg, n_pos and proportions one row deep
-    (see Replications), and its trajectories never leave run_ensemble.
+    run_ensemble's batch holds fewer rows of theta, n_e, n_neg, n_pos,
+    obs_pos, obs_neg and proportions, and fewer incident rows (see
+    Replications), and its trajectories never leave run_ensemble.
 
     theta is the start-of-day safety state, shaped (days, areas) like the
     int32 event counts n_e, n_neg and n_pos (views of Replications.counts);
@@ -117,7 +121,7 @@ class Trajectory:
 
     @property
     def horizon(self) -> int:
-        return len(self.theta)
+        return len(self.expected_loss)
 
     @property
     def xi(self) -> np.ndarray:
@@ -127,13 +131,11 @@ class Trajectory:
     @property
     def incidents(self) -> np.ndarray:
         """Day-sorted int32 incident log; columns DAY, AREA, AHL, PHL (see events)."""
-        return self.history.incidents
+        return self.history._held_rows()
 
     def incident_totals(self) -> np.ndarray:
         """Total incident counts over the run, indexed [area, ahl]."""
-        cells = self.incidents[:, AREA] * N_HURT_LEVELS + self.incidents[:, AHL]
-        size = self.scenario.n_areas * N_HURT_LEVELS
-        return np.bincount(cells, minlength=size).reshape(-1, N_HURT_LEVELS)
+        return self.history._incident_totals()
 
 
 class Replications:
@@ -142,16 +144,24 @@ class Replications:
     The per-run arrays of Trajectory are held here for every replication at
     once, one row per day, so that a day's writes are contiguous rows.
     Column r * areas + a is area a of replication r, and columns[r] slices
-    replication r's columns: theta is shaped (days, R * areas), counts (the
-    int32 n_e, n_neg and n_pos) (depth, 3, R * areas), obs_pos and obs_neg
-    (days, obs_types, R * areas), proportions (depth, obs_types, R * areas),
-    expected_loss and tail_prob (days, R). Row d % depth of counts and
-    proportions holds day d + 1: depth is the horizon unless given, and
-    run_ensemble, whose summary reads neither, takes 1. The metrics fill
-    reads every day of theta, and a policy any past day of the observed
-    counts. xi is not held (see Trajectory). runs[r] is replication r's
-    Trajectory, whose arrays and history are views of columns[r], streams[r]
-    its random streams, and policies[r], set by step_day on day 1, its policy
+    replication r's columns: theta is shaped (theta_depth, R * areas),
+    counts (the int32 n_e, n_neg and n_pos) (depth, 3, R * areas), obs_pos
+    and obs_neg (observed depth, obs_types, R * areas), proportions (depth,
+    obs_types, R * areas), expected_loss and tail_prob (days, R). Each
+    record holds day d + 1 in row d % its depth, and every depth is the
+    horizon unless given, so a run's record holds every day:
+    - depth, of counts and proportions: run_ensemble, whose summary reads
+      neither, takes 1;
+    - theta_depth, at least 1 and at most the horizon: the run fills the
+      metrics from theta each time theta_depth days have closed;
+      run_ensemble holds one METRICS_BLOCK of rows;
+    - history_days, the days of incident rows each history holds (see
+      ObservableHistory): None holds every day. An integer, the lookback of
+      run_ensemble's policy, also makes the observed counts one day deep,
+      as a policy with a finite lookback reads none of them.
+    xi is not held (see Trajectory). runs[r] is replication r's Trajectory,
+    whose arrays and history are views of columns[r], streams[r] its random
+    streams, and policies[r], set by step_day on day 1, its policy
     instance. events holds the environment draws of the days ahead, and
     k_decay each column's decay factor. Every size check of a run is made
     here, before its first day: see HorizonError. horizon None is the
@@ -160,7 +170,7 @@ class Replications:
 
     def __init__(
         self, scenario: Scenario, policy_name: str, seeds: Sequence[int], horizon: int | None,
-        depth: int | None = None,
+        depth: int | None = None, theta_depth: int | None = None, history_days: int | None = None,
     ):
         horizon = scenario.horizon_days if horizon is None else horizon
         if horizon < 1:
@@ -168,6 +178,8 @@ class Replications:
         depth = horizon if depth is None else depth
         if not 1 <= depth <= horizon:
             raise ValueError(f"depth must be in [1, {horizon}], got {depth}")
+        theta_depth = horizon if theta_depth is None else min(max(theta_depth, 1), horizon)
+        observed_depth = horizon if history_days is None else 1
         n_areas = scenario.n_areas
         too_big = f"replications x {horizon} days x {n_areas} areas is too large to preallocate"
         try:
@@ -181,9 +193,9 @@ class Replications:
             raise HorizonError(f"{too_long}: days are int32, at most {MAX_HORIZON}")
         shape = (horizon, n_reps * n_areas)
         try:
-            self.theta = np.zeros(shape)
+            self.theta = np.zeros((theta_depth, shape[1]))
             self.counts = np.zeros((depth, 3, shape[1]), dtype=np.int32)
-            by_type = (horizon, len(scenario.obs_types), shape[1])
+            by_type = (observed_depth, len(scenario.obs_types), shape[1])
             self.obs_pos = np.zeros(by_type, dtype=np.int32)
             self.obs_neg = np.zeros(by_type, dtype=np.int32)
             self.proportions = np.full((depth, *by_type[1:]), np.nan)
@@ -200,7 +212,9 @@ class Replications:
                 scenario,
                 policy_name,
                 seed,
-                ObservableHistory(scenario.obs_type_ids, self.obs_pos[..., cols], self.obs_neg[..., cols]),
+                ObservableHistory(
+                    scenario.obs_type_ids, self.obs_pos[..., cols], self.obs_neg[..., cols], history_days
+                ),
                 expected_loss=self.expected_loss[:, r],
                 tail_prob=self.tail_prob[:, r],
                 **dict(zip(("n_e", "n_neg", "n_pos"), self.counts[..., cols].swapaxes(0, 1))),
@@ -212,29 +226,43 @@ class Replications:
         self.k_decay = [area.k_decay for area in scenario.areas] * n_reps
 
 
+def _global_generators() -> tuple:
+    """The states of numpy's and Python's global generators, comparable with ==."""
+    _, key, pos, has_gauss, gauss = np.random.get_state()
+    return key.tobytes(), pos, has_gauss, gauss, random.getstate()
+
+
 def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> np.ndarray:
     """Simulate day d + 1 of every replication; returns the next day's theta.
 
     theta is the start-of-day state per column; replication r reads and
-    writes reps.columns[r], in row d, or d % depth for counts and
-    proportions (see Replications). Order of operations: classify the day's
-    tasks at theta into counts, ask the policy (which sees history through
-    yesterday only), run the observation process, close the day in the
-    history, and update theta. Each replication draws from its own streams
-    in the order of a run stepped alone; what is deterministic runs once
-    over all columns. The metrics are not evaluated here: they depend on xi
-    alone, and the run computes them from the stored theta after the last
-    day. policy is read on day 1 (d = 0) only: the first replication keeps
-    it, and every other decides with its own copy.deepcopy of it from then on.
+    writes reps.columns[r], in row d % the record's depth (see
+    Replications). Order of operations: classify the day's tasks at theta
+    into counts, ask the policy (which sees history through yesterday
+    only), run the observation process, close the day in the history, and
+    update theta. Each replication draws from its own streams in the order
+    of a run stepped alone; what is deterministic runs once over all
+    columns. The metrics are not evaluated here: they depend on xi alone,
+    and the run computes them from the stored theta. policy is read on day
+    1 (d = 0) only. Its lookback_days is checked (check_lookback) and bound
+    to every history before the day starts; the first replication keeps
+    policy, and every other decides with its own copy.deepcopy of it from
+    then on. If day 1's decisions move numpy's or Python's global generator,
+    the run is refused with DecisionError.
     """
     scenario = reps.scenario
-    row = d % len(reps.counts)
-    events = step_events(reps.events, d, theta, reps.counts[row])
-    reps.theta[d] = theta
-    reps.proportions[row] = np.nan  # NaN unless observers are fielded today, at any depth
-    n_neg, n_pos = reps.counts[row, 1:].tolist()
     if d == 0:
+        lookback = check_lookback(policy)
+        for run in reps.runs:
+            run.history._bind(policy.name, lookback)
         reps.policies = [policy] + [copy.deepcopy(policy) for _ in reps.runs[1:]]
+        global_generators = _global_generators()
+    row, observed = d % len(reps.counts), d % len(reps.obs_pos)
+    events = step_events(reps.events, d, theta, reps.counts[row])
+    reps.theta[d % len(reps.theta)] = theta
+    reps.proportions[row] = np.nan  # NaN unless observers are fielded today, at any depth
+    reps.obs_pos[observed] = reps.obs_neg[observed] = 0  # 0 unless observers record today
+    n_neg, n_pos = reps.counts[row, 1:].tolist()
 
     batch = zip(reps.runs, reps.policies, reps.streams, reps.columns, events.rows)
     for run, own_policy, streams, columns, rows in batch:
@@ -242,30 +270,45 @@ def step_day(reps: Replications, d: int, theta: np.ndarray, policy: Policy) -> n
         if decision is not None:
             step_observations(
                 decision, streams.observer, scenario, n_pos[columns], n_neg[columns],
-                run.proportions[row], run.obs_pos[d], run.obs_neg[d],
+                run.proportions[row], run.obs_pos[observed], run.obs_neg[observed],
             )
         run.history._append_day(rows)
+    if d == 0 and _global_generators() != global_generators:
+        raise DecisionError(
+            f"policy {policy.name!r} drew from numpy's or Python's global random generator on day 1; "
+            "a policy draws only from the rng that decide is handed"
+        )
 
     # A replication without observers keeps its zero observed counts. Their
     # terms add up to 0.0, and 0.0 + x is x, so its drive has the bits of
     # the incident term alone, the drive of a day without observers.
-    drive = feedback_drive(reps.obs_neg[d], reps.counts[row, 0], scenario)
+    drive = feedback_drive(reps.obs_neg[observed], reps.counts[row, 0], scenario)
     columns = zip(theta.tolist(), drive.tolist(), reps.k_decay)
     return np.array([step_theta(t, dr, k) for t, dr, k in columns])
 
 
 def _run(reps: Replications, policy: Policy) -> list[Trajectory]:
-    """Step reps through every day, fill the metrics from the stored theta; returns reps.runs."""
-    scenario = reps.scenario
+    """Step reps through every day, filling the metrics as theta's held rows fill; returns reps.runs.
+
+    The histories are bound to the policy's lookback_days from day 1 (step_day) to the end.
+    """
+    scenario, arrays = reps.scenario, reps.scenario.arrays
     theta = np.array([area.theta0 for area in scenario.areas] * len(reps.runs), dtype=float)
-    for d in range(len(reps.theta)):
+    horizon, held = len(reps.expected_loss), len(reps.theta)
+    for d in range(horizon):
         theta = step_day(reps, d, theta, policy)
-    # Row d * R + r is day d + 1 of replication r; METRICS_BLOCK rows bound the temporaries.
-    arrays, rows = scenario.arrays, reps.theta.reshape(-1, scenario.n_areas)
-    loss, tail = reps.expected_loss.reshape(-1), reps.tail_prob.reshape(-1)
-    for start in range(0, len(rows), METRICS_BLOCK):
-        block = slice(start, start + METRICS_BLOCK)
-        loss[block], tail[block] = compute_day_metrics(arrays, xi_of_theta(rows[block], arrays.xi_base))
+        if (d + 1) % held == 0 or d + 1 == horizon:
+            # Row b * R + r of the held theta is day first + b + 1 of replication r, as
+            # the metrics' rows are; METRICS_BLOCK rows per call bound the temporaries.
+            first = d // held * held
+            rows = reps.theta[: d + 1 - first].reshape(-1, scenario.n_areas)
+            loss, tail = (m[first : d + 1].reshape(-1) for m in (reps.expected_loss, reps.tail_prob))
+            for start in range(0, len(rows), METRICS_BLOCK):
+                block = slice(start, start + METRICS_BLOCK)
+                xi = xi_of_theta(rows[block], arrays.xi_base)
+                loss[block], tail[block] = compute_day_metrics(arrays, xi)
+    for run in reps.runs:
+        run.history._unbind()
     return list(reps.runs)
 
 
@@ -369,10 +412,17 @@ def run_ensemble(
 
     Replications are independent; the summary depends only on the set of
     seeded runs, not on the order they execute in. It is, bit for bit, the
-    summary of run_replications at those seeds, from a batch whose event
-    counts and proportions are one day deep (see Replications): the summary
-    reads only the metrics and the incident log.
+    summary of run_replications at those seeds, from a batch that holds only
+    what its policy and the summary read (see Replications): every day of
+    the metrics (16 B per replication-day), one METRICS_BLOCK of theta rows,
+    one day of the event counts and proportions, and, for a policy of finite
+    lookback_days L, one day of the observed counts and L days of incident
+    rows per replication, older incidents kept as totals.
     """
     seeds = range(base_seed, base_seed + n_reps)
-    reps = Replications(scenario, policy.name, seeds, horizon, depth=1)
+    theta_depth = METRICS_BLOCK // max(n_reps, 1)  # Replications refuses n_reps < 1
+    reps = Replications(
+        scenario, policy.name, seeds, horizon, depth=1, theta_depth=theta_depth,
+        history_days=check_lookback(policy),
+    )
     return summarize_trajectories(_run(reps, policy), base_seed)

@@ -171,15 +171,16 @@ class EventBlocks:
         n_columns = len(rngs) * n_areas
         by_day = cells.transpose(2, 0, 1, 3)  # (day, kind, replication, area): the block's order
         per_cell = by_day.ravel()
-        key = np.repeat(np.tile(np.arange(2 * n_columns, dtype=np.int32), n_days), per_cell)
         if n_days > 1:  # with one day, u's order is already the block's
             start = np.cumsum(cells.ravel()) - cells.ravel()
             start = start.reshape(cells.shape).transpose(2, 0, 1, 3).ravel()
             order = np.repeat(start - (np.cumsum(per_cell) - per_cell), per_cell)
             order += np.arange(len(order))
+            incidents = incidents[order[order < n_incidents]]  # u's first n_incidents are incidents
             u = u[order]
-            incidents = incidents[order[key < n_columns]]
             del order
+        # built after the gather, so that it is not held beside both orders of u
+        key = np.repeat(np.tile(np.arange(2 * n_columns, dtype=np.int32), n_days), per_cell)
         per_day = by_day.reshape(n_days, 2, n_columns).sum(axis=2)
         tasks = counts.sum(axis=1).transpose(1, 0, 2).reshape(n_days, n_columns)
         task_end = np.cumsum(per_day.sum(axis=1)).tolist()

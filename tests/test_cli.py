@@ -48,6 +48,43 @@ class RefusedFromDay3(Policy):
         return dict.fromkeys(history.obs_type_ids, np.full(history.n_areas, share))
 
 
+class PeekingPastLookback(Policy):
+    """Declares a 5-day lookback, then reads a 6-day window."""
+
+    name = "peek"
+    lookback_days = 5
+
+    def read(self, history):
+        return history.window(6)
+
+    def decide(self, history, rng):
+        self.read(history)
+        return None
+
+
+# what a PeekingPastLookback may read instead, and how the refusal names it
+PAST_THE_LOOKBACK = {
+    "window": ("a window of 6 days", PeekingPastLookback.read),
+    "incidents": ("the whole incident log (incidents)", lambda self, history: history.incidents),
+    "obs_pos": ("obs_pos", lambda self, history: history.obs_pos),
+    "obs_neg": ("obs_neg", lambda self, history: history.obs_neg),
+}
+
+
+class NegativeLookback(PeekingPastLookback):
+    lookback_days = -1
+
+
+class GlobalDraw(Policy):
+    """Fields no observers, after a draw from numpy's global generator."""
+
+    name = "global"
+
+    def decide(self, history, rng):
+        np.random.random()
+        return None
+
+
 class TestFmt:
     def test_integers_verbatim(self):
         assert fmt(7) == "7"
@@ -338,6 +375,35 @@ class TestRunCommand:
         argv = [command, "--scenario", SCENARIO, "--policy", "bad", "--horizon", "5", "--out-dir", str(out)]
         assert main(argv + (["--reps", "2"] if command == "compare" else [])) == 1
         assert capsys.readouterr().err == "error: proportions must sum to 1, got 3.5\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("rule", [*PAST_THE_LOOKBACK, "global-generator"])
+    def test_policy_breaking_a_rule_exits_1(self, tmp_path, capsys, monkeypatch, command, rule):
+        if rule == "global-generator":
+            policy = GlobalDraw
+            message = ("policy 'global' drew from numpy's or Python's global random generator on day 1; "
+                       "a policy draws only from the rng that decide is handed")
+        else:
+            what, read = PAST_THE_LOOKBACK[rule]
+            policy = type("Peeking", (PeekingPastLookback,), {"read": read})
+            message = f"policy 'peek' declares lookback_days = 5, so it cannot read {what}"
+        monkeypatch.setitem(policies._REGISTRY, policy.name, policy)
+        out = tmp_path / "out"
+        argv = [command, "--scenario", SCENARIO, "--policy", policy.name, "--horizon", "5", "--out-dir", str(out)]
+        assert main(argv + (["--reps", "2"] if command == "compare" else [])) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_invalid_lookback_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setitem(policies._REGISTRY, "peek", NegativeLookback)
+        out = tmp_path / "out"
+        argv = [command, "--scenario", SCENARIO, "--policy", "peek", "--horizon", "5", "--out-dir", str(out)]
+        assert main(argv + (["--reps", "2"] if command == "compare" else [])) == 2
+        message = "policy 'peek': lookback_days, if not None, must be an integer >= 0, got -1"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

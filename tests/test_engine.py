@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -7,6 +8,7 @@ import pytest
 import scalar_reference
 from conftest import make_area, make_obs_type, make_scenario
 from safesim.engine import (
+    METRICS_BLOCK,
     EnsembleSummary,
     Replications,
     Streams,
@@ -21,7 +23,9 @@ from safesim.engine import (
 from safesim.events import HURT_CHUNK, EventBlocks, block_days
 from safesim.metrics import SEVERE_AHL, baseline_asymptote, compute_day_metrics
 from safesim.observation import ProportionError
-from safesim.policies import AHL, AREA, DAY, PHL, Policy, make_policy
+from safesim.policies import (
+    AHL, AREA, DAY, PHL, DecisionError, ObservableHistory, Policy, PolicyError, make_policy,
+)
 from safesim.scenario import MAX_LAMBDA_STAR, N_HURT_LEVELS
 from scalar_reference import sample_event_counts
 
@@ -131,11 +135,32 @@ COUNT_COLUMNS = ("n_e", "n_neg", "n_pos", "obs_pos", "obs_neg")
 # from theta.
 CASE_STUDY_BYTES_PER_REP_DAY = 492
 
-# What run_ensemble's batch holds per replication-day on the case study: every
-# day of theta (56 B), of the observed counts (168 B) and of the metrics (16 B).
-# Its event counts and proportions are one day deep: the other 492 - 240 = 252 B
-# of a day, held once per replication.
-CASE_STUDY_ENSEMBLE_BYTES_PER_REP_DAY = 240
+# What run_ensemble's batch holds per replication-day on the case study, for a
+# policy of finite lookback_days: every day of the metrics (16 B). Beside them it
+# holds one METRICS_BLOCK of theta rows (56 B a row, whatever R and the horizon),
+# and one day of the event counts (84 B), the observed counts (168 B) and the
+# proportions (168 B) per replication: the other 492 - 56 - 16 = 420 B of a day.
+CASE_STUDY_ENSEMBLE_BYTES_PER_REP_DAY = 16
+
+
+def record_replications(monkeypatch) -> list:
+    """The Replications that the engine builds from now on, in the order built."""
+    built = []
+
+    class RecordedReplications(Replications):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr("safesim.engine.Replications", RecordedReplications)
+    return built
+
+
+def bytes_held(reps) -> int:
+    """The bytes of a batch's arrays and of its histories' buffers."""
+    arrays = sum(a.nbytes for a in vars(reps).values() if isinstance(a, np.ndarray))
+    histories = [run.history for run in reps.runs]
+    return arrays + sum(h._log.nbytes + h._day_end.nbytes + h._folded.nbytes for h in histories)
 
 
 class TestInt32Record:
@@ -161,20 +186,24 @@ class TestInt32Record:
         assert held / (n_reps * horizon) <= CASE_STUDY_BYTES_PER_REP_DAY
 
     def test_ensemble_bytes_held_per_replication_day(self, case_study, monkeypatch):
-        built = []
-
-        class RecordedReplications(Replications):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr("safesim.engine.Replications", RecordedReplications)
+        built = record_replications(monkeypatch)
         n_reps, horizon = 4, 365
         run_ensemble(case_study, make_policy("uniform"), n_reps, base_seed=0, horizon=horizon)
         (reps,) = built
         held = sum(a.nbytes for a in vars(reps).values() if isinstance(a, np.ndarray))
-        one_day_rows = n_reps * (CASE_STUDY_BYTES_PER_REP_DAY - CASE_STUDY_ENSEMBLE_BYTES_PER_REP_DAY)
-        assert (held - one_day_rows) / (n_reps * horizon) <= CASE_STUDY_ENSEMBLE_BYTES_PER_REP_DAY
+        theta_rows = METRICS_BLOCK * case_study.n_areas * 8
+        one_day_rows = n_reps * (CASE_STUDY_BYTES_PER_REP_DAY - 56 - CASE_STUDY_ENSEMBLE_BYTES_PER_REP_DAY)
+        assert (held - theta_rows - one_day_rows) / (n_reps * horizon) <= CASE_STUDY_ENSEMBLE_BYTES_PER_REP_DAY
+
+    def test_ensemble_grows_by_the_metrics_alone(self, case_study, monkeypatch):
+        # a counts ensemble reads back 30 days: ten times the horizon adds only
+        # the metrics' 16 B per replication-day, histories' buffers included
+        built = record_replications(monkeypatch)
+        n_reps, horizons = 2, (365, 3650)
+        for horizon in horizons:
+            run_ensemble(case_study, make_policy("counts"), n_reps, base_seed=0, horizon=horizon)
+        short, long = map(bytes_held, built)
+        assert long - short == CASE_STUDY_ENSEMBLE_BYTES_PER_REP_DAY * n_reps * (horizons[1] - horizons[0])
 
     def test_counts_at_the_rate_bound_match_the_scalar_sampler(self):
         # theta = 0.9, xi = 0.05: of about 50,000 potential incidents and 450,000
@@ -562,6 +591,65 @@ class PerTypePolicy(Policy):
         return {t: np.roll(s, j) for j, t in enumerate(history.obs_type_ids)}
 
 
+class AlternateDaysPolicy(Policy):
+    """Uniform observers on odd days and none on even days; it reads no history."""
+
+    name = "alternate-days"
+    lookback_days = 0
+
+    def decide(self, history, rng):
+        if history.current_day % 2 == 0:
+            return None
+        return dict.fromkeys(history.obs_type_ids, np.full(history.n_areas, 1.0 / history.n_areas))
+
+
+class PeekingPolicy(Policy):
+    """Declares a 5-day lookback; each day it reads the history by read, then fields no observers."""
+
+    name = "peeking"
+    lookback_days = 5
+
+    def read(self, history):
+        return history.window(5)
+
+    def decide(self, history, rng):
+        self.read(history)
+        return None
+
+
+PAST_THE_LOOKBACK = {
+    "window": ("a window of 6 days", lambda history: history.window(6)),
+    "incidents": ("the whole incident log", lambda history: history.incidents),
+    "obs_pos": ("obs_pos", lambda history: history.obs_pos),
+    "obs_neg": ("obs_neg", lambda history: history.obs_neg),
+}
+
+
+def peeking(read) -> type:
+    """A PeekingPolicy class whose decisions make the read PAST_THE_LOOKBACK names."""
+    return type("PeekingPast", (PeekingPolicy,), {"read": lambda self, history: PAST_THE_LOOKBACK[read][1](history)})
+
+
+class NumpyGlobalPolicy(Policy):
+    """Uniform observers, after one draw from numpy's global generator."""
+
+    name = "numpy-global"
+
+    def decide(self, history, rng):
+        np.random.random()
+        return dict.fromkeys(history.obs_type_ids, np.full(history.n_areas, 1.0 / history.n_areas))
+
+
+class PythonGlobalPolicy(NumpyGlobalPolicy):
+    """Uniform observers, after one draw from Python's global generator."""
+
+    name = "python-global"
+
+    def decide(self, history, rng):
+        random.random()
+        return dict.fromkeys(history.obs_type_ids, np.full(history.n_areas, 1.0 / history.n_areas))
+
+
 def dense_scenario(n_areas=24, seed=5):
     """A generated scenario like the dense-long benchmark's: many areas, large pools."""
     rng = np.random.default_rng(seed)
@@ -623,6 +711,16 @@ class TestLockstep:
             run_replications(case_study, make_policy("none"), [], 5)
 
 
+def assert_summaries_equal(got, expected, label):
+    """Every EnsembleSummary field equal, arrays bit for bit (dtype, shape and bytes)."""
+    for field in fields(EnsembleSummary):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (label, field.name)
+        else:
+            assert a == b, (label, field.name)
+
+
 class TestRunEnsemble:
     def test_single_rep_has_zero_std(self, case_study):
         summary = run_ensemble(case_study, make_policy("uniform"), 1, base_seed=3, horizon=15)
@@ -664,14 +762,44 @@ class TestRunEnsemble:
             for spec in BUILT_IN_POLICIES:
                 summary = run_ensemble(scenario, make_policy(spec), 3, base_seed=100, horizon=horizon)
                 runs = run_replications(scenario, make_policy(spec), [100, 101, 102], horizon)
-                full = summarize_trajectories(runs, base_seed=100)
-                for field in fields(EnsembleSummary):
-                    got, expected = getattr(summary, field.name), getattr(full, field.name)
-                    if isinstance(expected, np.ndarray):
-                        as_bits = [(a.dtype, a.shape, a.tobytes()) for a in (got, expected)]
-                        assert as_bits[0] == as_bits[1], (spec, horizon, field.name)
-                    else:
-                        assert got == expected, (spec, horizon, field.name)
+                assert_summaries_equal(summary, summarize_trajectories(runs, base_seed=100), (spec, horizon))
+
+    def test_shallow_batch_gives_the_summary_of_the_full_records(self, case_study, monkeypatch):
+        # 1,100 days at R = 3: theta is held 170 days deep, so the metrics are
+        # filled in seven blocks, and every built-in's incident log is compacted
+        # several times. A custom policy of lookback_days None keeps every day;
+        # one of lookback 0 that skips even days has a one-day-deep observed
+        # record whose zeroed row its drive reads on the days without observers
+        seeds, horizon = [100, 101, 102], 1_100
+        custom = {"odd-days-off": OddDaysOffPolicy, "alternate-days": AlternateDaysPolicy}
+        for spec in (*BUILT_IN_POLICIES, *custom):
+            def policy():
+                return custom[spec]() if spec in custom else make_policy(spec)
+
+            with monkeypatch.context() as patch:
+                rows, folds = [], []
+                metrics, fold = compute_day_metrics, ObservableHistory._fold_unread_days
+                patch.setattr("safesim.engine.compute_day_metrics", lambda p, xi: rows.append(len(xi)) or metrics(p, xi))
+                patch.setattr(ObservableHistory, "_fold_unread_days", lambda h: folds.append(h._held) or fold(h))
+                summary = run_ensemble(case_study, policy(), len(seeds), base_seed=100, horizon=horizon)
+            assert len(rows) == 7 and max(rows) <= METRICS_BLOCK and sum(rows) == len(seeds) * horizon, spec
+            if policy().lookback_days is not None:
+                assert len(folds) >= 3 * len(seeds), (spec, folds)
+            runs = run_replications(case_study, policy(), seeds, horizon)
+            assert_summaries_equal(summary, summarize_trajectories(runs, base_seed=100), spec)
+
+    def test_metrics_blocks_of_one_day_split_into_calls(self, case_study, monkeypatch):
+        # with METRICS_BLOCK 2 and R = 3, theta is held one day deep, and each
+        # day's three rows take two compute_day_metrics calls
+        monkeypatch.setattr("safesim.engine.METRICS_BLOCK", 2)
+        rows = []
+        monkeypatch.setattr(
+            "safesim.engine.compute_day_metrics", lambda p, xi: rows.append(len(xi)) or compute_day_metrics(p, xi)
+        )
+        summary = run_ensemble(case_study, make_policy("counts"), 3, base_seed=7, horizon=10)
+        assert rows == [2, 1] * 10
+        runs = run_replications(case_study, make_policy("counts"), [7, 8, 9], 10)
+        assert_summaries_equal(summary, summarize_trajectories(runs, base_seed=7), "counts")
 
     def test_order_independent_aggregation(self, case_study):
         policy = make_policy("uniform")
@@ -726,6 +854,81 @@ class TestRunEnsemble:
         for a, b in (summaries, runs, (case_study.arrays, case_study.arrays.of(case_study))):
             assert a == a and a != b
             assert len({a, b, a}) == 2
+
+
+class TestLookback:
+    """A policy's lookback_days: checked before day 1, enforced on its reads, and what an ensemble holds."""
+
+    @pytest.mark.parametrize("read", PAST_THE_LOOKBACK)
+    @pytest.mark.parametrize("entry", ["run_simulation", "run_ensemble"])
+    def test_read_past_the_lookback_refused(self, case_study, read, entry):
+        what, _ = PAST_THE_LOOKBACK[read]
+        message = f"policy 'peeking' declares lookback_days = 5, so it cannot read {what}"
+        with pytest.raises(DecisionError, match=message):
+            if entry == "run_simulation":
+                run_simulation(case_study, peeking(read)(), seed=1, horizon=3)
+            else:
+                run_ensemble(case_study, peeking(read)(), 2, base_seed=1, horizon=3)
+
+    def test_reads_within_the_lookback_run(self, case_study):
+        run = run_simulation(case_study, PeekingPolicy(), seed=1, horizon=20)
+        assert len(run.history) == 20
+        # the run has ended: its record is the caller's to read
+        assert np.array_equal(run.history.incidents, run.incidents)
+        assert run.history.obs_pos.shape == (20, 3, 7)
+
+    @pytest.mark.parametrize("lookback", [-1, True, 2.5, "3", np.float64(3.0)], ids=repr)
+    def test_invalid_lookback_refused_before_day_1(self, case_study, lookback):
+        policy = type("BadLookback", (PeekingPolicy,), {"lookback_days": lookback})()
+        message = "policy 'peeking': lookback_days, if not None, must be an integer >= 0, got "
+        with pytest.raises(PolicyError, match=message):
+            run_ensemble(case_study, policy, 2, base_seed=1, horizon=3)
+        reps = Replications(case_study, policy.name, seeds=[3], horizon=1)
+        with pytest.raises(PolicyError, match=message):
+            step_day(reps, 0, np.array([a.theta0 for a in case_study.areas]), policy)
+        fresh = Streams.from_seed(3).environment
+        assert reps.streams[0].environment.bit_generator.state == fresh.bit_generator.state
+        assert not reps.counts.any()
+
+    def test_history_shallower_than_the_lookback_refused(self, case_study):
+        reps = Replications(case_study, "counts", seeds=[3], horizon=40, history_days=5)
+        with pytest.raises(ValueError, match="policy 'counts' reads back 30 days; the history holds 5"):
+            step_day(reps, 0, np.array([a.theta0 for a in case_study.areas]), make_policy("counts"))
+
+    @pytest.mark.parametrize("spec", BUILT_IN_POLICIES)
+    def test_built_ins_declare_what_they_read(self, spec):
+        # counts and severity their window, the others nothing
+        policy = make_policy(spec)
+        assert policy.lookback_days == getattr(policy, "window_days", 0)
+        if spec in ("counts", "severity"):
+            assert type(policy)(window_days=7).lookback_days == 7
+
+
+class TestGlobalGenerators:
+    """A policy whose day-1 decisions draw from numpy's or Python's global generator is refused."""
+
+    @pytest.mark.parametrize("policy", [NumpyGlobalPolicy, PythonGlobalPolicy])
+    def test_global_draw_refused(self, case_study, policy):
+        message = f"policy '{policy.name}' drew from numpy's or Python's global random generator on day 1"
+        with pytest.raises(DecisionError, match=message):
+            run_simulation(case_study, policy(), seed=1, horizon=3)
+        with pytest.raises(DecisionError, match=message):
+            run_ensemble(case_study, policy(), 3, base_seed=1, horizon=3)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            *(lambda spec=spec: make_policy(spec) for spec in BUILT_IN_POLICIES),
+            HistoryProbePolicy, RotatingPolicy, DrawingCountsPolicy, DirichletPolicy, OddDaysOffPolicy,
+            PerTypePolicy, AlternateDaysPolicy, PeekingPolicy,
+        ],
+    )
+    def test_built_in_and_test_policies_accepted(self, case_study, policy):
+        numpy_state, python_state = np.random.get_state(), random.getstate()
+        runs = run_replications(case_study, policy(), [1, 2], 3)
+        assert [run.horizon for run in runs] == [3, 3]
+        assert random.getstate() == python_state
+        assert all(np.array_equal(a, b) for a, b in zip(np.random.get_state(), numpy_state))
 
 
 class TestNearestRank:

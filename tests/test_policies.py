@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 from conftest import EDGE_WEIGHTS
 from safesim.observation import ProportionError, check_proportions
 from safesim.policies import (
+    AHL,
+    AREA,
     DAY,
+    DecisionError,
     FixedWeightsPolicy,
     IncidentCountPolicy,
     IncidentSeverityPolicy,
@@ -336,6 +339,46 @@ class TestObservableHistory:
         }
         assert {name for name in dir(history) if not name.startswith("_")} == readers
         assert len(history) == 1
+
+
+class TestHeldDays:
+    """A history of held_days K keeps the rows a window of K days reads, and totals the rest."""
+
+    @pytest.mark.parametrize("held_days", [0, 1, 3, 30])
+    def test_windows_and_totals_match_a_full_history(self, held_days):
+        rng = np.random.default_rng(held_days)
+        n_areas, n_days, most = 3, 300, 12
+        shape = (n_days, len(TYPE_IDS), n_areas)
+        full = ObservableHistory(TYPE_IDS, np.zeros(shape, dtype=int), np.zeros(shape, dtype=int))
+        one_day = (1, *shape[1:])
+        held = ObservableHistory(
+            TYPE_IDS, np.zeros(one_day, dtype=int), np.zeros(one_day, dtype=int), held_days=held_days
+        )
+        for day in range(1, n_days + 1):
+            for window_days in range(held_days + 1):
+                assert held.window(window_days).tolist() == full.window(window_days).tolist()
+            n = rng.integers(0, most + 1)
+            incidents = list(zip(rng.integers(0, n_areas, n).tolist(), rng.integers(0, 6, n).tolist()))
+            append_incidents(full, incidents)
+            append_incidents(held, incidents)
+            assert len(held) == len(full) == day
+        cells = full.incidents[:, AREA] * 6 + full.incidents[:, AHL]
+        totals = np.bincount(cells, minlength=n_areas * 6).reshape(n_areas, 6)
+        assert np.array_equal(full._incident_totals(), totals)
+        assert np.array_equal(held._incident_totals(), totals)
+        assert held._folded.sum() > 0 and full._folded.sum() == 0
+        # the buffer doubles only while the held days fill more than half of it
+        assert len(held._log) <= max(64, 4 * (held_days + 1) * most) < len(full._log)
+
+    @pytest.mark.parametrize("read", ["window", "incidents", "obs_pos", "obs_neg"])
+    def test_reads_past_the_held_days_refused(self, read):
+        shape = (1, len(TYPE_IDS), 2)
+        history = ObservableHistory(TYPE_IDS, np.zeros(shape, dtype=int), np.zeros(shape, dtype=int), held_days=3)
+        for _ in range(5):
+            append_incidents(history, [(0, 1)])
+        assert history.window(3)[:, DAY].tolist() == [3, 4, 5]
+        with pytest.raises(DecisionError, match="lookback_days = 3, so it cannot read"):
+            history.window(4) if read == "window" else getattr(history, read)
 
 
 @st.composite
